@@ -28,7 +28,7 @@ from .dynamics import (
 from .linalg import operator_norm
 from .moments import gap_expectation, gap_variance_bound
 from .sampling import derive_rng, empirical_density_matrix, sample_gap
-from .scenarios import ConfigError, build_scenario, load_scenario
+from .scenarios import ConfigError, load_scenario
 from .spectra import contributing_set, gap_count, spectral_stats
 from .runner import run_scenario
 
@@ -197,7 +197,7 @@ def _cmd_run(args) -> int:
         fh.write(report.to_json())
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
-        scn = build_scenario(config, base_dir)
+        scn = report.scenario
         for T in config.horizons:
             times = np.linspace(0.0, T, CSV_CURVE_POINTS)
             curve = mixture_expectation_curve(scn.spec, scn.rho, scn.observable, times)

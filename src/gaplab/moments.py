@@ -18,10 +18,25 @@ prod_{j=1..k+1} (1 - j p_max)^(-1) and bounds cross terms by absolute
 values; a sharper variant that keeps the quadrature values of K(k) is
 reported alongside.
 
-Integrals are computed after the compactifying substitution x = u / (1 - u)
-with an adaptive Gauss-Kronrod rule, absolute tolerance 1e-10.  Integrand
-factors are paired (numerator powers against the largest denominators) so
-the integrand stays bounded all the way to u = 1.
+``k_table`` and ``k_pair_table`` compute K(0), K(1), K(2) and the whole pair
+table from one trapezoid rule in s = log x with step ``RULE_STEP``.  In s
+every integrand is analytic in the strip |Im s| < pi, so the rule converges
+geometrically (Trefethen & Weideman, SIAM Review 56, 2014).  With node
+weights w_j = h x_j prod_i (1 + x_j p_i)^(-1) and G_jm = (1 + x_j p_m)^(-1),
+K(k) = sum_j w_j x_j^k / k! and the pair table is G^T diag(w) G, one matrix
+product.  Every log-integrand, (k + 1) s - sum_j log(1 + e^s p_j) or its
+pair form, lies below s for s <= 0 and below c - s everywhere, where
+c = -sum of log p_j over the four largest p_j.  So cutting the grid at
+s = -RULE_TAIL and s = c + RULE_TAIL leaves tails below exp(-RULE_TAIL)
+against integrals that are all at least 1/3.  The every-other-node sum (step 2h) comes free from
+the same grid; if it differs from the step-h sum by more than
+``RULE_SELF_CHECK_TOL`` relative, the rule raises ``RuntimeError``.
+
+``k_integral`` and ``k_pair_integral`` keep adaptive Gauss-Kronrod
+quadrature (after the compactifying substitution x = u / (1 - u), tolerance
+1e-10) as independent oracles for tests.  Their integrand factors are paired
+(numerator powers against the largest denominators) so the integrand stays
+bounded all the way to u = 1.
 """
 
 from __future__ import annotations
@@ -54,6 +69,13 @@ QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-10
 #: Subdivision cap for the adaptive rule.
 QUAD_LIMIT = 10000
+
+#: Step h of the trapezoid rule in s = log x.
+RULE_STEP = 0.1
+#: The rule's grid ends where the integrands' asymptotes fall below exp(-RULE_TAIL).
+RULE_TAIL = 46.0
+#: Largest relative difference allowed between the step-h and step-2h sums.
+RULE_SELF_CHECK_TOL = 1e-13
 
 #: Tiny negative values from cancellation are clamped to zero down to this floor.
 CLAMP_FLOOR = -1e-12
@@ -117,6 +139,14 @@ def _check_probabilities(probabilities) -> np.ndarray:
     return p
 
 
+def _check_integrable(p: np.ndarray, k: int) -> None:
+    pmax = p.max()
+    if pmax >= 1.0 / (k + 1):
+        raise ValueError(
+            f"integrability violated: p_max = {pmax!r} >= 1/{k + 1}"
+        )
+
+
 def k_integral(probabilities, k: int) -> float:
     """Normalized spectral integral K(k) = (1/k!) I(k; p), k in {0, 1, 2}.
 
@@ -127,11 +157,7 @@ def k_integral(probabilities, k: int) -> float:
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
     p = _check_probabilities(probabilities)
-    pmax = p.max()
-    if pmax >= 1.0 / (k + 1):
-        raise ValueError(
-            f"integrability violated: p_max = {pmax!r} >= 1/{k + 1}"
-        )
+    _check_integrable(p, k)
     return _raw_moment_integral(p, k) / math.factorial(k)
 
 
@@ -160,37 +186,76 @@ def k_product_bound(p_max: float, k: int) -> float:
     return out
 
 
+def _k_rule(p: np.ndarray, n_moments: int):
+    """K(0..n_moments-1) and the pair table from the trapezoid rule in s = log x.
+
+    Returns (moments, pair, nodes, self_check): the K(k) as an array, the
+    exactly symmetric pair table, the node count, and the largest relative
+    difference between the step-h and step-2h results.
+    """
+    h = RULE_STEP
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    # every log-integrand lies below s for s <= 0 and below c - s everywhere
+    c = -float(np.sort(log_p[p > 0])[::-1][:4].sum())
+    j = np.arange(math.floor(-RULE_TAIL / h), math.ceil((c + RULE_TAIL) / h) + 1)
+    s = h * j
+    xp = np.exp(s[:, None] + log_p)
+    G = 1.0 / (1.0 + xp)
+    log_w = math.log(h) + s - np.log1p(xp).sum(axis=1)
+    w = np.exp(log_w)
+    k = np.arange(n_moments)
+    terms = np.exp(log_w + k[:, None] * s) / np.array([math.factorial(i) for i in k])[:, None]
+
+    def integrate(nodes, scale):
+        Gn = G[nodes]
+        return scale * terms[:, nodes].sum(axis=1), (Gn * (scale * w[nodes])[:, None]).T @ Gn
+
+    moments, pair = integrate(slice(None), 1.0)
+    moments_2h, pair_2h = integrate(j % 2 == 0, 2.0)
+    self_check = float(
+        np.concatenate((np.abs(moments_2h / moments - 1.0), np.abs(pair_2h / pair - 1.0).ravel())).max()
+    )
+    if not self_check <= RULE_SELF_CHECK_TOL:
+        raise RuntimeError(
+            f"K-integral rule did not converge: step-h and step-2h sums differ by {self_check:.3g} relative"
+        )
+    pair = np.triu(pair) + np.triu(pair, 1).T
+    return moments, pair, s.size, self_check
+
+
 def k_pair_table(probabilities) -> np.ndarray:
-    """Symmetric table of all pair integrals K(m, n)."""
+    """Symmetric table of all pair integrals K(m, n), from the rule of ``k_table``."""
     p = _check_probabilities(probabilities)
-    d = p.size
-    table = np.empty((d, d), dtype=float)
-    for m in range(d):
-        for n in range(m, d):
-            val = k_pair_integral(p, m, n)
-            table[m, n] = val
-            table[n, m] = val
-    return table
+    npos = int(np.count_nonzero(p > 0))
+    if npos < 2 and npos < p.size:
+        # K(m, m) of a zero level p_m keeps only the npos positive factors
+        raise ValueError(
+            f"integrand decays too slowly: needs at least 2 positive factors, got {npos}"
+        )
+    return _k_rule(p, 0)[1]
 
 
 @dataclass
 class KIntegralTable:
-    """Quadrature values of K(0), K(1), K(2) and the pair table."""
+    """K(0), K(1), K(2) and the pair table, with the rule's node count and self-check."""
 
     k0: float
     k1: float
     k2: float
     pair: np.ndarray
+    nodes: int
+    self_check: float
 
 
 def k_table(probabilities) -> KIntegralTable:
-    """All K-integrals for one spectrum.  Requires p_max < 1/3 for K(2)."""
+    """All K-integrals for one spectrum from one rule.  Requires p_max < 1/3 for K(2)."""
     p = _check_probabilities(probabilities)
+    for k in (0, 1, 2):
+        _check_integrable(p, k)
+    (k0, k1, k2), pair, nodes, self_check = _k_rule(p, 3)
     return KIntegralTable(
-        k0=k_integral(p, 0),
-        k1=k_integral(p, 1),
-        k2=k_integral(p, 2),
-        pair=k_pair_table(p),
+        k0=float(k0), k1=float(k1), k2=float(k2), pair=pair, nodes=nodes, self_check=self_check
     )
 
 
@@ -212,6 +277,21 @@ def _eigenbasis_observable(rho: DensityMatrix, A) -> np.ndarray:
     return U.conj().T @ A @ U
 
 
+def _exact_variance(At: np.ndarray, p: np.ndarray, pair: np.ndarray) -> float:
+    """The quadratic form of the exact variance, given A in the eigenbasis of rho."""
+    mean = complex(np.dot(At.diagonal(), p))
+    Ac = At - mean * np.eye(p.size)
+    diag = Ac.diagonal()
+    weights = np.outer(p, p) * pair
+    total = np.sum((np.outer(diag, diag.conj()) + np.abs(Ac) ** 2) * weights)
+    if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
+        raise RuntimeError(f"variance has a non-real residue: {total!r}")
+    val = float(total.real)
+    if val < CLAMP_FLOOR:
+        raise RuntimeError(f"variance is negative beyond roundoff: {val!r}")
+    return max(val, 0.0)
+
+
 def gap_variance_exact(rho: DensityMatrix, A) -> float:
     """Exact variance of <psi|A|psi> under the projected ensemble.
 
@@ -224,19 +304,7 @@ def gap_variance_exact(rho: DensityMatrix, A) -> float:
         raise ValueError("dimension must be at least 4")
     if np.any(p <= 0.0):
         raise ValueError("all probabilities must be strictly positive")
-    At = _eigenbasis_observable(rho, A)
-    mean = complex(np.dot(At.diagonal(), p))
-    Ac = At - mean * np.eye(rho.dim)
-    kmn = k_pair_table(p)
-    diag = Ac.diagonal()
-    weights = np.outer(p, p) * kmn
-    total = np.sum((np.outer(diag, diag.conj()) + np.abs(Ac) ** 2) * weights)
-    if abs(total.imag) > 1e-9 * (1.0 + abs(total.real)):
-        raise RuntimeError(f"variance has a non-real residue: {total!r}")
-    val = float(total.real)
-    if val < CLAMP_FLOOR:
-        raise RuntimeError(f"variance is negative beyond roundoff: {val!r}")
-    return max(val, 0.0)
+    return _exact_variance(_eigenbasis_observable(rho, A), p, k_pair_table(p))
 
 
 @dataclass
@@ -246,6 +314,8 @@ class VarianceReport:
     ``bound`` is the closed-form product-bound evaluation; ``quadrature_bound``
     keeps the quadrature values of K(0..2) and is sharper.  ``clamped_terms``
     counts cancellation residues in [-1e-12, 0) that were clamped to zero.
+    ``rule_nodes`` and ``rule_self_check`` are the node count and the
+    step-h against step-2h difference of the K-integral rule (see ``k_table``).
     """
 
     exact_variance: float
@@ -253,6 +323,8 @@ class VarianceReport:
     quadrature_bound: float
     term_breakdown: dict
     clamped_terms: int = 0
+    rule_nodes: int = 0
+    rule_self_check: float = 0.0
 
 
 def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
@@ -330,9 +402,11 @@ def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
         "k2": table.k2,
     }
     return VarianceReport(
-        exact_variance=gap_variance_exact(rho, A),
+        exact_variance=_exact_variance(At, p, table.pair),
         bound=float(bound),
         quadrature_bound=float(quadrature_bound),
         term_breakdown=breakdown,
         clamped_terms=clamped,
+        rule_nodes=table.nodes,
+        rule_self_check=table.self_check,
     )

@@ -93,13 +93,18 @@ class CheckRecord:
 
 @dataclass
 class Report:
-    """Deterministic scenario report; serialization excludes wall-clock data."""
+    """Deterministic scenario report; serialization excludes wall-clock data.
+
+    ``timings`` (the sidecar) and ``scenario`` (the materialized scenario,
+    for exports such as the curve CSVs) stay out of ``to_dict``.
+    """
 
     config: dict
     seed: int
     spectral: dict
     checks: list
     timings: dict = field(default_factory=dict, repr=False)
+    scenario: Scenario | None = field(default=None, repr=False, compare=False)
 
     @property
     def violations(self) -> int:
@@ -206,8 +211,12 @@ def _phase_norm_record(scn: Scenario) -> CheckRecord:
     )
 
 
-def _variance_records(scn: Scenario) -> list:
-    """Closed-form variance bound dominance plus the Monte Carlo match."""
+def _variance_records(scn: Scenario) -> tuple[list, dict]:
+    """Closed-form variance bound dominance plus the Monte Carlo match.
+
+    Also returns the K-integral rule's node count and self-check difference
+    for the timings sidecar.
+    """
     config = scn.config
     rho, B = scn.rho, scn.observable
     seed = config.seed
@@ -245,7 +254,7 @@ def _variance_records(scn: Scenario) -> list:
         passed=diff <= 4.0 * se,
         detail={"n_samples": n, "mc_variance": mc_var, "exact_variance": report.exact_variance},
     )
-    return [dominance, mc]
+    return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
 
 
 def _equilibration_samples(scn: Scenario, workers: int):
@@ -596,7 +605,8 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) 
         timings["spectral"] = time.perf_counter() - t1
     if "variance" in config.checks:
         t1 = time.perf_counter()
-        checks.extend(_variance_records(scn))
+        records, timings["variance_rule"] = _variance_records(scn)
+        checks.extend(records)
         timings["variance"] = time.perf_counter() - t1
     if "moments" in config.checks or "equilibration" in config.checks:
         t1 = time.perf_counter()
@@ -613,4 +623,5 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) 
         spectral=spectral,
         checks=checks,
         timings=timings,
+        scenario=scn,
     )

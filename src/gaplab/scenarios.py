@@ -238,6 +238,17 @@ def microcanonical_density(macro: MacroDecomposition, label: str = "eq") -> Dens
     return DensityMatrix(probabilities=p, basis=basis)
 
 
+def _positive_numbers(obj: dict, name: str, default: list) -> list:
+    """Config field ``name``: a nonempty list of finite, positive numbers."""
+    value = obj.get(name, default)
+    if not isinstance(value, list) or not value or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+        for v in value
+    ):
+        raise ConfigError(f"{name} must be a nonempty list of finite positive numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
 @dataclass
 class ScenarioConfig:
     """Parsed scenario configuration (schema gaplab-scenario/1)."""
@@ -293,12 +304,8 @@ class ScenarioConfig:
         n_times = int(mc.get("n_times", 256))
         if n_states < 2 or n_times < 1:
             raise ConfigError("mc budget must have n_states >= 2 and n_times >= 1")
-        horizons = [float(t) for t in obj.get("horizons", [10.0])]
-        kappas = [float(k) for k in obj.get("kappas", [1.0])]
-        if not horizons or any(t <= 0 for t in horizons):
-            raise ConfigError("horizons must be positive")
-        if not kappas or any(k <= 0 for k in kappas):
-            raise ConfigError("kappas must be positive")
+        horizons = _positive_numbers(obj, "horizons", [10.0])
+        kappas = _positive_numbers(obj, "kappas", [1.0])
         epsilon = float(obj.get("epsilon", 0.1))
         delta = float(obj.get("delta", 0.1))
         if not 0 < epsilon < 1 or not 0 < delta < 1:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gaplab import cli
+from gaplab import cli, runner
 from gaplab.dynamics import (
     BoundInputs,
     expectation_curve,
@@ -241,12 +241,22 @@ def write_run_config(tmp_path):
     return path
 
 
-def test_run_success_writes_report_and_csv(tmp_path, capsys):
+def test_run_success_writes_report_and_csv(tmp_path, capsys, monkeypatch):
     config = write_run_config(tmp_path)
     out = tmp_path / "report.json"
     csv_dir = tmp_path / "curves"
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    build = runner.build_scenario
+    monkeypatch.setattr(runner, "build_scenario", counting_build)
+    monkeypatch.setattr(cli, "build_scenario", counting_build, raising=False)
     rc = cli.main(["run", "--config", str(config), "--out", str(out), "--csv", str(csv_dir)])
     assert rc == 0
+    assert len(builds) == 1
     printed = capsys.readouterr().out
     assert "violations: 0" in printed
     assert printed.count("PASS") == 3
@@ -256,6 +266,23 @@ def test_run_success_writes_report_and_csv(tmp_path, capsys):
     csv = (csv_dir / "mixture_T4.csv").read_text()
     assert csv.startswith("t,re_expectation,im_expectation\n")
     assert len(csv.strip().split("\n")) == cli.CSV_CURVE_POINTS + 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("horizons", 5), ("horizons", [math.nan]), ("kappas", [math.inf]), ("kappas", "ab")],
+    ids=["horizons-scalar", "horizons-nan", "kappas-inf", "kappas-string"],
+)
+def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, field, value):
+    path = write_run_config(tmp_path)
+    config = json.loads(path.read_text())
+    config[field] = value
+    path.write_text(json.dumps(config))
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert field in err
+    assert "Traceback" not in err
 
 
 def test_run_reruns_are_byte_identical(tmp_path):
@@ -268,6 +295,8 @@ def test_run_reruns_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     timings = json.loads(t_f.read_text())
     assert "build" in timings and "timings" not in out1.read_text()
+    rule = timings["variance_rule"]
+    assert rule["nodes"] > 0 and 0.0 <= rule["self_check"] <= 1e-13
 
 
 def test_run_violation_exits_1(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import diagonal_density, random_hermitian
+from gaplab import moments
 from gaplab.moments import (
     gap_expectation,
     gap_variance_bound,
@@ -50,6 +51,62 @@ def test_k_pair_table_symmetric():
     table = k_pair_table(p)
     assert np.abs(table - table.T).max() == 0.0
     assert np.all(table > 0)
+
+
+def _oracle_spectra():
+    spectra = {
+        f"random{d}": random_density(d, derive_rng(413, d), p_max_limit=0.25).probabilities
+        for d in (5, 8, 24, 48)
+    }
+    spectra["uniform4"] = np.array(UNIFORM4)
+    spectra["quarter_plus_tiny"] = np.concatenate((np.full(4, (1.0 - 5e-8) / 4.0), np.full(5, 1e-8)))
+    spectra["degenerate"] = np.concatenate((np.full(6, 0.16), np.full(20, 0.002)))
+    return spectra
+
+
+ORACLE_SPECTRA = _oracle_spectra()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECTRA))
+def test_k_rule_matches_adaptive_quadrature(name):
+    # the adaptive oracle is itself accurate only to its 1e-10 tolerance
+    p = ORACLE_SPECTRA[name]
+    table = k_table(p)
+    for k, value in enumerate((table.k0, table.k1, table.k2)):
+        assert value == pytest.approx(k_integral(p, k), rel=1e-10)
+    pair = k_pair_table(p)
+    assert np.array_equal(pair, table.pair)
+    assert np.array_equal(pair, pair.T)
+    d = p.size
+    levels = sorted({0, 1, d // 2, d - 2, d - 1})
+    for m in levels:
+        for n in levels:
+            assert pair[m, n] == pytest.approx(k_pair_integral(p, m, n), rel=1e-10)
+    assert 0.0 <= table.self_check <= moments.RULE_SELF_CHECK_TOL
+    assert table.nodes > 0
+
+
+@pytest.mark.parametrize("dim", [4, 6, 10, 48])
+def test_k_rule_uniform_closed_forms(dim):
+    d = float(dim)
+    table = k_table(np.full(dim, 1.0 / dim))
+    assert table.k0 == pytest.approx(d / (d - 1), rel=1e-13)
+    assert table.k1 == pytest.approx(d**2 / ((d - 1) * (d - 2)), rel=1e-13)
+    assert table.k2 == pytest.approx(d**3 / ((d - 1) * (d - 2) * (d - 3)), rel=1e-13)
+    # every pair integral of the uniform spectrum is integral (1 + x/D)^-(D+2) dx
+    np.testing.assert_allclose(table.pair, d / (d + 1), rtol=1e-13, atol=0)
+
+
+def test_k_rule_self_check_rejects_coarse_step(monkeypatch):
+    monkeypatch.setattr(moments, "RULE_STEP", 1.0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        k_table(ORACLE_SPECTRA["random8"])
+
+
+def test_k_pair_table_rejects_zero_pair_without_decay():
+    with pytest.raises(ValueError, match="needs at least 2 positive factors, got 1"):
+        k_pair_table([1.0, 0.0, 0.0])
+    assert k_pair_table([1.0]) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_product_bound_values_at_quarter():
