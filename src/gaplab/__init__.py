@@ -11,7 +11,9 @@ from .dynamics import (
     BoundInputs,
     MomentBounds,
     bound_inputs,
+    block_overlap_matrix,
     concentration_tail_bound,
+    dephased_power,
     diagonal_ensemble_expectation,
     equilibration_bound_finite_time,
     equilibration_bound_infinite_time,
@@ -25,7 +27,9 @@ from .dynamics import (
     mixture_curve_deviation,
     mixture_expectation_curve,
     moment_bounds,
+    overlap_curve,
     phase_matrix_norm_bound,
+    phase_quadratic_forms,
 )
 from .linalg import hermitian_eigendecomposition, operator_norm, trace_norm
 from .moments import (
@@ -55,6 +59,7 @@ from .spectra import (
     SpectralStats,
     contributing_set,
     gap_count,
+    gap_tolerance,
     group_eigenvalues,
     spectral_stats,
 )
@@ -75,10 +80,12 @@ __all__ = [
     "SpectralDecomposition",
     "SpectralStats",
     "VarianceReport",
+    "block_overlap_matrix",
     "bound_inputs",
     "build_scenario",
     "concentration_tail_bound",
     "contributing_set",
+    "dephased_power",
     "derive_rng",
     "diagonal_ensemble_expectation",
     "empirical_density_matrix",
@@ -92,6 +99,7 @@ __all__ = [
     "gap_count",
     "gap_expectation",
     "gap_phase_matrix",
+    "gap_tolerance",
     "gap_variance_bound",
     "gap_variance_exact",
     "group_eigenvalues",
@@ -106,7 +114,9 @@ __all__ = [
     "mixture_expectation_curve",
     "moment_bounds",
     "operator_norm",
+    "overlap_curve",
     "phase_matrix_norm_bound",
+    "phase_quadratic_forms",
     "run_scenario",
     "sample_gap",
     "sample_gap_resampling_oracle",

@@ -259,7 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None, help="directory for mixture expectation curve CSVs")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: runs have no worker pool",
+    )
     p.add_argument("--timings", default=None, help="sidecar file for wall-clock timings")
     p.set_defaults(fn=_cmd_run)
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import as_complex_matrix, operator_norm
-from .spectra import SpectralDecomposition, _cluster_sorted, _gap_tolerance, contributing_set, gap_count
+from .spectra import SpectralDecomposition, contributing_set, gap_count, gap_tolerance
 
 __all__ = [
     "CONCENTRATION_CONSTANT",
@@ -42,11 +42,14 @@ __all__ = [
     "expectation_curve",
     "mixture_expectation_curve",
     "block_overlap_matrix",
+    "overlap_curve",
     "mixture_block_overlap",
     "infinite_time_average",
     "diagonal_ensemble_expectation",
     "gap_index",
     "gap_phase_matrix",
+    "phase_quadratic_forms",
+    "dephased_power",
     "expectation_curve_variance",
     "expectation_curve_variance_infinite",
     "expectation_curve_variance_quadrature",
@@ -68,15 +71,19 @@ CONCENTRATION_CONSTANT = 1.0 / (288.0 * math.pi**2)
 QUADRATURE_POINTS = 10001
 
 
-def _check_state(psi0, dim: int) -> np.ndarray:
-    psi = np.asarray(psi0, dtype=np.complex128).ravel()
-    if psi.size != dim:
-        raise ValueError(f"state dimension {psi.size} does not match spectrum dim {dim}")
+def _check_state(psi0, dim: int, stack: bool = False) -> np.ndarray:
+    """One unit state of length dim, or with ``stack`` also an (n, dim) stack of them."""
+    psi = np.asarray(psi0, dtype=np.complex128)
+    if not (stack and psi.ndim == 2):
+        psi = psi.ravel()
+    if psi.shape[-1] != dim:
+        raise ValueError(f"state dimension {psi.shape[-1]} does not match spectrum dim {dim}")
     if not np.all(np.isfinite(psi)):
         raise ValueError("state contains NaN or Inf")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"state norm {norm!r} is not 1")
+    norms = np.atleast_1d(np.linalg.norm(psi, axis=-1))
+    bad = np.abs(norms - 1.0) > 1e-8
+    if np.any(bad):
+        raise ValueError(f"state norm {float(norms[np.argmax(bad)])!r} is not 1")
     return psi
 
 
@@ -115,15 +122,44 @@ def _block_sums(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows, starts, axis=1)
 
 
-def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
-    """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over eigenprojectors."""
-    psi = _check_state(psi0, spec.dim)
+def block_overlap_matrix(spec: SpectralDecomposition, psi0, B, eigenbasis: bool = False) -> np.ndarray:
+    """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over eigenprojectors.
+
+    ``psi0`` is one state, or a stack of states (n, dim) that gives one
+    matrix per state, shape (n, d, d).  With ``eigenbasis`` set, ``B`` is
+    already the eigenbasis observable V* B V (``Scenario.observable_eigenbasis``).
+    """
+    psi = _check_state(psi0, spec.dim, stack=True)
     B = _check_observable(B, spec.dim)
     V = spec.basis_matrix
-    y = V.conj().T @ psi
-    Bt = V.conj().T @ B @ V
-    M = np.conj(y)[:, None] * Bt * y[None, :]
-    return _block_sums(M, spec.block_starts)
+    Bt = B if eigenbasis else V.conj().T @ B @ V
+    # one matrix-vector product per state, so a stack rounds like single calls
+    y = (V.conj().T @ psi[..., None])[..., 0]
+    yc = np.conj(y)
+    # one eigenspace of rows at a time keeps a stack at (n, mult, dim) entries
+    ends = spec.block_starts + spec.multiplicities
+    rows = [
+        np.add.reduceat(yc[..., a:b, None] * Bt[a:b] * y[..., None, :], [0], axis=-2)
+        for a, b in zip(spec.block_starts, ends)
+    ]
+    return np.add.reduceat(np.concatenate(rows, axis=-2), spec.block_starts, axis=-1)
+
+
+def overlap_curve(values, S, times) -> np.ndarray:
+    """Expectation curve from block overlaps, f(t) = tr S + a(t)^T S_off conj(a(t)).
+
+    Here a_i(t) = exp(i e_i t) over the eigenvalues ``values`` that index S
+    and S_off is S without its diagonal.  For the block overlap matrix of a
+    state (restricted to any eigenvalues that include the contributing
+    ones) this is <psi_t|B|psi_t>, at d exponentials per time instead of
+    d (d - 1) gap phases.  S of shape (..., d, d) and times of shape
+    (..., n) broadcast to curves of shape (..., n).
+    """
+    S = np.asarray(S, dtype=np.complex128)
+    a = np.exp(1j * (np.asarray(times, dtype=float)[..., :, None] * np.asarray(values, dtype=float)))
+    diagonal = np.diagonal(S, axis1=-2, axis2=-1)
+    off = S - diagonal[..., None] * np.eye(S.shape[-1])
+    return diagonal.sum(-1)[..., None] + np.vecdot(a, a @ off)
 
 
 def mixture_block_overlap(spec: SpectralDecomposition, rho, B) -> np.ndarray:
@@ -205,16 +241,22 @@ def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
     return np.exp(0.5j * delta * horizon) * np.sinc(delta * horizon / (2.0 * np.pi))
 
 
-def _phase_quadratic_forms(gap_values: np.ndarray, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
-    """<|sum_a c_a exp(i G_a t)|^2>_[0,T] for each row of coefficients."""
+def phase_quadratic_forms(gap_values: np.ndarray, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
+    """<|sum_a c_a exp(i G_a t)|^2>_[0,T] for each row of coefficients.
+
+    Each row is summed on its own in a fixed order, so a row's value does
+    not depend on the rows stacked with it.
+    """
     if gap_values.size == 0:
         return np.zeros(coeff_rows.shape[0])
     R = gap_phase_matrix(gap_values, horizon)
+    # einsum, not the faster (C @ R) * conj(C): the stored benchmark reports
+    # pin this rounding (ROADMAP item 2)
     forms = np.einsum("sp,pq,sq->s", coeff_rows, R, coeff_rows.conj())
     return np.maximum(forms.real, 0.0)
 
 
-def _dephased_power(gap_values: np.ndarray, coeff_rows: np.ndarray, tol: float) -> np.ndarray:
+def dephased_power(gap_values: np.ndarray, coeff_rows: np.ndarray, tol: float) -> np.ndarray:
     """Infinite-horizon limit: cluster equal gaps, then sum squared cluster totals."""
     if gap_values.size == 0:
         return np.zeros(coeff_rows.shape[0])
@@ -244,15 +286,15 @@ def expectation_curve_variance(spec: SpectralDecomposition, psi0, B, horizon: fl
     """
     S = block_overlap_matrix(spec, psi0, B)
     gaps, w = _contributing_coefficients(spec, S, B)
-    return float(_phase_quadratic_forms(gaps, w[None, :], horizon)[0])
+    return float(phase_quadratic_forms(gaps, w[None, :], horizon)[0])
 
 
 def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B, gap_tol=None) -> float:
     """Infinite-horizon limit of :func:`expectation_curve_variance` by dephasing."""
     S = block_overlap_matrix(spec, psi0, B)
     gaps, w = _contributing_coefficients(spec, S, B)
-    tol = _gap_tolerance(np.asarray(spec.values), gap_tol)
-    return float(_dephased_power(gaps, w[None, :], tol)[0])
+    tol = gap_tolerance(np.asarray(spec.values), gap_tol)
+    return float(dephased_power(gaps, w[None, :], tol)[0])
 
 
 def expectation_curve_variance_quadrature(
@@ -281,7 +323,7 @@ def mixture_curve_deviation(spec: SpectralDecomposition, rho, B, horizon: float)
     """
     W = mixture_block_overlap(spec, rho, B)
     gaps, u = _contributing_coefficients(spec, W, B)
-    return float(_phase_quadratic_forms(gaps, u[None, :], horizon)[0])
+    return float(phase_quadratic_forms(gaps, u[None, :], horizon)[0])
 
 
 def mixture_curve_deviation_quadrature(
@@ -375,6 +417,25 @@ class BoundInputs:
         if not math.isclose(self.constant, CONCENTRATION_CONSTANT, rel_tol=1e-12):
             raise ValueError("constant must equal 1 / (288 pi^2)")
 
+    @classmethod
+    def from_contributing(
+        cls, cs, norm_b: float, norm_rho: float, epsilon: float, delta: float, kappa: float, horizon: float,
+        gap_tol=None,
+    ) -> "BoundInputs":
+        """Inputs from the contributing set ``cs`` of the observable and its norm."""
+        return cls(
+            epsilon=epsilon,
+            delta=delta,
+            kappa=kappa,
+            horizon=horizon,
+            norm_b=norm_b,
+            norm_rho=norm_rho,
+            n_contributing=cs.n_distinct,
+            max_degeneracy=cs.max_degeneracy,
+            max_gap_degeneracy=cs.max_gap_degeneracy,
+            gap_window_count=cs.gap_count(kappa, gap_tol),
+        )
+
     @property
     def window_factor(self) -> float:
         """1 + 8 log2(d) / (kappa T) over the contributing count d."""
@@ -393,18 +454,8 @@ def bound_inputs(
     gap_tol=None,
 ) -> BoundInputs:
     """Assemble :class:`BoundInputs` from a spectrum and observable."""
-    cs = contributing_set(spec, B)
-    return BoundInputs(
-        epsilon=epsilon,
-        delta=delta,
-        kappa=kappa,
-        horizon=horizon,
-        norm_b=operator_norm(B),
-        norm_rho=norm_rho,
-        n_contributing=cs.n_distinct,
-        max_degeneracy=cs.max_degeneracy,
-        max_gap_degeneracy=cs.max_gap_degeneracy,
-        gap_window_count=cs.gap_count(kappa, gap_tol),
+    return BoundInputs.from_contributing(
+        contributing_set(spec, B), operator_norm(B), norm_rho, epsilon, delta, kappa, horizon, gap_tol
     )
 
 

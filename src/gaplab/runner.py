@@ -1,44 +1,42 @@
-"""Monte Carlo verification driver with deterministic, worker-independent reports.
+"""Monte Carlo verification driver with deterministic reports.
 
 Each enabled inequality becomes one check record holding the bound, the
 measurement, the margin, a vacuousness flag, and the Monte Carlo error
-allowance.  Work fans out over units (one state draw, or one scaling
-dimension); every unit derives its random stream from (seed, domain, unit
-index) and results are reduced in unit order, so the report bytes depend
-only on (config, seed), never on the worker count.  Wall-clock timings are
-kept out of the canonical report for the same reason.
+allowance.  The quantities that depend on the scenario alone (contributing
+set, V* B V, |B|, contributing gaps, mixture overlap) are prepared once on
+the :class:`Scenario`.  The state ensemble is processed in chunks of
+``CHUNK_STATES`` states; every state still draws from its own stream
+(seed, DOMAIN_STATES, state index), in index order, so the report bytes
+depend only on (config, seed).  Wall-clock timings are kept out of the
+canonical report for the same reason.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import jsonio
 from .dynamics import (
-    bound_inputs,
-    concentration_tail_bound,
+    BoundInputs,
     block_overlap_matrix,
-    diagonal_ensemble_expectation,
+    concentration_tail_bound,
+    dephased_power,
     equilibration_bound_infinite_time,
     finite_time_branches,
-    gap_index,
     gap_phase_matrix,
-    mixture_curve_deviation,
     mixture_expectation_curve,
     moment_bounds,
-    _dephased_power,
-    _offdiagonal,
-    _phase_quadratic_forms,
+    overlap_curve,
+    phase_quadratic_forms,
 )
 from .linalg import operator_norm
 from .moments import gap_variance_bound
 from .sampling import DensityMatrix, derive_rng, sample_gap
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
-from .spectra import _gap_tolerance, contributing_set, gap_count, spectral_stats
+from .spectra import gap_count, gap_tolerance, spectral_stats
 
 __all__ = [
     "CheckRecord",
@@ -53,14 +51,8 @@ REPORT_SCHEMA = "gaplab-report/1"
 #: Stream domain for the variance Monte Carlo (domains 0..5 live in scenarios).
 DOMAIN_VARIANCE = 6
 
-#: Default state count for the concentration checks.
-CONCENTRATION_STATES = 1000
-
-#: Default scaling dimensions for the concentration study.
-CONCENTRATION_SCALING_DIMS = (16, 64, 256)
-
-#: Default absolute deviation grid for the tail checks.
-CONCENTRATION_EPSILON_GRID = (0.1, 0.2, 0.4)
+#: States per chunk of the equilibration ensemble.
+CHUNK_STATES = 256
 
 
 @dataclass
@@ -78,17 +70,7 @@ class CheckRecord:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bound": self.bound,
-            "measured": self.measured,
-            "margin": self.margin,
-            "vacuous": self.vacuous,
-            "mc_error": self.mc_error,
-            "seed": self.seed,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -124,12 +106,24 @@ class Report:
         return jsonio.dumps_canonical(self.to_dict())
 
 
-def _map_units(fn, n_units: int, workers: int) -> list:
-    """Apply fn to unit indices, collecting results in unit order."""
-    if workers <= 1 or n_units <= 1:
-        return [fn(i) for i in range(n_units)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_units)))
+def _record(name, bound, measured, seed, detail, slack=0.0, passed=None, mc_error=None, vacuous=False):
+    """Check record with margin bound + slack - measured; by default it passes when that is >= 0."""
+    return CheckRecord(
+        name=name,
+        bound=bound,
+        measured=measured,
+        margin=bound + slack - measured,
+        vacuous=vacuous,
+        mc_error=mc_error,
+        seed=seed,
+        passed=measured <= bound + slack if passed is None else passed,
+        detail=detail,
+    )
+
+
+def _tightest(cells: list, margin) -> dict | None:
+    """The cell with the smallest margin (the first on ties); None for no cells."""
+    return min(cells, key=margin, default=None)
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
@@ -148,16 +142,15 @@ def _variance_and_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _spectral_section(scn: Scenario) -> dict:
-    spec, B = scn.spec, scn.observable
+    spec, cs = scn.spec, scn.contributing
     stats = spectral_stats(spec)
-    cs = contributing_set(spec, B)
     kappas = scn.config.kappas
     return {
         "n_distinct": stats.n_distinct,
         "max_degeneracy": stats.max_degeneracy,
         "max_gap_degeneracy": stats.max_gap_degeneracy,
         "diameter": spec.diameter,
-        "norm_b": operator_norm(B),
+        "norm_b": scn.norm_b,
         "norm_rho": scn.rho.p_max,
         "window_counts": {str(k): gap_count(spec, k) for k in kappas},
         "contributing": {
@@ -171,44 +164,19 @@ def _spectral_section(scn: Scenario) -> dict:
 
 def _phase_norm_record(scn: Scenario) -> CheckRecord:
     """Window bound on the phase-average matrix norm, over the (kappa, T) grid."""
-    spec, B = scn.spec, scn.observable
-    seed = scn.config.seed
-    cs = contributing_set(spec, B)
+    cs, seed = scn.contributing, scn.config.seed
     if cs.n_distinct < 2:
-        return CheckRecord(
-            name="phase_norm_window_bound",
-            bound=0.0,
-            measured=0.0,
-            margin=0.0,
-            vacuous=True,
-            mc_error=None,
-            seed=seed,
-            passed=True,
-            detail={"note": "fewer than two contributing eigenvalues"},
-        )
-    gi = gap_index(cs.values)
+        note = {"note": "fewer than two contributing eigenvalues"}
+        return _record("phase_norm_window_bound", 0.0, 0.0, seed, note, vacuous=True)
     cells = []
-    worst_ratio = 0.0
     for T in scn.config.horizons:
-        norm = operator_norm(gap_phase_matrix(gi.values, T))
+        norm = operator_norm(gap_phase_matrix(scn.gaps.values, T))
         for kappa in scn.config.kappas:
-            g = cs.gap_count(kappa)
-            bound = g * (1.0 + 8.0 * np.log2(cs.n_distinct) / (kappa * T))
-            ratio = norm / bound if bound > 0 else np.inf
-            worst_ratio = max(worst_ratio, ratio)
+            bound = cs.gap_count(kappa) * (1.0 + 8.0 * np.log2(cs.n_distinct) / (kappa * T))
             cells.append({"horizon": T, "kappa": kappa, "norm": norm, "bound": bound})
-    passed = worst_ratio <= 1.0 + 1e-9
-    return CheckRecord(
-        name="phase_norm_window_bound",
-        bound=1.0,
-        measured=float(worst_ratio),
-        margin=float(1.0 - worst_ratio),
-        vacuous=False,
-        mc_error=None,
-        seed=seed,
-        passed=passed,
-        detail={"cells": cells},
-    )
+    worst = _tightest(cells, lambda c: -c["norm"] / c["bound"])
+    ratio = float(worst["norm"] / worst["bound"])
+    return _record("phase_norm_window_bound", 1.0, ratio, seed, {"cells": cells}, passed=ratio <= 1.0 + 1e-9)
 
 
 def _variance_records(scn: Scenario) -> tuple[list, dict]:
@@ -221,76 +189,59 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     rho, B = scn.rho, scn.observable
     seed = config.seed
     report = gap_variance_bound(rho, B)
-    tiny = 1e-12 * (1.0 + abs(report.bound))
-    dominance = CheckRecord(
-        name="variance_bound_dominance",
-        bound=report.bound,
-        measured=report.exact_variance,
-        margin=report.bound - report.exact_variance,
-        vacuous=False,
-        mc_error=None,
-        seed=seed,
-        passed=report.exact_variance <= report.bound + tiny,
-        detail={
-            "quadrature_bound": report.quadrature_bound,
-            "term_breakdown": report.term_breakdown,
-            "clamped_terms": report.clamped_terms,
-        },
-    )
+    exact = report.exact_variance
+    detail = {
+        "quadrature_bound": report.quadrature_bound,
+        "term_breakdown": report.term_breakdown,
+        "clamped_terms": report.clamped_terms,
+    }
+    passed = exact <= report.bound + 1e-12 * (1.0 + abs(report.bound))
+    dominance = _record("variance_bound_dominance", report.bound, exact, seed, detail, passed=passed)
     n = max(config.n_states * 10, 2000)
-    rng = derive_rng(seed, DOMAIN_VARIANCE)
-    psis = sample_gap(rho, rng, size=n)
-    vals = np.einsum("sd,de,se->s", psis.conj(), B, psis)
-    mc_var, se = _variance_and_se(vals)
-    diff = abs(mc_var - report.exact_variance)
-    mc = CheckRecord(
-        name="variance_exact_vs_mc",
-        bound=4.0 * se,
-        measured=diff,
-        margin=4.0 * se - diff,
-        vacuous=False,
-        mc_error=se,
-        seed=seed,
-        passed=diff <= 4.0 * se,
-        detail={"n_samples": n, "mc_variance": mc_var, "exact_variance": report.exact_variance},
-    )
+    psis = sample_gap(rho, derive_rng(seed, DOMAIN_VARIANCE), size=n)
+    mc_var, se = _variance_and_se(np.einsum("sd,de,se->s", psis.conj(), B, psis))
+    detail = {"n_samples": n, "mc_variance": mc_var, "exact_variance": exact}
+    mc = _record("variance_exact_vs_mc", 4.0 * se, abs(mc_var - exact), seed, detail, mc_error=se)
     return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
 
 
-def _equilibration_samples(scn: Scenario, workers: int):
-    """Per-state overlap coefficients, long-run averages, and time deviations."""
+def _gap_coefficients(scn: Scenario, S: np.ndarray) -> np.ndarray:
+    """Off-diagonal contributing entries of overlap matrices, in gap-pair order."""
+    idx, pairs = scn.contributing.indices, scn.gaps.pairs
+    return S[..., idx[pairs[:, 0]], idx[pairs[:, 1]]]
+
+
+def _ensemble(scn: Scenario, center: complex):
+    """Long-run averages, gap coefficients and curve deviations of the sampled states.
+
+    Returns (itas, rows, devs), one entry per state, except that ``rows``
+    holds one more row, last: the mixture's gap coefficients, so that all
+    phase forms of a horizon come from one phase matrix without a copy of
+    the state rows.  devs has shape (n_states, horizons, n_times), at the
+    state's uniform times on [0, T].
+    """
     config = scn.config
-    spec, rho, B = scn.spec, scn.rho, scn.observable
-    seed = config.seed
-    horizons = config.horizons
-    n_times = config.n_times
-    cs = contributing_set(spec, B)
-    cidx = cs.indices
-    gaps = gap_index(cs.values).values if cs.n_distinct >= 2 else np.empty(0)
-    center = diagonal_ensemble_expectation(spec, rho, B)
-
-    def unit(i: int):
-        rng = derive_rng(seed, DOMAIN_STATES, i)
-        psi = sample_gap(rho, rng)
-        u = rng.random(n_times)
-        S = block_overlap_matrix(spec, psi, B)
-        ita = complex(np.trace(S))
-        if gaps.size:
-            w = _offdiagonal(S[np.ix_(cidx, cidx)])
-        else:
-            w = np.empty(0, dtype=complex)
-        devs = np.empty((len(horizons), n_times))
-        for h, T in enumerate(horizons):
-            phases = np.exp(1j * np.outer(u * T, gaps)) if gaps.size else np.zeros((n_times, 0))
-            f = ita + phases @ w
-            devs[h] = np.abs(f - center)
-        return w, ita, devs
-
-    results = _map_units(unit, config.n_states, workers)
-    W = np.array([r[0] for r in results])
-    itas = np.array([r[1] for r in results])
-    devs = np.stack([r[2] for r in results])
-    return cs, gaps, W, itas, devs, center
+    idx = scn.contributing.indices
+    n, n_times = config.n_states, config.n_times
+    itas = np.empty(n, dtype=complex)
+    rows = np.empty((n + 1, scn.gaps.count), dtype=complex)
+    rows[n] = _gap_coefficients(scn, scn.mixture_overlap)
+    devs = np.empty((n, len(config.horizons), n_times))
+    for lo in range(0, n, CHUNK_STATES):
+        hi = min(lo + CHUNK_STATES, n)
+        psis = np.empty((hi - lo, scn.spec.dim), dtype=complex)
+        u = np.empty((hi - lo, n_times))
+        for k in range(hi - lo):
+            rng = derive_rng(config.seed, DOMAIN_STATES, lo + k)
+            psis[k] = sample_gap(scn.rho, rng)
+            u[k] = rng.random(n_times)
+        S = block_overlap_matrix(scn.spec, psis, scn.observable_eigenbasis, eigenbasis=True)
+        itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
+        rows[lo:hi] = _gap_coefficients(scn, S)
+        sub = S[:, idx[:, None], idx]
+        for h, T in enumerate(config.horizons):
+            devs[lo:hi, h] = np.abs(overlap_curve(scn.contributing.values, sub, u * T) - center)
+    return itas, rows, devs
 
 
 def verify_equilibration(scn: Scenario, workers: int = 1) -> list:
@@ -299,301 +250,178 @@ def verify_equilibration(scn: Scenario, workers: int = 1) -> list:
     Emits the four moment-bound records (prefactors 24, 1, 23, 24), the
     identity check that the ensemble-mean long-run average matches the
     dephased expectation, and the finite-horizon exceedance record.
+    ``workers`` is accepted and has no effect.
     """
     config = scn.config
-    spec, rho, B = scn.spec, scn.rho, scn.observable
-    seed = config.seed
-    norm_b = operator_norm(B)
-    norm_rho = rho.p_max
-    cs, gaps, W, itas, devs, center = _equilibration_samples(scn, workers)
-    n_states = config.n_states
+    seed, n_states, kappas = config.seed, config.n_states, config.kappas
+    norm_b, norm_rho = scn.norm_b, scn.rho.p_max
+    gaps = scn.gaps.values
+    center = complex(np.trace(scn.mixture_overlap))
+    itas, rows, devs = _ensemble(scn, center)
+    W = rows[:-1]
+    inputs = {
+        (k, T): BoundInputs.from_contributing(
+            scn.contributing, norm_b, norm_rho, config.epsilon, config.delta, k, T
+        )
+        for T in config.horizons
+        for k in kappas
+    }
+    first = inputs[kappas[0], config.horizons[0]]
     records = []
 
-    def inputs_for(kappa: float, T: float):
-        return bound_inputs(spec, B, norm_rho, config.epsilon, config.delta, kappa, T)
-
-    run_moments = "moments" in config.checks
-    run_exceedance = "equilibration" in config.checks
-
-    if run_moments:
+    if "moments" in config.checks:
         sq_cap = 4.0 * norm_b**2
-
-        cells = []
-        worst = None
+        curve_cells, mixture_cells = [], []
         for T in config.horizons:
-            forms = _phase_quadratic_forms(gaps, W, T) if gaps.size else np.zeros(n_states)
-            measured, se = _mean_and_se(forms)
-            per_kappa = {str(k): moment_bounds(inputs_for(k, T)).expected_time_variance for k in config.kappas}
+            forms = phase_quadratic_forms(gaps, rows, T)
+            bounds = {str(k): moment_bounds(inputs[k, T]) for k in kappas}
+            per_kappa = {k: b.expected_time_variance for k, b in bounds.items()}
+            measured, se = _mean_and_se(forms[:-1])
             bound = min(per_kappa.values())
-            cell = {
-                "horizon": T,
-                "bound": bound,
-                "measured": measured,
-                "se": se,
-                "per_kappa": per_kappa,
-            }
-            cells.append(cell)
-            if worst is None or (bound + 4 * se - measured) < (
-                worst["bound"] + 4 * worst["se"] - worst["measured"]
-            ):
-                worst = cell
-        records.append(
-            CheckRecord(
-                name="mean_curve_variance_bound",
-                bound=worst["bound"],
-                measured=worst["measured"],
-                margin=worst["bound"] + 4 * worst["se"] - worst["measured"],
-                vacuous=worst["bound"] > sq_cap,
-                mc_error=worst["se"],
-                seed=seed,
-                passed=worst["measured"] <= worst["bound"] + 4 * worst["se"],
-                detail={"cells": cells},
+            curve_cells.append(
+                {"horizon": T, "bound": bound, "measured": measured, "se": se, "per_kappa": per_kappa}
             )
+            per_kappa = {k: b.mixture_curve_deviation for k, b in bounds.items()}
+            bound = min(per_kappa.values())
+            mixture_cells.append(
+                {"horizon": T, "bound": bound, "measured": float(forms[-1]), "per_kappa": per_kappa}
+            )
+        worst = _tightest(curve_cells, lambda c: c["bound"] + 4 * c["se"] - c["measured"])
+        records.append(
+            _record("mean_curve_variance_bound", worst["bound"], worst["measured"], seed,
+                    {"cells": curve_cells}, slack=4 * worst["se"], mc_error=worst["se"],
+                    vacuous=worst["bound"] > sq_cap)
         )
-
-        worst = None
-        cells = []
-        for T in config.horizons:
-            measured = mixture_curve_deviation(spec, rho, B, T)
-            per_kappa = {str(k): moment_bounds(inputs_for(k, T)).mixture_curve_deviation for k in config.kappas}
-            bound = min(per_kappa.values())
-            cells.append({"horizon": T, "bound": bound, "measured": measured, "per_kappa": per_kappa})
-            if worst is None or bound - measured < worst["bound"] - worst["measured"]:
-                worst = cells[-1]
+        worst = _tightest(mixture_cells, lambda c: c["bound"] - c["measured"])
+        passed = worst["measured"] <= worst["bound"] * (1 + 1e-9) + 1e-12
         records.append(
-            CheckRecord(
-                name="mixture_curve_deviation_bound",
-                bound=worst["bound"],
-                measured=worst["measured"],
-                margin=worst["bound"] - worst["measured"],
-                vacuous=worst["bound"] > sq_cap,
-                mc_error=None,
-                seed=seed,
-                passed=worst["measured"] <= worst["bound"] * (1 + 1e-9) + 1e-12,
-                detail={"cells": cells},
-            )
+            _record("mixture_curve_deviation_bound", worst["bound"], worst["measured"], seed,
+                    {"cells": mixture_cells}, passed=passed, vacuous=worst["bound"] > sq_cap)
         )
 
         var_ita, se = _variance_and_se(itas)
         bound = 23.0 * norm_b**2 * norm_rho
         records.append(
-            CheckRecord(
-                name="time_average_variance_bound",
-                bound=bound,
-                measured=var_ita,
-                margin=bound + 4 * se - var_ita,
-                vacuous=bound > norm_b**2,
-                mc_error=se,
-                seed=seed,
-                passed=var_ita <= bound + 4 * se,
-                detail={"n_states": n_states},
-            )
+            _record("time_average_variance_bound", bound, var_ita, seed, {"n_states": n_states},
+                    slack=4 * se, mc_error=se, vacuous=bound > norm_b**2)
         )
 
-        tol = _gap_tolerance(np.asarray(spec.values), None)
-        deph = _dephased_power(gaps, W, tol) if gaps.size else np.zeros(n_states)
-        measured, se = _mean_and_se(deph)
-        inp = inputs_for(config.kappas[0], config.horizons[0])
-        bound = moment_bounds(inp).expected_dephasing_variance
+        measured, se = _mean_and_se(dephased_power(gaps, W, gap_tolerance(scn.spec.values)))
+        bound = moment_bounds(first).expected_dephasing_variance
         records.append(
-            CheckRecord(
-                name="mean_dephasing_variance_bound",
-                bound=bound,
-                measured=measured,
-                margin=bound + 4 * se - measured,
-                vacuous=bound > sq_cap,
-                mc_error=se,
-                seed=seed,
-                passed=measured <= bound + 4 * se,
-                detail={"n_states": n_states},
-            )
+            _record("mean_dephasing_variance_bound", bound, measured, seed, {"n_states": n_states},
+                    slack=4 * se, mc_error=se, vacuous=bound > sq_cap)
         )
 
         mean_ita = itas.mean()
         spread = float(np.sqrt(np.mean(np.abs(itas - mean_ita) ** 2) / n_states))
-        diff = abs(complex(mean_ita) - center)
         # zero-spread ensembles (stationary rho) still carry rounding noise
         atol = 1e-12 * max(1.0, abs(center))
+        detail = {
+            "mean_time_average": [mean_ita.real, mean_ita.imag],
+            "dephased_expectation": [center.real, center.imag],
+        }
         records.append(
-            CheckRecord(
-                name="mean_time_average_identity",
-                bound=4.0 * spread + atol,
-                measured=diff,
-                margin=4.0 * spread + atol - diff,
-                vacuous=False,
-                mc_error=spread,
-                seed=seed,
-                passed=diff <= 4.0 * spread + atol,
-                detail={
-                    "mean_time_average": [mean_ita.real, mean_ita.imag],
-                    "dephased_expectation": [center.real, center.imag],
-                },
-            )
+            _record("mean_time_average_identity", 4.0 * spread + atol, abs(complex(mean_ita) - center), seed,
+                    detail, mc_error=spread)
         )
 
-    if run_exceedance:
+    if "equilibration" in config.checks:
         se_frac = float(np.sqrt(config.epsilon * (1 - config.epsilon) / n_states))
         threshold = config.epsilon + 4.0 * se_frac
         cells = []
-        any_fail = False
-        all_vacuous = True
-        worst_fraction = 0.0
         for h, T in enumerate(config.horizons):
             per_kappa = {}
-            for k in config.kappas:
-                inp = inputs_for(k, T)
-                markov, conc = finite_time_branches(inp)
+            for k in kappas:
+                markov, conc = finite_time_branches(inputs[k, T])
                 per_kappa[str(k)] = {"bound": min(markov, conc), "markov": markov, "concentration": conc}
             bound = min(v["bound"] for v in per_kappa.values())
-            vacuous = bound > 2.0 * norm_b
             frac_per_state = (devs[:, h, :] > bound).mean(axis=1)
-            exceed_fraction = float((frac_per_state > config.delta).mean())
-            cell_pass = vacuous or exceed_fraction <= threshold
-            any_fail = any_fail or not cell_pass
-            all_vacuous = all_vacuous and vacuous
-            if not vacuous:
-                worst_fraction = max(worst_fraction, exceed_fraction)
             cells.append(
                 {
                     "horizon": T,
                     "deviation_bound": bound,
-                    "vacuous": vacuous,
-                    "exceed_fraction": exceed_fraction,
+                    "vacuous": bound > 2.0 * norm_b,
+                    "exceed_fraction": float((frac_per_state > config.delta).mean()),
                     "per_kappa": per_kappa,
                 }
             )
-        inp0 = inputs_for(config.kappas[0], config.horizons[0])
+        live = [c for c in cells if not c["vacuous"]]
+        worst = _tightest(live, lambda c: -c["exceed_fraction"])
+        detail = {
+            "cells": cells,
+            "epsilon": config.epsilon,
+            "delta": config.delta,
+            "n_states": n_states,
+            "n_times": config.n_times,
+            "infinite_time_bound": equilibration_bound_infinite_time(first),
+        }
+        measured = worst["exceed_fraction"] if worst else 0.0
         records.append(
-            CheckRecord(
-                name="finite_time_exceedance",
-                bound=threshold,
-                measured=worst_fraction,
-                margin=threshold - worst_fraction,
-                vacuous=all_vacuous,
-                mc_error=se_frac,
-                seed=seed,
-                passed=not any_fail,
-                detail={
-                    "cells": cells,
-                    "epsilon": config.epsilon,
-                    "delta": config.delta,
-                    "n_states": n_states,
-                    "n_times": config.n_times,
-                    "infinite_time_bound": equilibration_bound_infinite_time(inp0),
-                },
-            )
+            _record("finite_time_exceedance", threshold, measured, seed, detail,
+                    mc_error=se_frac, vacuous=not live)
         )
 
     return records
 
 
 def verify_concentration(scn: Scenario, workers: int = 1) -> list:
-    """Concentration checks: tail bound on the scenario and 1/D variance scaling."""
-    config = scn.config
-    spec, rho, B = scn.spec, scn.rho, scn.observable
-    seed = config.seed
-    section = config.concentration or {}
-    t = float(section.get("time", 1.0))
-    grid = [float(e) for e in section.get("epsilon_grid", CONCENTRATION_EPSILON_GRID)]
-    n_states = int(section.get("n_states", CONCENTRATION_STATES))
-    dims = [int(d) for d in section.get("scaling_dims", CONCENTRATION_SCALING_DIMS)]
-    norm_b = operator_norm(B)
-    lipschitz = 2.0 * norm_b
-    records = []
+    """Concentration checks: tail bound on the scenario and 1/D variance scaling.
+
+    ``workers`` is accepted and has no effect.
+    """
+    spec, rho, seed = scn.spec, scn.rho, scn.config.seed
+    section = scn.config.concentration
+    t, grid, n_states = section["time"], section["epsilon_grid"], section["n_states"]
 
     # Scenario tail at one time: f(psi) = <psi_t|B|psi_t> vs its ensemble mean.
-    V = spec.basis_matrix
-    ph = np.exp(1j * spec.column_values * t)
-    M = V * ph
-    B_t = M @ (V.conj().T @ B @ V) @ M.conj().T
-    reference = complex(mixture_expectation_curve(spec, rho, B, [t])[0])
-    rng = derive_rng(seed, DOMAIN_CONCENTRATION, 0)
-    psis = sample_gap(rho, rng, size=n_states)
-    f = np.einsum("sd,de,se->s", psis.conj(), B_t, psis)
-    dev = np.abs(f - reference)
+    M = spec.basis_matrix * np.exp(1j * spec.column_values * t)
+    B_t = M @ scn.observable_eigenbasis @ M.conj().T
+    reference = complex(mixture_expectation_curve(spec, rho, scn.observable, [t])[0])
+    psis = sample_gap(rho, derive_rng(seed, DOMAIN_CONCENTRATION, 0), size=n_states)
+    dev = np.abs(np.einsum("sd,de,se->s", psis.conj(), B_t, psis) - reference)
     cells = []
-    any_fail = False
-    all_vacuous = True
-    worst = 0.0
     for eps in grid:
-        bound = concentration_tail_bound(eps, lipschitz, rho.p_max)
+        bound = concentration_tail_bound(eps, 2.0 * scn.norm_b, rho.p_max)
         tail = float((dev > eps).mean())
-        vacuous = bound >= 1.0
-        se = float(np.sqrt(min(bound, 1.0) * max(1.0 - min(bound, 1.0), 0.0) / n_states))
-        cell_pass = vacuous or tail <= bound + 4.0 * se
-        any_fail = any_fail or not cell_pass
-        all_vacuous = all_vacuous and vacuous
-        if not vacuous:
-            worst = max(worst, tail - bound)
-        cells.append({"epsilon_dev": eps, "bound": bound, "tail": tail, "vacuous": vacuous})
-    records.append(
-        CheckRecord(
-            name="concentration_tail",
-            bound=1.0,
-            measured=float(worst),
-            margin=float(1.0 - worst),
-            vacuous=all_vacuous,
-            mc_error=None,
-            seed=seed,
-            passed=not any_fail,
-            detail={"time": t, "n_states": n_states, "cells": cells},
-        )
-    )
+        cells.append({"epsilon_dev": eps, "bound": bound, "tail": tail, "vacuous": bound >= 1.0})
+    live = [c for c in cells if not c["vacuous"]]
+    # a non-vacuous bound p is below 1; the tail may exceed it by four binomial errors
+    passed = all(c["tail"] <= c["bound"] + 4.0 * float(np.sqrt(c["bound"] * (1.0 - c["bound"]) / n_states))
+                 for c in live)
+    worst = _tightest(live, lambda c: c["bound"] - c["tail"])
+    excess = max(0.0, worst["tail"] - worst["bound"]) if worst else 0.0
+    detail = {"time": t, "n_states": n_states, "cells": cells}
+    records = [_record("concentration_tail", 1.0, excess, seed, detail, passed=passed, vacuous=not live)]
 
     # Variance scaling across uniform mixtures: slope of log Var vs log D near -1.
-    def unit(j: int):
-        d = dims[j]
-        rng_j = derive_rng(seed, DOMAIN_CONCENTRATION, 1 + j)
+    dims, variances, tails = section["scaling_dims"], [], []
+    for j, d in enumerate(dims):
         uniform = DensityMatrix(probabilities=np.full(d, 1.0 / d), basis=np.eye(d))
-        states = sample_gap(uniform, rng_j, size=n_states)
-        half = d // 2
-        vals = np.einsum("sd,sd->s", states[:, :half].conj(), states[:, :half]).real
-        var = float(np.mean((vals - vals.mean()) ** 2))
-        tails = {}
+        states = sample_gap(uniform, derive_rng(seed, DOMAIN_CONCENTRATION, 1 + j), size=n_states)
+        vals = np.einsum("sd,sd->s", states[:, : d // 2].conj(), states[:, : d // 2]).real
+        variances.append(float(np.mean((vals - vals.mean()) ** 2)))
+        tails.append({})
         for eps in grid:
             b = concentration_tail_bound(eps, 2.0, 1.0 / d)
-            tails[str(eps)] = {
-                "bound": b,
-                "tail": float((np.abs(vals - 0.5) > eps).mean()),
-                "vacuous": b >= 1.0,
-            }
-        return var, tails
-
-    results = _map_units(unit, len(dims), workers)
-    variances = np.array([r[0] for r in results])
+            tail = float((np.abs(vals - 0.5) > eps).mean())
+            tails[-1][str(eps)] = {"bound": b, "tail": tail, "vacuous": b >= 1.0}
     x = np.log(np.asarray(dims, dtype=float))
-    y = np.log(variances)
+    y = np.log(np.array(variances))
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2))
-    tail_fail = False
-    for _, tails in results:
-        for cell in tails.values():
-            if not cell["vacuous"] and cell["tail"] > cell["bound"]:
-                tail_fail = True
+    tail_fail = any(not c["vacuous"] and c["tail"] > c["bound"] for cells in tails for c in cells.values())
     measured = abs(slope + 1.0)
-    records.append(
-        CheckRecord(
-            name="concentration_scaling",
-            bound=0.2,
-            measured=measured,
-            margin=0.2 - measured,
-            vacuous=False,
-            mc_error=None,
-            seed=seed,
-            passed=measured <= 0.2 and not tail_fail,
-            detail={
-                "slope": slope,
-                "dims": dims,
-                "variances": [float(v) for v in variances],
-                "n_states": n_states,
-                "tails": [r[1] for r in results],
-            },
-        )
-    )
+    detail = {"slope": slope, "dims": dims, "variances": variances, "n_states": n_states, "tails": tails}
+    passed = measured <= 0.2 and not tail_fail
+    records.append(_record("concentration_scaling", 0.2, measured, seed, detail, passed=passed))
     return records
 
 
 def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) -> Report:
-    """Materialize a scenario, run every enabled check, and assemble the report."""
+    """Materialize a scenario, run every enabled check, and assemble the report.
+
+    ``workers`` is accepted and has no effect.
+    """
     t0 = time.perf_counter()
     scn = build_scenario(config, base_dir)
     timings = {"build": time.perf_counter() - t0}
@@ -610,11 +438,11 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) 
         timings["variance"] = time.perf_counter() - t1
     if "moments" in config.checks or "equilibration" in config.checks:
         t1 = time.perf_counter()
-        checks.extend(verify_equilibration(scn, workers))
+        checks.extend(verify_equilibration(scn))
         timings["equilibration"] = time.perf_counter() - t1
     if "concentration" in config.checks:
         t1 = time.perf_counter()
-        checks.extend(verify_concentration(scn, workers))
+        checks.extend(verify_concentration(scn))
         timings["concentration"] = time.perf_counter() - t1
     timings["total"] = time.perf_counter() - t0
     return Report(

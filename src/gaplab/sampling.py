@@ -121,9 +121,9 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
     Child streams are derived with ``SeedSequence(seed, spawn_key=path)``,
     so distinct paths give statistically independent streams and the same
-    (seed, path, draw sequence) always reproduces the same bits.  Work
-    units of a fan-out must each derive their own stream from their unit
-    index; results are then independent of worker count.
+    (seed, path, draw sequence) always reproduces the same bits.  Each
+    state of an ensemble derives its own stream from its index, so its
+    draws do not depend on how the states are batched.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 

@@ -12,12 +12,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .dynamics import GapIndex, gap_index, mixture_block_overlap
 from .linalg import as_complex_matrix, operator_norm
 from .sampling import DensityMatrix, derive_rng
-from .spectra import SpectralDecomposition
+from .spectra import ContributingSet, SpectralDecomposition, contributing_set
 from . import jsonio
 
 __all__ = [
@@ -238,15 +240,73 @@ def microcanonical_density(macro: MacroDecomposition, label: str = "eq") -> Dens
     return DensityMatrix(probabilities=p, basis=basis)
 
 
-def _positive_numbers(obj: dict, name: str, default: list) -> list:
-    """Config field ``name``: a nonempty list of finite, positive numbers."""
-    value = obj.get(name, default)
-    if not isinstance(value, list) or not value or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
-        for v in value
-    ):
-        raise ConfigError(f"{name} must be a nonempty list of finite positive numbers, got {value!r}")
-    return [float(v) for v in value]
+#: Marks a config field without a default.
+REQUIRED = object()
+
+#: Numeric config fields: (path, type, low, high, default).  A type in a
+#: list means a nonempty list of such values.  Integer ranges are closed,
+#: number ranges open; a default of None leaves an absent field out.
+FIELDS = (
+    ("dimension", int, 2, math.inf, REQUIRED),
+    ("seed", int, 0, math.inf, REQUIRED),
+    ("mc.n_states", int, 2, math.inf, 200),
+    ("mc.n_times", int, 1, math.inf, 256),
+    ("horizons", [float], 0.0, math.inf, [10.0]),
+    ("kappas", [float], 0.0, math.inf, [1.0]),
+    ("epsilon", float, 0.0, 1.0, 0.1),
+    ("delta", float, 0.0, 1.0, 0.1),
+    ("observable.rank", int, 1, math.inf, None),
+    ("concentration.time", float, -math.inf, math.inf, 1.0),
+    ("concentration.n_states", int, 2, math.inf, 1000),
+    ("concentration.scaling_dims", [int], 2, math.inf, [16, 64, 256]),
+    ("concentration.epsilon_grid", [float], 0.0, math.inf, [0.1, 0.2, 0.4]),
+)
+
+
+def _in_range(value, kind, low, high) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind is int:
+        return (isinstance(value, int) or value.is_integer()) and low <= value <= high
+    try:
+        value = float(value)
+    except OverflowError:
+        return False
+    return math.isfinite(value) and low < value < high
+
+
+def _describe(many: bool, kind, low, high) -> str:
+    """What a field of ``FIELDS`` must be, e.g. "an integer >= 2"."""
+    ops = (">=", "<=") if kind is int else (">", "<")
+    limits = [f"{op} {x:g}" for op, x in zip(ops, (low, high)) if math.isfinite(x)]
+    what = "integer" if kind is int else "finite number"
+    what = f"a nonempty list of {what}s" if many else f"{'an' if kind is int else 'a'} {what}"
+    return " ".join([what, " and ".join(limits)]).rstrip()
+
+
+def _parse_fields(obj: dict) -> dict:
+    """Every field of ``FIELDS``, checked and converted, by path."""
+    out = {}
+    for path, kind, low, high, default in FIELDS:
+        section, _, key = path.rpartition(".")
+        holder = (obj.get(section) or {}) if section else obj
+        if key not in holder:
+            if default is REQUIRED:
+                raise ConfigError(f"{path} is required")
+            if default is None:
+                out[path] = None
+                continue
+        value = holder.get(key, default)
+        many = isinstance(kind, list)
+        item = kind[0] if many else kind
+        if many:
+            ok = isinstance(value, list) and value and all(_in_range(v, item, low, high) for v in value)
+        else:
+            ok = _in_range(value, item, low, high)
+        if not ok:
+            raise ConfigError(f"{path} must be {_describe(many, item, low, high)}, got {value!r}")
+        out[path] = [item(v) for v in value] if many else item(value)
+    return out
 
 
 @dataclass
@@ -266,7 +326,7 @@ class ScenarioConfig:
     epsilon: float
     delta: float
     checks: list
-    concentration: dict | None
+    concentration: dict
     raw: dict = field(repr=False, default_factory=dict)
 
     @classmethod
@@ -276,15 +336,6 @@ class ScenarioConfig:
         schema = obj.get("schema")
         if schema != SCHEMA:
             raise ConfigError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
-        try:
-            dimension = int(obj["dimension"])
-            seed = int(obj["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"dimension and seed are required integers: {exc}") from exc
-        if dimension < 2:
-            raise ConfigError("dimension must be at least 2")
-        if seed < 0:
-            raise ConfigError("seed must be nonnegative")
         ham = obj.get("hamiltonian")
         rho = obj.get("rho", {"kind": "uniform"})
         observable = obj.get("observable")
@@ -297,19 +348,14 @@ class ScenarioConfig:
         macro = obj.get("macro")
         if macro is not None and not isinstance(macro, dict):
             raise ConfigError("macro section must be an object")
-        mc = obj.get("mc", {})
-        if not isinstance(mc, dict):
+        if not isinstance(obj.get("mc", {}), dict):
             raise ConfigError("mc section must be an object")
-        n_states = int(mc.get("n_states", 200))
-        n_times = int(mc.get("n_times", 256))
-        if n_states < 2 or n_times < 1:
-            raise ConfigError("mc budget must have n_states >= 2 and n_times >= 1")
-        horizons = _positive_numbers(obj, "horizons", [10.0])
-        kappas = _positive_numbers(obj, "kappas", [1.0])
-        epsilon = float(obj.get("epsilon", 0.1))
-        delta = float(obj.get("delta", 0.1))
-        if not 0 < epsilon < 1 or not 0 < delta < 1:
-            raise ConfigError("epsilon and delta must lie in (0, 1)")
+        if not isinstance(obj.get("concentration") or {}, dict):
+            raise ConfigError("concentration section must be an object")
+        fields = _parse_fields(obj)
+        dims = fields["concentration.scaling_dims"]
+        if len(set(dims)) < 2:
+            raise ConfigError(f"concentration.scaling_dims needs two distinct dimensions, got {dims!r}")
         checks = obj.get("checks", ["spectral", "variance", "moments", "equilibration", "concentration"])
         known = {"spectral", "variance", "moments", "equilibration", "concentration"}
         if not isinstance(checks, list) or not checks:
@@ -317,24 +363,23 @@ class ScenarioConfig:
         unknown = set(checks) - known
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
-        concentration = obj.get("concentration")
-        if concentration is not None and not isinstance(concentration, dict):
-            raise ConfigError("concentration section must be an object")
         return cls(
-            dimension=dimension,
-            seed=seed,
+            dimension=fields["dimension"],
+            seed=fields["seed"],
             hamiltonian=ham,
             rho=rho,
             observable=observable,
             macro=macro,
-            n_states=n_states,
-            n_times=n_times,
-            horizons=horizons,
-            kappas=kappas,
-            epsilon=epsilon,
-            delta=delta,
+            n_states=fields["mc.n_states"],
+            n_times=fields["mc.n_times"],
+            horizons=fields["horizons"],
+            kappas=fields["kappas"],
+            epsilon=fields["epsilon"],
+            delta=fields["delta"],
             checks=list(checks),
-            concentration=concentration,
+            concentration={
+                k: fields[f"concentration.{k}"] for k in ("time", "n_states", "scaling_dims", "epsilon_grid")
+            },
             raw=obj,
         )
 
@@ -350,13 +395,42 @@ def load_scenario(path) -> ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """Materialized scenario: spectrum, density matrix, observable, macro spaces."""
+    """Materialized scenario: spectrum, density matrix, observable, macro spaces.
+
+    The quantities that depend on the scenario alone are computed on first
+    use and kept, so every check shares one copy.
+    """
 
     config: ScenarioConfig
     spec: SpectralDecomposition
     rho: DensityMatrix
     observable: np.ndarray
     macro: MacroDecomposition
+
+    @cached_property
+    def contributing(self) -> ContributingSet:
+        """Eigenvalues that couple to the observable."""
+        return contributing_set(self.spec, self.observable)
+
+    @cached_property
+    def gaps(self) -> GapIndex:
+        """Ordered pairs of contributing eigenvalues (local indices) and their gaps."""
+        return gap_index(self.contributing.values)
+
+    @cached_property
+    def observable_eigenbasis(self) -> np.ndarray:
+        """V* B V over the columns of ``spec.basis_matrix``."""
+        V = self.spec.basis_matrix
+        return V.conj().T @ self.observable @ V
+
+    @cached_property
+    def norm_b(self) -> float:
+        return operator_norm(self.observable)
+
+    @cached_property
+    def mixture_overlap(self) -> np.ndarray:
+        """W[i, j] = tr(P_i B P_j rho); its trace is the dephased expectation."""
+        return mixture_block_overlap(self.spec, self.rho, self.observable)
 
 
 def _build_hamiltonian(config: ScenarioConfig, base_dir: str) -> SpectralDecomposition:

@@ -31,6 +31,7 @@ __all__ = [
     "spectral_stats",
     "gap_count",
     "contributing_set",
+    "gap_tolerance",
 ]
 
 #: Default gap-equality tolerance, relative to the spectral diameter.
@@ -143,7 +144,8 @@ def group_eigenvalues(raw_eigenvalues, eigenvectors, group_tol: float) -> Spectr
     return SpectralDecomposition(values=reps, blocks=blocks)
 
 
-def _gap_tolerance(values: np.ndarray, gap_tol) -> float:
+def gap_tolerance(values: np.ndarray, gap_tol=None) -> float:
+    """Gap-equality tolerance: ``gap_tol`` if given, else relative to the diameter of ``values``."""
     if gap_tol is not None:
         if gap_tol < 0:
             raise ValueError("gap_tol must be nonnegative")
@@ -204,7 +206,7 @@ def _window_gap_count(values: np.ndarray, kappa: float, tol: float) -> int:
 
 def spectral_stats(spec: SpectralDecomposition, gap_tol=None) -> SpectralStats:
     """Degeneracy and gap-degeneracy counts for a spectral decomposition."""
-    tol = _gap_tolerance(spec.values, gap_tol)
+    tol = gap_tolerance(spec.values, gap_tol)
     return SpectralStats(
         n_distinct=spec.n_distinct,
         max_degeneracy=int(spec.multiplicities.max()),
@@ -216,7 +218,7 @@ def gap_count(spec: SpectralDecomposition, kappa: float, gap_tol=None) -> int:
     """Maximal number of ordered-pair gaps inside any half-open window of width kappa."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    tol = _gap_tolerance(spec.values, gap_tol)
+    tol = gap_tolerance(spec.values, gap_tol)
     return _window_gap_count(spec.values, kappa, tol)
 
 
@@ -240,7 +242,7 @@ class ContributingSet:
         """Window gap count over member eigenvalues only."""
         if kappa <= 0:
             raise ValueError("kappa must be positive")
-        tol = _gap_tolerance(self.values, gap_tol)
+        tol = gap_tolerance(self.values, gap_tol)
         return _window_gap_count(self.values, kappa, tol)
 
 
@@ -268,7 +270,7 @@ def contributing_set(spec: SpectralDecomposition, B, zero_tol: float = ZERO_TOL)
     idx = np.array(members, dtype=int)
     values = spec.values[idx]
     mult = spec.multiplicities[idx]
-    tol = _gap_tolerance(values, None)
+    tol = gap_tolerance(values, None)
     return ContributingSet(
         indices=idx,
         values=values,

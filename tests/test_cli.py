@@ -285,6 +285,40 @@ def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, field, valu
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"epsilon": None}, "epsilon"),
+        ({"mc": {"n_states": None}}, "mc.n_states"),
+        ({"observable": {"kind": "random_projector", "rank": None}}, "observable.rank"),
+        ({"mc": {"n_states": "abc"}}, "mc.n_states"),
+        ({"dimension": 8.7}, "dimension"),
+        ({"seed": True}, "seed"),
+        ({"concentration": {"n_states": 0}}, "concentration.n_states"),
+        ({"concentration": {"scaling_dims": [1, 2]}}, "concentration.scaling_dims"),
+    ],
+    ids=[
+        "epsilon-null",
+        "n_states-null",
+        "rank-null",
+        "n_states-string",
+        "dimension-fraction",
+        "seed-bool",
+        "concentration-n_states-zero",
+        "scaling_dims-one",
+    ],
+)
+def test_run_rejects_malformed_numeric_fields(tmp_path, capsys, patch, field):
+    path = write_run_config(tmp_path)
+    config = {**json.loads(path.read_text()), "checks": ["spectral", "concentration"], **patch}
+    path.write_text(json.dumps(config))
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{field} must be" in err or f"{field} needs" in err
+    assert "Traceback" not in err
+
+
 def test_run_reruns_are_byte_identical(tmp_path):
     config = write_run_config(tmp_path)
     out1 = tmp_path / "r1.json"

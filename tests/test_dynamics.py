@@ -28,7 +28,9 @@ from gaplab.dynamics import (
     mixture_curve_deviation_quadrature,
     mixture_expectation_curve,
     moment_bounds,
+    overlap_curve,
     phase_matrix_norm_bound,
+    phase_quadratic_forms,
 )
 from gaplab.linalg import operator_norm
 from gaplab.sampling import derive_rng
@@ -87,6 +89,53 @@ def test_block_overlap_matrix_structure():
     assert np.abs(S - S.conj().T).max() <= 1e-12
     total = (psi.conj() @ B @ psi).real
     assert S.sum().real == pytest.approx(total, abs=1e-10)
+
+
+def test_block_overlap_matrix_stack_matches_single_states():
+    rng = derive_rng(504)
+    spec = random_hamiltonian(9, [2, 3, 1, 3], rng)
+    B = random_hermitian(9, rng)
+    psis = np.array([random_state(9, rng) for _ in range(5)])
+    stacked = block_overlap_matrix(spec, psis, B)
+    assert stacked.shape == (5, 4, 4)
+    for psi, S in zip(psis, stacked):
+        assert np.abs(S - block_overlap_matrix(spec, psi, B)).max() <= 1e-13
+    V = spec.basis_matrix
+    in_basis = block_overlap_matrix(spec, psis, V.conj().T @ B @ V, eigenbasis=True)
+    assert np.abs(in_basis - stacked).max() <= 1e-13
+    with pytest.raises(ValueError):
+        block_overlap_matrix(spec, psis * 1.1, B)
+
+
+@pytest.mark.parametrize(
+    "values, multiplicities",
+    [
+        ("gaussian", [1] * 7),
+        ([0.0, 1.0, 3.0, 7.0, 12.0, 20.0], [1] * 6),  # Sidon: all gaps distinct
+        ("arithmetic", [2, 1, 3, 2]),
+    ],
+    ids=["random", "sidon", "arithmetic-multiplicities"],
+)
+def test_overlap_curve_matches_expectation_curve(values, multiplicities):
+    rng = derive_rng(505)
+    dim = sum(multiplicities)
+    spec = random_hamiltonian(dim, multiplicities, rng, eigenvalues=values, spacing=0.7)
+    B = random_hermitian(dim, rng)
+    psis = np.array([random_state(dim, rng) for _ in range(3)])
+    times = rng.random((3, 40)) * 25.0
+    curves = overlap_curve(spec.values, block_overlap_matrix(spec, psis, B), times)
+    for psi, t, curve in zip(psis, times, curves):
+        oracle = expectation_curve(spec, psi, B, t)
+        assert np.abs(curve - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
+
+
+def test_phase_quadratic_forms_rows_independent_of_stacking():
+    rng = derive_rng(506)
+    gaps = gap_index(rng.standard_normal(5)).values
+    rows = rng.standard_normal((4, gaps.size)) + 1j * rng.standard_normal((4, gaps.size))
+    stacked = phase_quadratic_forms(gaps, rows, 3.0)
+    assert all(phase_quadratic_forms(gaps, rows[i : i + 1], 3.0)[0] == stacked[i] for i in range(4))
+    assert phase_quadratic_forms(np.empty(0), np.empty((4, 0)), 3.0).tolist() == [0.0] * 4
 
 
 def test_curve_variance_matches_time_grid_quadrature():

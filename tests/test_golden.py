@@ -48,7 +48,9 @@ CONFIGS = {
         **_BASE,
         "dimension": 12,
         "seed": 5,
-        "hamiltonian": {"kind": "random", "eigenvalues": "arithmetic", "spacing": 0.5, "multiplicities": [2] * 6},
+        "hamiltonian": {
+            "kind": "random", "eigenvalues": "arithmetic", "spacing": 0.5, "multiplicities": [2] * 6,
+        },
         "rho": {"kind": "random"},
         "observable": {"kind": "random_hermitian"},
         "mc": {"n_states": 150, "n_times": 48},

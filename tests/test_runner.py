@@ -1,6 +1,7 @@
 """End-to-end scenario reports: check outcomes, vacuity flags, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -177,3 +178,27 @@ def test_checks_subset_controls_records():
     report = run_scenario(config)
     names = {c.name for c in report.checks}
     assert names == {"variance_bound_dominance", "variance_exact_vs_mc"}
+
+
+def test_scenario_quantities_are_computed_once(monkeypatch):
+    calls = {"contributing_set": 0, "gap_phase_matrix": 0}
+
+    def count(name):
+        home = "gaplab.spectra" if name == "contributing_set" else "gaplab.dynamics"
+        original = getattr(sys.modules[home], name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key == "gaplab" or key.startswith("gaplab.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    count("contributing_set")
+    count("gap_phase_matrix")
+    config = make_config(horizons=[4.0, 8.0], mc={"n_states": 300, "n_times": 16})
+    report = run_scenario(config)
+    assert report.violations == 0
+    assert calls["contributing_set"] == 1
+    assert calls["gap_phase_matrix"] <= 2 * len(config.horizons)
