@@ -47,6 +47,7 @@ __all__ = [
     "infinite_time_average",
     "diagonal_ensemble_expectation",
     "gap_index",
+    "gap_coefficients",
     "gap_phase_matrix",
     "phase_quadratic_forms",
     "dephased_power",
@@ -122,17 +123,16 @@ def _block_sums(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows, starts, axis=1)
 
 
-def block_overlap_matrix(spec: SpectralDecomposition, psi0, B, eigenbasis: bool = False) -> np.ndarray:
+def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
     """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over eigenprojectors.
 
     ``psi0`` is one state, or a stack of states (n, dim) that gives one
-    matrix per state, shape (n, d, d).  With ``eigenbasis`` set, ``B`` is
-    already the eigenbasis observable V* B V (``Scenario.observable_eigenbasis``).
+    matrix per state, shape (n, d, d).
     """
     psi = _check_state(psi0, spec.dim, stack=True)
     B = _check_observable(B, spec.dim)
     V = spec.basis_matrix
-    Bt = B if eigenbasis else V.conj().T @ B @ V
+    Bt = V.conj().T @ B @ V
     # one matrix-vector product per state, so a stack rounds like single calls
     y = (V.conj().T @ psi[..., None])[..., 0]
     yc = np.conj(y)
@@ -159,7 +159,10 @@ def overlap_curve(values, S, times) -> np.ndarray:
     a = np.exp(1j * (np.asarray(times, dtype=float)[..., :, None] * np.asarray(values, dtype=float)))
     diagonal = np.diagonal(S, axis1=-2, axis2=-1)
     off = S - diagonal[..., None] * np.eye(S.shape[-1])
-    return diagonal.sum(-1)[..., None] + np.vecdot(a, a @ off)
+    # conj(a) . (a S_off), conjugating and multiplying in place to hold two (..., n, d) arrays
+    b = a @ off
+    b *= np.conjugate(a, out=a)
+    return diagonal.sum(-1)[..., None] + b.sum(-1)
 
 
 def mixture_block_overlap(spec: SpectralDecomposition, rho, B) -> np.ndarray:
@@ -222,10 +225,15 @@ def gap_index(values) -> GapIndex:
     return GapIndex(pairs=pairs, values=gaps)
 
 
-def _offdiagonal(S: np.ndarray) -> np.ndarray:
-    """Off-diagonal entries of a square matrix in row-major pair order."""
-    mask = ~np.eye(S.shape[0], dtype=bool)
-    return S[mask]
+def gap_coefficients(S: np.ndarray, indices, gaps: GapIndex) -> np.ndarray:
+    """Phase-form coefficients S[..., indices[i], indices[j]] over the pairs (i, j) of ``gaps``.
+
+    ``indices`` picks the eigenvalues that ``gaps`` was built on (the
+    contributing ones) out of the rows and columns of the overlap matrices
+    S, shape (..., d, d); the result has shape (..., gaps.count).
+    """
+    idx = np.asarray(indices)
+    return S[..., idx[gaps.pairs[:, 0]], idx[gaps.pairs[:, 1]]]
 
 
 def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
@@ -271,11 +279,8 @@ def dephased_power(gap_values: np.ndarray, coeff_rows: np.ndarray, tol: float) -
 def _contributing_coefficients(spec, S: np.ndarray, B) -> tuple[np.ndarray, np.ndarray]:
     """Restrict an overlap matrix to contributing eigenvalues; return (gaps, coeffs)."""
     cs = contributing_set(spec, B)
-    if cs.n_distinct < 2:
-        return np.empty(0), np.empty(0, dtype=complex)
-    sub = S[np.ix_(cs.indices, cs.indices)]
     gi = gap_index(cs.values)
-    return gi.values, _offdiagonal(sub)
+    return gi.values, gap_coefficients(S, cs.indices, gi)
 
 
 def expectation_curve_variance(spec: SpectralDecomposition, psi0, B, horizon: float) -> float:

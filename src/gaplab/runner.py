@@ -26,6 +26,7 @@ from .dynamics import (
     dephased_power,
     equilibration_bound_infinite_time,
     finite_time_branches,
+    gap_coefficients,
     gap_phase_matrix,
     mixture_expectation_curve,
     moment_bounds,
@@ -205,12 +206,6 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
 
 
-def _gap_coefficients(scn: Scenario, S: np.ndarray) -> np.ndarray:
-    """Off-diagonal contributing entries of overlap matrices, in gap-pair order."""
-    idx, pairs = scn.contributing.indices, scn.gaps.pairs
-    return S[..., idx[pairs[:, 0]], idx[pairs[:, 1]]]
-
-
 def _ensemble(scn: Scenario, center: complex):
     """Long-run averages, gap coefficients and curve deviations of the sampled states.
 
@@ -225,7 +220,7 @@ def _ensemble(scn: Scenario, center: complex):
     n, n_times = config.n_states, config.n_times
     itas = np.empty(n, dtype=complex)
     rows = np.empty((n + 1, scn.gaps.count), dtype=complex)
-    rows[n] = _gap_coefficients(scn, scn.mixture_overlap)
+    rows[n] = gap_coefficients(scn.mixture_overlap, idx, scn.gaps)
     devs = np.empty((n, len(config.horizons), n_times))
     for lo in range(0, n, CHUNK_STATES):
         hi = min(lo + CHUNK_STATES, n)
@@ -235,9 +230,9 @@ def _ensemble(scn: Scenario, center: complex):
             rng = derive_rng(config.seed, DOMAIN_STATES, lo + k)
             psis[k] = sample_gap(scn.rho, rng)
             u[k] = rng.random(n_times)
-        S = block_overlap_matrix(scn.spec, psis, scn.observable_eigenbasis, eigenbasis=True)
+        S = block_overlap_matrix(scn.spec, psis, scn.observable)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
-        rows[lo:hi] = _gap_coefficients(scn, S)
+        rows[lo:hi] = gap_coefficients(S, idx, scn.gaps)
         sub = S[:, idx[:, None], idx]
         for h, T in enumerate(config.horizons):
             devs[lo:hi, h] = np.abs(overlap_curve(scn.contributing.values, sub, u * T) - center)

@@ -318,6 +318,7 @@ class ScenarioConfig:
     hamiltonian: dict
     rho: dict
     observable: dict
+    observable_rank: int | None
     macro: dict | None
     n_states: int
     n_times: int
@@ -369,6 +370,7 @@ class ScenarioConfig:
             hamiltonian=ham,
             rho=rho,
             observable=observable,
+            observable_rank=fields["observable.rank"],
             macro=macro,
             n_states=fields["mc.n_states"],
             n_times=fields["mc.n_times"],
@@ -504,7 +506,7 @@ def _build_observable(config: ScenarioConfig, macro, base_dir: str) -> np.ndarra
         if kind == "macro_projector":
             return macro.projector(obs.get("label", "eq"))
         if kind == "random_projector":
-            rank = int(obs.get("rank", max(1, config.dimension // 2)))
+            rank = config.observable_rank or max(1, config.dimension // 2)
             rng = derive_rng(config.seed, DOMAIN_OBSERVABLE)
             return random_projector(config.dimension, rank, rng)
         if kind == "random_hermitian":

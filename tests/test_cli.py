@@ -269,25 +269,12 @@ def test_run_success_writes_report_and_csv(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("horizons", 5), ("horizons", [math.nan]), ("kappas", [math.inf]), ("kappas", "ab")],
-    ids=["horizons-scalar", "horizons-nan", "kappas-inf", "kappas-string"],
-)
-def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, field, value):
-    path = write_run_config(tmp_path)
-    config = json.loads(path.read_text())
-    config[field] = value
-    path.write_text(json.dumps(config))
-    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert field in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
     "patch, field",
     [
+        ({"horizons": 5}, "horizons"),
+        ({"horizons": [math.nan]}, "horizons"),
+        ({"kappas": [math.inf]}, "kappas"),
+        ({"kappas": "ab"}, "kappas"),
         ({"epsilon": None}, "epsilon"),
         ({"mc": {"n_states": None}}, "mc.n_states"),
         ({"observable": {"kind": "random_projector", "rank": None}}, "observable.rank"),
@@ -298,6 +285,10 @@ def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, field, valu
         ({"concentration": {"scaling_dims": [1, 2]}}, "concentration.scaling_dims"),
     ],
     ids=[
+        "horizons-scalar",
+        "horizons-nan",
+        "kappas-inf",
+        "kappas-string",
         "epsilon-null",
         "n_states-null",
         "rank-null",
@@ -308,9 +299,13 @@ def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, field, valu
         "scaling_dims-one",
     ],
 )
-def test_run_rejects_malformed_numeric_fields(tmp_path, capsys, patch, field):
+def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, patch, field):
+    """Every malformed numeric field exits 2 naming the field, without a traceback.
+
+    The table began with horizons and kappas and keeps their case ids.
+    """
     path = write_run_config(tmp_path)
-    config = {**json.loads(path.read_text()), "checks": ["spectral", "concentration"], **patch}
+    config = {**json.loads(path.read_text()), **patch}
     path.write_text(json.dumps(config))
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err

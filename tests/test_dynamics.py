@@ -12,6 +12,7 @@ from gaplab.dynamics import (
     bound_inputs,
     concentration_tail_bound,
     block_overlap_matrix,
+    gap_coefficients,
     diagonal_ensemble_expectation,
     equilibration_bound_finite_time,
     equilibration_bound_infinite_time,
@@ -100,11 +101,26 @@ def test_block_overlap_matrix_stack_matches_single_states():
     assert stacked.shape == (5, 4, 4)
     for psi, S in zip(psis, stacked):
         assert np.abs(S - block_overlap_matrix(spec, psi, B)).max() <= 1e-13
-    V = spec.basis_matrix
-    in_basis = block_overlap_matrix(spec, psis, V.conj().T @ B @ V, eigenbasis=True)
-    assert np.abs(in_basis - stacked).max() <= 1e-13
     with pytest.raises(ValueError):
         block_overlap_matrix(spec, psis * 1.1, B)
+
+
+def test_gap_coefficients_follow_gap_pairs():
+    rng = derive_rng(508)
+    spec = random_hamiltonian(8, [1, 2, 1, 3, 1], rng)
+    B = np.zeros((8, 8), dtype=complex)
+    B[:3, :3] = random_hermitian(3, rng)  # couples to a subset of the eigenvalues
+    B = spec.basis_matrix @ B @ spec.basis_matrix.conj().T
+    cs = contributing_set(spec, B)
+    gi = gap_index(cs.values)
+    stack = block_overlap_matrix(spec, np.array([random_state(8, rng) for _ in range(3)]), B)
+    rows = gap_coefficients(stack, cs.indices, gi)
+    assert rows.shape == (3, gi.count)
+    for S, row in zip(stack, rows):
+        sub = S[np.ix_(cs.indices, cs.indices)]
+        assert np.array_equal(row, sub[~np.eye(cs.n_distinct, dtype=bool)])
+    i, j = cs.indices[gi.pairs[:, 0]], cs.indices[gi.pairs[:, 1]]
+    assert np.array_equal(gi.values, spec.values[i] - spec.values[j])
 
 
 @pytest.mark.parametrize(
