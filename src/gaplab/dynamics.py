@@ -12,7 +12,13 @@ over the gap list G_a = e - e', with the closed form
 <exp(i D t)>_T = exp(i D T / 2) sinc(D T / (2 pi)) (value 1 at D = 0).  The
 phase-average matrix R is Hermitian positive semidefinite with unit
 diagonal, and its operator norm obeys the window bound
-G(kappa) (1 + 8 log2(d) / (kappa T)) for every window width kappa > 0.
+G(kappa) (1 + 8 log2(d) / (kappa T)) for every window width kappa > 0
+(Short and Farrelly, New J. Phys. 14, 013063, 2012).
+
+Pairs, gaps and gap clusters come from one ``spectra.GapIndex`` (the cached
+``gaps`` of a contributing set), which the coefficients, the forms, their
+dephased limit and the norm with its window bound all read; only the forms
+and the norm build R.
 
 A time-grid oracle (composite Simpson quadrature of the same averages)
 exists solely to cross-check the exact quadratic forms.
@@ -31,11 +37,10 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import as_complex_matrix, operator_norm
-from .spectra import SpectralDecomposition, contributing_set, gap_count, gap_tolerance
+from .spectra import GapIndex, SpectralDecomposition, contributing_set
 
 __all__ = [
     "CONCENTRATION_CONSTANT",
-    "GapIndex",
     "BoundInputs",
     "MomentBounds",
     "evolve",
@@ -46,11 +51,13 @@ __all__ = [
     "mixture_block_overlap",
     "infinite_time_average",
     "diagonal_ensemble_expectation",
-    "gap_index",
     "gap_coefficients",
     "gap_phase_matrix",
     "phase_quadratic_forms",
     "dephased_power",
+    "phase_matrix_norm",
+    "window_factor",
+    "phase_norm_cells",
     "expectation_curve_variance",
     "expectation_curve_variance_infinite",
     "expectation_curve_variance_quadrature",
@@ -203,37 +210,16 @@ def diagonal_ensemble_expectation(spec: SpectralDecomposition, rho, B) -> comple
     return complex(np.trace(W))
 
 
-@dataclass
-class GapIndex:
-    """Ordered pairs of distinct eigenvalue indices and their gap values."""
+def gap_coefficients(S: np.ndarray, cs) -> np.ndarray:
+    """Phase-form coefficients of overlap matrices S over the gap pairs of a contributing set.
 
-    pairs: np.ndarray
-    values: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.values.size
-
-
-def gap_index(values) -> GapIndex:
-    """All ordered pairs (i, j), i != j, in row-major order, with gaps e_i - e_j."""
-    v = np.asarray(values, dtype=float).ravel()
-    d = v.size
-    mask = ~np.eye(d, dtype=bool)
-    pairs = np.argwhere(mask)
-    gaps = (v[:, None] - v[None, :])[mask]
-    return GapIndex(pairs=pairs, values=gaps)
-
-
-def gap_coefficients(S: np.ndarray, indices, gaps: GapIndex) -> np.ndarray:
-    """Phase-form coefficients S[..., indices[i], indices[j]] over the pairs (i, j) of ``gaps``.
-
-    ``indices`` picks the eigenvalues that ``gaps`` was built on (the
-    contributing ones) out of the rows and columns of the overlap matrices
-    S, shape (..., d, d); the result has shape (..., gaps.count).
+    S has shape (..., d, d) over the eigenvalues of the spectrum; ``cs``
+    supplies the pairs (``cs.gaps.pairs``, positions among its members) and
+    the members' spectrum indices (``cs.indices``).  The result has shape
+    (..., cs.gaps.count), in the order of the pairs.
     """
-    idx = np.asarray(indices)
-    return S[..., idx[gaps.pairs[:, 0]], idx[gaps.pairs[:, 1]]]
+    idx, pairs = cs.indices, cs.gaps.pairs
+    return S[..., idx[pairs[:, 0]], idx[pairs[:, 1]]]
 
 
 def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
@@ -241,46 +227,68 @@ def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
 
     Uses the closed form exp(i D T / 2) sinc(D T / (2 pi)), which is exactly
     1 on the diagonal and Hermitian with all entries of modulus at most 1.
+    It is built in place, with the roundings of
+    ``exp(0.5j * D * T) * sinc(D * T / (2 pi))``.
     """
     G = np.asarray(gap_values, dtype=float).ravel()
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     delta = G[:, None] - G[None, :]
-    return np.exp(0.5j * delta * horizon) * np.sinc(delta * horizon / (2.0 * np.pi))
+    R = np.multiply(delta, 0.5j)
+    R *= horizon
+    np.exp(R, out=R)
+    delta *= horizon
+    delta /= 2.0 * np.pi
+    R *= np.sinc(delta)
+    return R
 
 
-def phase_quadratic_forms(gap_values: np.ndarray, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
-    """<|sum_a c_a exp(i G_a t)|^2>_[0,T] for each row of coefficients.
+def phase_quadratic_forms(gaps: GapIndex, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
+    """<|sum_a c_a exp(i G_a t)|^2>_[0,T] for each row of coefficients over the pairs of ``gaps``.
 
     Each row is summed on its own in a fixed order, so a row's value does
     not depend on the rows stacked with it.
     """
-    if gap_values.size == 0:
+    if gaps.count == 0:
         return np.zeros(coeff_rows.shape[0])
-    R = gap_phase_matrix(gap_values, horizon)
+    R = gap_phase_matrix(gaps.values, horizon)
     # einsum, not the faster (C @ R) * conj(C): the stored benchmark reports
     # pin this rounding (ROADMAP item 2)
     forms = np.einsum("sp,pq,sq->s", coeff_rows, R, coeff_rows.conj())
     return np.maximum(forms.real, 0.0)
 
 
-def dephased_power(gap_values: np.ndarray, coeff_rows: np.ndarray, tol: float) -> np.ndarray:
-    """Infinite-horizon limit: cluster equal gaps, then sum squared cluster totals."""
-    if gap_values.size == 0:
+def dephased_power(gaps: GapIndex, coeff_rows: np.ndarray) -> np.ndarray:
+    """Infinite-horizon limit: sum the coefficients of each gap cluster, then the squared totals."""
+    if gaps.count == 0:
         return np.zeros(coeff_rows.shape[0])
-    order = np.argsort(gap_values, kind="stable")
-    v = gap_values[order]
-    breaks = np.nonzero(np.diff(v) > tol)[0] + 1
-    starts = np.concatenate(([0], breaks))
-    sums = np.add.reduceat(coeff_rows[:, order], starts, axis=1)
+    sums = np.add.reduceat(coeff_rows[:, gaps.order], gaps.starts, axis=1)
     return np.einsum("sc,sc->s", sums, sums.conj()).real
 
 
-def _contributing_coefficients(spec, S: np.ndarray, B) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict an overlap matrix to contributing eigenvalues; return (gaps, coeffs)."""
-    cs = contributing_set(spec, B)
-    gi = gap_index(cs.values)
-    return gi.values, gap_coefficients(S, cs.indices, gi)
+def phase_matrix_norm(gaps: GapIndex, horizon: float) -> float:
+    """Operator norm of the phase-average matrix over ``gaps``: its largest eigenvalue, R being Hermitian PSD."""
+    return float(np.linalg.eigvalsh(gap_phase_matrix(gaps.values, horizon))[-1])
+
+
+def window_factor(d: int, kappa: float, horizon: float) -> float:
+    """1 + 8 log2(d) / (kappa T): the window bound over d eigenvalues is G(kappa) times this."""
+    return 1.0 + 8.0 * math.log2(max(d, 1)) / (kappa * horizon)
+
+
+def phase_norm_cells(gaps: GapIndex, kappas, horizons) -> list:
+    """Phase-matrix norm (one per horizon) and its window bound on every (kappa, T) cell.
+
+    The bound is G(kappa) (1 + 8 log2(d) / (kappa T)) over the d eigenvalues of ``gaps``.
+    """
+    d = gaps.eigenvalues.size
+    cells = []
+    for T in horizons:
+        norm = phase_matrix_norm(gaps, T)
+        for kappa in kappas:
+            bound = gaps.window_count(kappa) * window_factor(d, kappa, T)
+            cells.append({"horizon": T, "kappa": kappa, "norm": norm, "bound": bound})
+    return cells
 
 
 def expectation_curve_variance(spec: SpectralDecomposition, psi0, B, horizon: float) -> float:
@@ -289,17 +297,20 @@ def expectation_curve_variance(spec: SpectralDecomposition, psi0, B, horizon: fl
     Evaluated as the phase quadratic form over contributing gap pairs;
     no time discretization is involved.
     """
-    S = block_overlap_matrix(spec, psi0, B)
-    gaps, w = _contributing_coefficients(spec, S, B)
-    return float(phase_quadratic_forms(gaps, w[None, :], horizon)[0])
+    cs = contributing_set(spec, B)
+    w = gap_coefficients(block_overlap_matrix(spec, psi0, B), cs)
+    return float(phase_quadratic_forms(cs.gaps, w[None, :], horizon)[0])
 
 
 def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B, gap_tol=None) -> float:
-    """Infinite-horizon limit of :func:`expectation_curve_variance` by dephasing."""
-    S = block_overlap_matrix(spec, psi0, B)
-    gaps, w = _contributing_coefficients(spec, S, B)
-    tol = gap_tolerance(np.asarray(spec.values), gap_tol)
-    return float(dephased_power(gaps, w[None, :], tol)[0])
+    """Infinite-horizon limit of :func:`expectation_curve_variance` by dephasing.
+
+    Gaps are clustered at ``gap_tol``, by default relative to the diameter
+    of the contributing eigenvalues, as for their gap degeneracy.
+    """
+    cs = contributing_set(spec, B)
+    w = gap_coefficients(block_overlap_matrix(spec, psi0, B), cs)
+    return float(dephased_power(cs.gaps.with_tolerance(gap_tol), w[None, :])[0])
 
 
 def expectation_curve_variance_quadrature(
@@ -326,9 +337,9 @@ def mixture_curve_deviation(spec: SpectralDecomposition, rho, B, horizon: float)
     B(t) is the Heisenberg-evolved observable; the deviation is again a
     phase quadratic form, now with mixture overlap coefficients.
     """
-    W = mixture_block_overlap(spec, rho, B)
-    gaps, u = _contributing_coefficients(spec, W, B)
-    return float(phase_quadratic_forms(gaps, u[None, :], horizon)[0])
+    cs = contributing_set(spec, B)
+    u = gap_coefficients(mixture_block_overlap(spec, rho, B), cs)
+    return float(phase_quadratic_forms(cs.gaps, u[None, :], horizon)[0])
 
 
 def mixture_curve_deviation_quadrature(
@@ -360,21 +371,11 @@ def phase_matrix_norm_bound(
     """
     if kappa <= 0 or horizon <= 0:
         raise ValueError("kappa and horizon must be positive")
-    if B is None:
-        values = np.asarray(spec.values, dtype=float)
-        d = values.size
-        g = gap_count(spec, kappa, gap_tol)
-    else:
-        cs = contributing_set(spec, B)
-        values = cs.values
-        d = cs.n_distinct
-        g = cs.gap_count(kappa, gap_tol)
-    if d < 2:
+    gaps = (spec.gaps if B is None else contributing_set(spec, B).gaps).with_tolerance(gap_tol)
+    if gaps.eigenvalues.size < 2:
         raise ValueError("need at least two (contributing) eigenvalues")
-    gi = gap_index(values)
-    R = gap_phase_matrix(gi.values, horizon)
-    norm = operator_norm(R)
-    bound = g * (1.0 + 8.0 * math.log2(d) / (kappa * horizon))
+    [cell] = phase_norm_cells(gaps, [kappa], [horizon])
+    norm, bound = cell["norm"], cell["bound"]
     if norm > bound * (1.0 + 1e-9):
         raise RuntimeError(f"phase-matrix norm {norm!r} exceeds window bound {bound!r}")
     return norm, bound
@@ -444,8 +445,7 @@ class BoundInputs:
     @property
     def window_factor(self) -> float:
         """1 + 8 log2(d) / (kappa T) over the contributing count d."""
-        d = max(self.n_contributing, 1)
-        return 1.0 + 8.0 * math.log2(d) / (self.kappa * self.horizon)
+        return window_factor(self.n_contributing, self.kappa, self.horizon)
 
 
 def bound_inputs(

@@ -77,16 +77,9 @@ def hermitian_eigendecomposition(M, tol: float = 1e-10) -> HermitianEigenSystem:
     return HermitianEigenSystem(eigenvalues=w, basis=U)
 
 
-def operator_norm(M, tol: float = 1e-10) -> float:
-    """Largest singular value of ``M``.
-
-    ``tol`` is the accuracy contract for the result; the LAPACK backend
-    resolves singular values to machine precision, well inside any
-    reasonable contract.
-    """
+def operator_norm(M) -> float:
+    """Largest singular value of ``M``."""
     M = as_complex_matrix(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     s = np.linalg.svd(M, compute_uv=False)
     return float(s[0])
 

@@ -3,7 +3,7 @@
 Each enabled inequality becomes one check record holding the bound, the
 measurement, the margin, a vacuousness flag, and the Monte Carlo error
 allowance.  The quantities that depend on the scenario alone (contributing
-set, V* B V, |B|, contributing gaps, mixture overlap) are prepared once on
+set and its gap index, V* B V, |B|, mixture overlap) are prepared once on
 the :class:`Scenario`.  The state ensemble is processed in chunks of
 ``CHUNK_STATES`` states; every state still draws from its own stream
 (seed, DOMAIN_STATES, state index), in index order, so the report bytes
@@ -27,17 +27,16 @@ from .dynamics import (
     equilibration_bound_infinite_time,
     finite_time_branches,
     gap_coefficients,
-    gap_phase_matrix,
     mixture_expectation_curve,
     moment_bounds,
     overlap_curve,
+    phase_norm_cells,
     phase_quadratic_forms,
 )
-from .linalg import operator_norm
 from .moments import gap_variance_bound
 from .sampling import DensityMatrix, derive_rng, sample_gap
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
-from .spectra import gap_count, gap_tolerance, spectral_stats
+from .spectra import gap_count, spectral_stats
 
 __all__ = [
     "CheckRecord",
@@ -169,12 +168,7 @@ def _phase_norm_record(scn: Scenario) -> CheckRecord:
     if cs.n_distinct < 2:
         note = {"note": "fewer than two contributing eigenvalues"}
         return _record("phase_norm_window_bound", 0.0, 0.0, seed, note, vacuous=True)
-    cells = []
-    for T in scn.config.horizons:
-        norm = operator_norm(gap_phase_matrix(scn.gaps.values, T))
-        for kappa in scn.config.kappas:
-            bound = cs.gap_count(kappa) * (1.0 + 8.0 * np.log2(cs.n_distinct) / (kappa * T))
-            cells.append({"horizon": T, "kappa": kappa, "norm": norm, "bound": bound})
+    cells = phase_norm_cells(cs.gaps, scn.config.kappas, scn.config.horizons)
     worst = _tightest(cells, lambda c: -c["norm"] / c["bound"])
     ratio = float(worst["norm"] / worst["bound"])
     return _record("phase_norm_window_bound", 1.0, ratio, seed, {"cells": cells}, passed=ratio <= 1.0 + 1e-9)
@@ -215,12 +209,12 @@ def _ensemble(scn: Scenario, center: complex):
     the state rows.  devs has shape (n_states, horizons, n_times), at the
     state's uniform times on [0, T].
     """
-    config = scn.config
-    idx = scn.contributing.indices
+    config, cs = scn.config, scn.contributing
+    idx = cs.indices
     n, n_times = config.n_states, config.n_times
     itas = np.empty(n, dtype=complex)
-    rows = np.empty((n + 1, scn.gaps.count), dtype=complex)
-    rows[n] = gap_coefficients(scn.mixture_overlap, idx, scn.gaps)
+    rows = np.empty((n + 1, cs.gaps.count), dtype=complex)
+    rows[n] = gap_coefficients(scn.mixture_overlap, cs)
     devs = np.empty((n, len(config.horizons), n_times))
     for lo in range(0, n, CHUNK_STATES):
         hi = min(lo + CHUNK_STATES, n)
@@ -232,25 +226,24 @@ def _ensemble(scn: Scenario, center: complex):
             u[k] = rng.random(n_times)
         S = block_overlap_matrix(scn.spec, psis, scn.observable)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
-        rows[lo:hi] = gap_coefficients(S, idx, scn.gaps)
+        rows[lo:hi] = gap_coefficients(S, cs)
         sub = S[:, idx[:, None], idx]
         for h, T in enumerate(config.horizons):
-            devs[lo:hi, h] = np.abs(overlap_curve(scn.contributing.values, sub, u * T) - center)
+            devs[lo:hi, h] = np.abs(overlap_curve(cs.values, sub, u * T) - center)
     return itas, rows, devs
 
 
-def verify_equilibration(scn: Scenario, workers: int = 1) -> list:
+def verify_equilibration(scn: Scenario) -> list:
     """Second-moment and exceedance checks over sampled projected-ensemble states.
 
     Emits the four moment-bound records (prefactors 24, 1, 23, 24), the
     identity check that the ensemble-mean long-run average matches the
     dephased expectation, and the finite-horizon exceedance record.
-    ``workers`` is accepted and has no effect.
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
     norm_b, norm_rho = scn.norm_b, scn.rho.p_max
-    gaps = scn.gaps.values
+    gaps = scn.contributing.gaps
     center = complex(np.trace(scn.mixture_overlap))
     itas, rows, devs = _ensemble(scn, center)
     W = rows[:-1]
@@ -301,7 +294,7 @@ def verify_equilibration(scn: Scenario, workers: int = 1) -> list:
                     slack=4 * se, mc_error=se, vacuous=bound > norm_b**2)
         )
 
-        measured, se = _mean_and_se(dephased_power(gaps, W, gap_tolerance(scn.spec.values)))
+        measured, se = _mean_and_se(dephased_power(gaps, W))
         bound = moment_bounds(first).expected_dephasing_variance
         records.append(
             _record("mean_dephasing_variance_bound", bound, measured, seed, {"n_states": n_states},
@@ -360,11 +353,8 @@ def verify_equilibration(scn: Scenario, workers: int = 1) -> list:
     return records
 
 
-def verify_concentration(scn: Scenario, workers: int = 1) -> list:
-    """Concentration checks: tail bound on the scenario and 1/D variance scaling.
-
-    ``workers`` is accepted and has no effect.
-    """
+def verify_concentration(scn: Scenario) -> list:
+    """Concentration checks: tail bound on the scenario and 1/D variance scaling."""
     spec, rho, seed = scn.spec, scn.rho, scn.config.seed
     section = scn.config.concentration
     t, grid, n_states = section["time"], section["epsilon_grid"], section["n_states"]

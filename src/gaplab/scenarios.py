@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import GapIndex, gap_index, mixture_block_overlap
+from .dynamics import mixture_block_overlap
 from .linalg import as_complex_matrix, operator_norm
 from .sampling import DensityMatrix, derive_rng
 from .spectra import ContributingSet, SpectralDecomposition, contributing_set
@@ -411,13 +411,8 @@ class Scenario:
 
     @cached_property
     def contributing(self) -> ContributingSet:
-        """Eigenvalues that couple to the observable."""
+        """Eigenvalues that couple to the observable, with their gap index ``gaps``."""
         return contributing_set(self.spec, self.observable)
-
-    @cached_property
-    def gaps(self) -> GapIndex:
-        """Ordered pairs of contributing eigenvalues (local indices) and their gaps."""
-        return gap_index(self.contributing.values)
 
     @cached_property
     def observable_eigenbasis(self) -> np.ndarray:

@@ -7,11 +7,17 @@ and the maximal number of ordered-pair gaps inside a sliding half-open
 window, both for the full spectrum and relative to the set of eigenvalues
 that actually couple to a given observable.
 
+Every gap statistic, here and in ``dynamics``, reads one :class:`GapIndex`
+per set of eigenvalues; a spectral decomposition and a contributing set
+keep theirs, at the default tolerance, as the cached member ``gaps``.
+
 Tolerance convention: realized gap values are clustered by transitive
 chaining within ``gap_tol`` (two gaps are equal iff they land in the same
-cluster).  Both the maximal gap degeneracy and the window counts are
-computed on the clustered multiset, so the window count converges to the
-gap degeneracy as the window shrinks and is monotone in the window width.
+cluster), by default ``GAP_TOL_RELATIVE`` times the diameter of the
+eigenvalues the index is built on.  Both the maximal gap degeneracy and
+the window counts are computed on the clustered multiset, so the window
+count converges to the gap degeneracy as the window shrinks and is
+monotone in the window width.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 from .linalg import as_complex_matrix
 
 __all__ = [
+    "GapIndex",
     "SpectralDecomposition",
     "SpectralStats",
     "ContributingSet",
@@ -90,6 +97,11 @@ class SpectralDecomposition:
             return 0.0
         return float(self.values[-1] - self.values[0])
 
+    @cached_property
+    def gaps(self) -> GapIndex:
+        """Gap index of the distinct eigenvalues at the default tolerance."""
+        return GapIndex(self.values)
+
 
 @dataclass
 class SpectralStats:
@@ -155,71 +167,70 @@ def gap_tolerance(values: np.ndarray, gap_tol=None) -> float:
     return GAP_TOL_RELATIVE * float(values.max() - values.min())
 
 
-def _ordered_gaps(values: np.ndarray) -> np.ndarray:
-    """All ordered-pair differences e - e' over distinct eigenvalues, e != e'."""
-    d = values.size
-    if d < 2:
-        return np.empty(0, dtype=float)
-    diff = values[:, None] - values[None, :]
-    mask = ~np.eye(d, dtype=bool)
-    return diff[mask]
+class GapIndex:
+    """Ordered pairs of distinct eigenvalues, their gaps, and the gap clusters.
 
-
-def _cluster_sorted(x: np.ndarray, tol: float):
-    """Cluster values by transitive chaining within tol.
-
-    Returns (representatives, counts) with representatives ascending.
+    ``pairs`` holds every ordered pair (i, j), i != j, of positions in
+    ``eigenvalues`` in row-major order and ``values`` their gaps e_i - e_j.
+    ``order`` is the stable sort order of the gaps.  Sorted gaps closer than
+    ``tol`` chain into one cluster; cluster k starts at position
+    ``starts[k]`` of the sorted gaps and holds ``counts[k]`` of them, with
+    mean gap ``representatives[k]``.
     """
-    if x.size == 0:
-        return np.empty(0, dtype=float), np.empty(0, dtype=int)
-    v = np.sort(x)
-    breaks = np.nonzero(np.diff(v) > tol)[0] + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [v.size]))
-    counts = ends - starts
-    reps = np.add.reduceat(v, starts) / counts
-    return reps, counts.astype(int)
 
+    def __init__(self, eigenvalues, gap_tol=None):
+        e = np.asarray(eigenvalues, dtype=float).ravel()
+        self.eigenvalues = e
+        self.tol = gap_tolerance(e, gap_tol)
+        mask = ~np.eye(e.size, dtype=bool)
+        self.pairs = np.argwhere(mask)
+        self.values = (e[:, None] - e[None, :])[mask]
+        self.order = np.argsort(self.values, kind="stable")
+        ordered = self.values[self.order]
+        self.starts = np.flatnonzero(np.diff(ordered, prepend=-np.inf) > self.tol)
+        self.counts = np.diff(self.starts, append=ordered.size)
+        self.representatives = np.add.reduceat(ordered, self.starts) / self.counts
 
-def _max_gap_degeneracy(values: np.ndarray, tol: float) -> int:
-    gaps = _ordered_gaps(values)
-    if gaps.size == 0:
-        return 0
-    _, counts = _cluster_sorted(gaps, tol)
-    return int(counts.max())
+    @property
+    def count(self) -> int:
+        return self.values.size
 
+    @property
+    def max_degeneracy(self) -> int:
+        """Size of the largest gap cluster (0 without gaps)."""
+        return int(self.counts.max(initial=0))
 
-def _window_gap_count(values: np.ndarray, kappa: float, tol: float) -> int:
-    """Maximal number of ordered-pair gaps in a half-open window of width kappa.
+    def window_count(self, kappa: float) -> int:
+        """Maximal number of gaps in a half-open window of width kappa.
 
-    Windows are anchored at realized (clustered) gap values; the window
-    [a, a + kappa) includes its left edge only.
-    """
-    gaps = _ordered_gaps(values)
-    if gaps.size == 0:
-        return 0
-    reps, counts = _cluster_sorted(gaps, tol)
-    cum = np.concatenate(([0], np.cumsum(counts)))
-    hi = np.searchsorted(reps, reps + kappa, side="left")
-    return int((cum[hi] - cum[:-1]).max())
+        Windows are anchored at the cluster representatives; the window
+        [a, a + kappa) includes its left edge only.
+        """
+        if kappa <= 0:
+            raise ValueError("kappa must be positive")
+        if self.count == 0:
+            return 0
+        cum = np.concatenate(([0], np.cumsum(self.counts)))
+        hi = np.searchsorted(self.representatives, self.representatives + kappa, side="left")
+        return int((cum[hi] - cum[:-1]).max())
+
+    def with_tolerance(self, gap_tol) -> GapIndex:
+        """This index for ``gap_tol`` None, else the same eigenvalues indexed at ``gap_tol``."""
+        return self if gap_tol is None else GapIndex(self.eigenvalues, gap_tol)
 
 
 def spectral_stats(spec: SpectralDecomposition, gap_tol=None) -> SpectralStats:
     """Degeneracy and gap-degeneracy counts for a spectral decomposition."""
-    tol = gap_tolerance(spec.values, gap_tol)
     return SpectralStats(
         n_distinct=spec.n_distinct,
         max_degeneracy=int(spec.multiplicities.max()),
-        max_gap_degeneracy=_max_gap_degeneracy(spec.values, tol),
+        max_gap_degeneracy=spec.gaps.with_tolerance(gap_tol).max_degeneracy,
     )
 
 
 def gap_count(spec: SpectralDecomposition, kappa: float, gap_tol=None) -> int:
     """Maximal number of ordered-pair gaps inside any half-open window of width kappa."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    tol = gap_tolerance(spec.values, gap_tol)
-    return _window_gap_count(spec.values, kappa, tol)
+    return spec.gaps.with_tolerance(gap_tol).window_count(kappa)
 
 
 @dataclass
@@ -236,14 +247,23 @@ class ContributingSet:
     multiplicities: np.ndarray
     n_distinct: int
     max_degeneracy: int
-    max_gap_degeneracy: int
+
+    @cached_property
+    def gaps(self) -> GapIndex:
+        """Gap index of the member eigenvalues at the default tolerance.
+
+        Its pair positions are positions in ``values``; ``indices`` maps
+        them to eigenvalues of the spectrum.
+        """
+        return GapIndex(self.values)
+
+    @property
+    def max_gap_degeneracy(self) -> int:
+        return self.gaps.max_degeneracy
 
     def gap_count(self, kappa: float, gap_tol=None) -> int:
         """Window gap count over member eigenvalues only."""
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
-        tol = gap_tolerance(self.values, gap_tol)
-        return _window_gap_count(self.values, kappa, tol)
+        return self.gaps.with_tolerance(gap_tol).window_count(kappa)
 
 
 def contributing_set(spec: SpectralDecomposition, B, zero_tol: float = ZERO_TOL) -> ContributingSet:
@@ -268,14 +288,11 @@ def contributing_set(spec: SpectralDecomposition, B, zero_tol: float = ZERO_TOL)
             if left > threshold or right > threshold:
                 members.append(i)
     idx = np.array(members, dtype=int)
-    values = spec.values[idx]
     mult = spec.multiplicities[idx]
-    tol = gap_tolerance(values, None)
     return ContributingSet(
         indices=idx,
-        values=values,
+        values=spec.values[idx],
         multiplicities=mult,
         n_distinct=int(idx.size),
         max_degeneracy=int(mult.max()) if idx.size else 0,
-        max_gap_degeneracy=_max_gap_degeneracy(values, tol),
     )

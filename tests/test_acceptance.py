@@ -15,7 +15,6 @@ from gaplab.dynamics import (
     diagonal_ensemble_expectation,
     expectation_curve_variance,
     expectation_curve_variance_quadrature,
-    gap_index,
     gap_phase_matrix,
     infinite_time_average,
     mixture_curve_deviation,
@@ -42,7 +41,7 @@ from gaplab.scenarios import (
     random_density,
     random_hamiltonian,
 )
-from gaplab.spectra import gap_count, group_eigenvalues
+from gaplab.spectra import GapIndex, gap_count, group_eigenvalues
 
 SEED = 20260817
 
@@ -181,7 +180,7 @@ def test_c06_phase_norm_window_bound():
         d = int(rng.integers(3, 21))
         values = np.sort(rng.uniform(0.0, float(d), size=d))
         spec = group_eigenvalues(values, np.eye(d), 1e-9)
-        gaps = gap_index(np.asarray(spec.values, dtype=float)).values
+        gaps = GapIndex(spec.values).values
         if i < 5:
             small = operator_norm(gap_phase_matrix(gaps, 1e-9))
             assert small == pytest.approx(d * (d - 1), abs=1e-6)
@@ -194,7 +193,7 @@ def test_c06_phase_norm_window_bound():
                 cells += 1
     assert cells == 800
     for values in ([0.0, 1.0, 3.0, 7.0], [0.0, 0.5, 1.5, 3.5], [0.0, 1.0, 4.0, 9.0, 11.0]):
-        gaps = gap_index(np.asarray(values)).values
+        gaps = GapIndex(values).values
         norm = operator_norm(gap_phase_matrix(gaps, 1e6))
         assert norm == pytest.approx(1.0, abs=1e-3)
     print(f"c06 800 cells ok, worst norm/bound={worst_ratio:.3f}, long-horizon norms at 1")

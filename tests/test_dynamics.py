@@ -22,7 +22,6 @@ from gaplab.dynamics import (
     expectation_curve_variance_infinite,
     expectation_curve_variance_quadrature,
     finite_time_branches,
-    gap_index,
     gap_phase_matrix,
     infinite_time_average,
     mixture_curve_deviation,
@@ -30,13 +29,14 @@ from gaplab.dynamics import (
     mixture_expectation_curve,
     moment_bounds,
     overlap_curve,
+    phase_matrix_norm,
     phase_matrix_norm_bound,
     phase_quadratic_forms,
 )
 from gaplab.linalg import operator_norm
 from gaplab.sampling import derive_rng
 from gaplab.scenarios import random_density, random_hamiltonian
-from gaplab.spectra import contributing_set, spectral_stats
+from gaplab.spectra import GapIndex, contributing_set, spectral_stats
 from test_spectra import simple_spectrum
 
 
@@ -112,9 +112,9 @@ def test_gap_coefficients_follow_gap_pairs():
     B[:3, :3] = random_hermitian(3, rng)  # couples to a subset of the eigenvalues
     B = spec.basis_matrix @ B @ spec.basis_matrix.conj().T
     cs = contributing_set(spec, B)
-    gi = gap_index(cs.values)
+    gi = cs.gaps
     stack = block_overlap_matrix(spec, np.array([random_state(8, rng) for _ in range(3)]), B)
-    rows = gap_coefficients(stack, cs.indices, gi)
+    rows = gap_coefficients(stack, cs)
     assert rows.shape == (3, gi.count)
     for S, row in zip(stack, rows):
         sub = S[np.ix_(cs.indices, cs.indices)]
@@ -147,11 +147,11 @@ def test_overlap_curve_matches_expectation_curve(values, multiplicities):
 
 def test_phase_quadratic_forms_rows_independent_of_stacking():
     rng = derive_rng(506)
-    gaps = gap_index(rng.standard_normal(5)).values
-    rows = rng.standard_normal((4, gaps.size)) + 1j * rng.standard_normal((4, gaps.size))
+    gaps = GapIndex(rng.standard_normal(5))
+    rows = rng.standard_normal((4, gaps.count)) + 1j * rng.standard_normal((4, gaps.count))
     stacked = phase_quadratic_forms(gaps, rows, 3.0)
     assert all(phase_quadratic_forms(gaps, rows[i : i + 1], 3.0)[0] == stacked[i] for i in range(4))
-    assert phase_quadratic_forms(np.empty(0), np.empty((4, 0)), 3.0).tolist() == [0.0] * 4
+    assert phase_quadratic_forms(GapIndex([1.0]), np.empty((4, 0)), 3.0).tolist() == [0.0] * 4
 
 
 def test_curve_variance_matches_time_grid_quadrature():
@@ -190,7 +190,7 @@ def test_infinite_horizon_variance_by_dephasing_oracle():
         B = random_hermitian(dim, rng)
         cs = contributing_set(spec, B)
         S = block_overlap_matrix(spec, psi, B)[np.ix_(cs.indices, cs.indices)]
-        gi = gap_index(cs.values)
+        gi = cs.gaps
         coeffs = S[~np.eye(cs.n_distinct, dtype=bool)]
         clusters = {}
         for g, w in zip(np.round(gi.values, 9), coeffs):
@@ -198,6 +198,24 @@ def test_infinite_horizon_variance_by_dephasing_oracle():
         brute = sum(abs(v) ** 2 for v in clusters.values())
         val = expectation_curve_variance_infinite(spec, psi, B)
         assert val == pytest.approx(brute, rel=1e-9, abs=1e-12)
+
+
+def test_dephasing_clusters_with_contributing_tolerance():
+    # Contributing levels {0, 1, 2 + 1e-7}; the level at 1000 does not couple
+    # to B.  The gaps 1 and 1 + 1e-7 are distinct at the contributing
+    # tolerance (1e-9 times diameter 2), as the gap degeneracy counts them,
+    # but would merge at 1e-9 times the full diameter 1000.
+    spec = simple_spectrum([0.0, 1.0, 2.0 + 1e-7, 1000.0])
+    B = np.zeros((4, 4))
+    B[:3, :3] = 1.0 / 3.0
+    psi = np.full(4, 0.5)
+    cs = contributing_set(spec, B)
+    assert cs.n_distinct == 3 and cs.max_gap_degeneracy == 1
+    power = float(np.sum(np.abs(gap_coefficients(block_overlap_matrix(spec, psi, B), cs)) ** 2))
+    assert power == pytest.approx(1.0 / 24.0, rel=1e-12)
+    infinite = expectation_curve_variance_infinite(spec, psi, B)
+    assert infinite == pytest.approx(power, rel=1e-12)
+    assert expectation_curve_variance(spec, psi, B, horizon=1e9) == pytest.approx(infinite, rel=1e-2)
 
 
 def test_finite_horizon_variance_approaches_dephased_limit():
@@ -214,7 +232,7 @@ def test_finite_horizon_variance_approaches_dephased_limit():
 def test_phase_matrix_invariants():
     rng = derive_rng(508)
     values = np.sort(rng.standard_normal(6)) * 2.0
-    gaps = gap_index(values).values
+    gaps = GapIndex(values).values
     R = gap_phase_matrix(gaps, horizon=3.0)
     assert np.abs(np.diag(R) - 1.0).max() <= 1e-12
     assert np.abs(R - R.conj().T).max() <= 1e-12
@@ -222,8 +240,17 @@ def test_phase_matrix_invariants():
     assert np.linalg.eigvalsh(R).min() >= -1e-9
 
 
+@pytest.mark.parametrize("d", [8, 24])
+@pytest.mark.parametrize("horizon", [0.7, 8.0, 32.0])
+def test_phase_matrix_keeps_the_bits_of_the_closed_form(d, horizon):
+    gaps = GapIndex(np.sort(derive_rng(511, d).standard_normal(d)) * 2.0).values
+    delta = gaps[:, None] - gaps[None, :]
+    closed_form = np.exp(0.5j * delta * horizon) * np.sinc(delta * horizon / (2.0 * np.pi))
+    assert gap_phase_matrix(gaps, horizon).tobytes() == closed_form.tobytes()
+
+
 def test_phase_matrix_entries_match_brute_average():
-    gaps = gap_index(np.array([0.0, 1.0, 2.5])).values
+    gaps = GapIndex([0.0, 1.0, 2.5]).values
     T = 4.0
     R = gap_phase_matrix(gaps, T)
     ts = np.linspace(0.0, T, 200_001)
@@ -235,14 +262,14 @@ def test_phase_matrix_entries_match_brute_average():
 
 def test_phase_matrix_norm_short_time_is_pair_count():
     values = np.array([0.0, 0.3, 1.1, 2.9])
-    gaps = gap_index(values).values
+    gaps = GapIndex(values).values
     R = gap_phase_matrix(gaps, horizon=1e-9)
     assert operator_norm(R) == pytest.approx(gaps.size, abs=1e-6)
 
 
 def test_phase_matrix_norm_sidon_spectrum():
     # All 12 ordered gaps of {0,1,3,7} are distinct, so R tends to the identity.
-    gaps = gap_index(np.array([0.0, 1.0, 3.0, 7.0])).values
+    gaps = GapIndex([0.0, 1.0, 3.0, 7.0]).values
     norm = operator_norm(gap_phase_matrix(gaps, horizon=1e6))
     assert norm == pytest.approx(1.0, abs=1e-3)
 
@@ -252,9 +279,25 @@ def test_phase_matrix_norm_arithmetic_degeneracy():
     # norm is the maximal gap multiplicity.
     spec = simple_spectrum([0.0, 1.0, 2.0, 3.0])
     assert spectral_stats(spec).max_gap_degeneracy == 3
-    gaps = gap_index(spec.values).values
+    gaps = GapIndex(spec.values).values
     norm = operator_norm(gap_phase_matrix(gaps, horizon=1e6))
     assert norm == pytest.approx(3.0, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.sort(derive_rng(512).standard_normal(24)) * 3.0,
+        [0.0, 1.0, 3.0, 7.0, 12.0, 20.0, 30.0, 44.0],  # Sidon: all gaps distinct
+        np.arange(12.0),  # arithmetic: maximal gap degeneracy
+    ],
+    ids=["random", "sidon", "arithmetic"],
+)
+def test_phase_matrix_norm_matches_singular_value_oracle(values):
+    gaps = GapIndex(values)
+    for horizon in (1e-3, 0.7, 8.0, 32.0):
+        oracle = operator_norm(gap_phase_matrix(gaps.values, horizon))
+        assert phase_matrix_norm(gaps, horizon) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_window_norm_bound_worked_example():

@@ -2,7 +2,7 @@
 
 No module uses another module's ``_``-prefixed names, neither through
 ``from .x import _name`` nor as an attribute ``x._name`` of an imported
-sibling module.
+sibling module.  Only ``dynamics`` builds the dense phase-average matrix.
 """
 
 import ast
@@ -48,3 +48,19 @@ def test_private_uses_are_detected():
     assert private_uses("from .spectra import gap_count, _cluster_sorted") == ["spectra._cluster_sorted"]
     assert private_uses("from . import jsonio\njsonio._hidden(1)") == ["jsonio._hidden"]
     assert private_uses("from .spectra import gap_count\nimport numpy as np\nnp._x") == []
+
+
+def calls_of(source: str, name: str) -> int:
+    """Number of calls ``name(...)`` or ``x.name(...)`` in a module's source."""
+    return sum(
+        1
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    )
+
+
+def test_only_dynamics_builds_the_phase_matrix():
+    callers = {p.name for p in PACKAGE.glob("*.py") if calls_of(p.read_text(), "gap_phase_matrix")}
+    assert callers == {"dynamics.py"}
+    assert calls_of("R = dynamics.gap_phase_matrix(g, 1.0)\ngap_phase_matrix(g, 2.0)", "gap_phase_matrix") == 2

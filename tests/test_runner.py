@@ -9,6 +9,7 @@ import pytest
 from gaplab.jsonio import save_matrix
 from gaplab.runner import CheckRecord, Report, run_scenario
 from gaplab.scenarios import ScenarioConfig
+from gaplab.spectra import GapIndex
 
 
 def make_config(**overrides):
@@ -181,24 +182,33 @@ def test_checks_subset_controls_records():
 
 
 def test_scenario_quantities_are_computed_once(monkeypatch):
-    calls = {"contributing_set": 0, "gap_phase_matrix": 0}
+    calls = {}
 
-    def count(name):
-        home = "gaplab.spectra" if name == "contributing_set" else "gaplab.dynamics"
-        original = getattr(sys.modules[home], name)
-
-        def counted(*args, **kwargs):
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
+        return wrapper
+
+    def count(name, home):
+        original = getattr(sys.modules[home], name)
         for module in [m for key, m in sys.modules.items() if key == "gaplab" or key.startswith("gaplab.")]:
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+                monkeypatch.setattr(module, name, counted(name, original))
 
-    count("contributing_set")
-    count("gap_phase_matrix")
-    config = make_config(horizons=[4.0, 8.0], mc={"n_states": 300, "n_times": 16})
-    report = run_scenario(config)
-    assert report.violations == 0
-    assert calls["contributing_set"] == 1
-    assert calls["gap_phase_matrix"] <= 2 * len(config.horizons)
+    count("contributing_set", "gaplab.spectra")
+    count("gap_phase_matrix", "gaplab.dynamics")
+    count("operator_norm", "gaplab.linalg")
+    monkeypatch.setattr(GapIndex, "__init__", counted("GapIndex", GapIndex.__init__))
+    for horizons, kappas in (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0])):
+        calls.update(contributing_set=0, gap_phase_matrix=0, operator_norm=0, GapIndex=0)
+        config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": 300, "n_times": 16})
+        report = run_scenario(config)
+        assert report.violations == 0
+        assert calls["contributing_set"] == 1
+        assert calls["gap_phase_matrix"] <= 2 * len(config.horizons)
+        # one index for the full spectrum, one for the contributing set
+        assert calls["GapIndex"] == 2
+        # |B| only: the phase-matrix norm is an eigenvalue, not a singular value
+        assert calls["operator_norm"] == 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gaplab.sampling import derive_rng
 from gaplab.scenarios import random_hamiltonian
-from gaplab.spectra import contributing_set, gap_count, group_eigenvalues, spectral_stats
+from gaplab.spectra import GapIndex, contributing_set, gap_count, group_eigenvalues, spectral_stats
 
 
 def simple_spectrum(raw_values, tol=1e-9):
@@ -69,6 +69,28 @@ def test_window_count_worked_example():
     # Window [1, 2.5) captures the two +1 gaps and the +2 gap.
     assert gap_count(spec, 1.5) == 3
     assert gap_count(spec, 0.5) == 2
+
+
+def test_gap_index_pairs_and_clusters():
+    gi = GapIndex([0.0, 1.0, 2.0])
+    assert gi.pairs.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
+    assert gi.values.tolist() == [-1.0, -2.0, 1.0, -1.0, 2.0, 1.0]
+    assert gi.order.tolist() == [1, 0, 3, 2, 5, 4]  # stable: equal gaps keep pair order
+    assert gi.starts.tolist() == [0, 1, 3, 5]
+    assert gi.counts.tolist() == [1, 2, 2, 1]
+    assert gi.representatives.tolist() == [-2.0, -1.0, 1.0, 2.0]
+    assert gi.tol == pytest.approx(2e-9)
+    assert gi.max_degeneracy == 2
+    assert gi.window_count(1.5) == 3
+    assert gi.with_tolerance(None) is gi
+    coarse = gi.with_tolerance(1.5)
+    assert coarse.counts.tolist() == [3, 3] and coarse.max_degeneracy == 3
+    empty = GapIndex([4.0])
+    assert (empty.count, empty.max_degeneracy, empty.window_count(1.0)) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        empty.window_count(0.0)
+    with pytest.raises(ValueError):
+        GapIndex([0.0, 1.0], gap_tol=-1.0)
 
 
 def test_window_count_limits_and_monotonicity():
