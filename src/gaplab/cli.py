@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import jsonio
 from .dynamics import (
+    CONCENTRATION_CONSTANT,
     BoundInputs,
     expectation_curve,
     finite_time_branches,
@@ -36,20 +38,6 @@ __all__ = ["main"]
 
 #: Points per horizon for the mixture curve CSV export.
 CSV_CURVE_POINTS = 1001
-
-BOUND_INPUT_KEYS = (
-    "epsilon",
-    "delta",
-    "kappa",
-    "horizon",
-    "norm_b",
-    "norm_rho",
-    "n_contributing",
-    "max_degeneracy",
-    "max_gap_degeneracy",
-    "gap_window_count",
-)
-
 
 def _emit(obj, out: str | None) -> None:
     text = jsonio.dumps_canonical(obj)
@@ -158,18 +146,21 @@ def _cmd_evolve(args) -> int:
 def _cmd_bounds(args) -> int:
     with open(args.inputs, encoding="utf-8") as fh:
         data = json.load(fh)
-    missing = [k for k in BOUND_INPUT_KEYS if k not in data]
+    if not isinstance(data, dict):
+        raise ConfigError("bound inputs must be a JSON object")
+    keys = [f.name for f in dataclasses.fields(BoundInputs)]
+    missing = [k for k in keys if k not in data]
     if missing:
         raise ConfigError(f"bound inputs missing keys: {missing}")
-    kwargs = {k: data[k] for k in BOUND_INPUT_KEYS}
-    if "constant" in data:
-        kwargs["constant"] = data["constant"]
-    inputs = BoundInputs(**kwargs)
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown bound input keys: {unknown}")
+    inputs = BoundInputs(**data)
     markov, concentration = finite_time_branches(inputs)
     moments = moment_bounds(inputs)
     record = {
-        "inputs": {k: getattr(inputs, k) for k in BOUND_INPUT_KEYS},
-        "constant": inputs.constant,
+        "inputs": dataclasses.asdict(inputs),
+        "constant": CONCENTRATION_CONSTANT,
         "window_factor": inputs.window_factor,
         "finite_time": {
             "markov": markov,

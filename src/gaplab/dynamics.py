@@ -31,7 +31,8 @@ tail bound from precomputed spectral counts; they never look at matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import simpson
@@ -239,7 +240,12 @@ def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
     np.exp(R, out=R)
     delta *= horizon
     delta /= 2.0 * np.pi
-    R *= np.sinc(delta)
+    # sinc(x) = sin(pi x) / (pi x), as np.sinc computes it, without its temporaries
+    delta *= np.pi
+    delta[delta == 0] = np.finfo(float).eps
+    s = np.sin(delta)
+    s /= delta
+    R *= s
     return R
 
 
@@ -381,6 +387,16 @@ def phase_matrix_norm_bound(
     return norm, bound
 
 
+def _finite_real(v) -> bool:
+    """True for a finite int or float (numpy ones included), False for bools."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class BoundInputs:
     """Scalar inputs of the equilibration bounds.
@@ -401,9 +417,12 @@ class BoundInputs:
     max_degeneracy: int
     max_gap_degeneracy: int
     gap_window_count: int
-    constant: float = field(default=CONCENTRATION_CONSTANT)
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not _finite_real(v):
+                raise ValueError(f"{f.name} must be a finite real number, got {v!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
@@ -420,8 +439,6 @@ class BoundInputs:
             v = getattr(self, name)
             if int(v) != v or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer")
-        if not math.isclose(self.constant, CONCENTRATION_CONSTANT, rel_tol=1e-12):
-            raise ValueError("constant must equal 1 / (288 pi^2)")
 
     @classmethod
     def from_contributing(
@@ -480,7 +497,7 @@ def finite_time_branches(inputs: BoundInputs) -> tuple[float, float]:
     eps_delta = inputs.epsilon * inputs.delta
     markov = math.sqrt(188.0 / eps_delta * base)
     concentration = math.sqrt(
-        25.0 * math.log(24.0 / eps_delta) / (inputs.delta * inputs.constant) * base
+        25.0 * math.log(24.0 / eps_delta) / (inputs.delta * CONCENTRATION_CONSTANT) * base
     )
     return markov, concentration
 
@@ -536,7 +553,6 @@ def concentration_tail_bound(
     deviation: float,
     lipschitz: float,
     norm_rho: float,
-    constant: float = CONCENTRATION_CONSTANT,
 ) -> float:
     """Tail bound 12 exp(-C dev^2 / (2 L^2 |rho|)) for Lipschitz observables.
 
@@ -549,6 +565,4 @@ def concentration_tail_bound(
         raise ValueError("lipschitz must be positive")
     if not 0.0 < norm_rho <= 1.0:
         raise ValueError("norm_rho must lie in (0, 1]")
-    if not math.isclose(constant, CONCENTRATION_CONSTANT, rel_tol=1e-12):
-        raise ValueError("constant must equal 1 / (288 pi^2)")
-    return 12.0 * math.exp(-constant * deviation**2 / (2.0 * lipschitz**2 * norm_rho))
+    return 12.0 * math.exp(-CONCENTRATION_CONSTANT * deviation**2 / (2.0 * lipschitz**2 * norm_rho))

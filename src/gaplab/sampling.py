@@ -26,7 +26,7 @@ and the mixture index never selects them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class DensityMatrix:
 
     probabilities: np.ndarray
     basis: np.ndarray
-    _normalize: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float).ravel()
@@ -86,9 +85,7 @@ class DensityMatrix:
             raise ValueError(
                 f"eigenbasis is not unitary: max |U*U - I| = {defect:.3e}"
             )
-        if self._normalize:
-            p = p / total
-        self.probabilities = p
+        self.probabilities = p / total
         self.basis = U
 
     @classmethod

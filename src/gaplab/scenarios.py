@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -243,27 +244,60 @@ def microcanonical_density(macro: MacroDecomposition, label: str = "eq") -> Dens
 #: Marks a config field without a default.
 REQUIRED = object()
 
-#: Numeric config fields: (path, type, low, high, default).  A type in a
-#: list means a nonempty list of such values.  Integer ranges are closed,
-#: number ranges open; a default of None leaves an absent field out.
+#: The checks a config can enable.
+CHECKS = ("spectral", "variance", "moments", "equilibration", "concentration")
+
+#: Every config key: (path, type, low, high, default).  A type is int,
+#: float, str (a nonempty string), a tuple of allowed strings (whose last
+#: member may be a list type allowed next to them), or a one-element list
+#: for a nonempty list of that type.  Integer ranges are closed, number
+#: ranges open; a default of None leaves an absent field None.
 FIELDS = (
+    ("schema", (SCHEMA,), None, None, REQUIRED),
     ("dimension", int, 2, math.inf, REQUIRED),
     ("seed", int, 0, math.inf, REQUIRED),
+    ("hamiltonian.kind", ("random", "file"), None, None, REQUIRED),
+    ("hamiltonian.multiplicities", [int], 1, math.inf, None),
+    ("hamiltonian.eigenvalues", ("gaussian", "arithmetic", [float]), -math.inf, math.inf, "gaussian"),
+    ("hamiltonian.spacing", float, 0.0, math.inf, 1.0),
+    ("hamiltonian.path", str, None, None, None),
+    ("rho.kind", ("uniform", "canonical", "microcanonical", "random", "file"), None, None, REQUIRED),
+    ("rho.beta", float, -math.inf, math.inf, 1.0),
+    ("rho.label", str, None, None, "eq"),
+    ("rho.p_max_limit", float, 0.0, math.inf, None),
+    ("rho.path", str, None, None, None),
+    ("observable.kind", ("macro_projector", "random_projector", "random_hermitian", "file"), None, None, REQUIRED),
+    ("observable.rank", int, 1, math.inf, None),
+    ("observable.label", str, None, None, "eq"),
+    ("observable.path", str, None, None, None),
+    ("macro.dims", [int], 1, math.inf, None),
+    ("macro.labels", [str], None, None, None),
     ("mc.n_states", int, 2, math.inf, 200),
     ("mc.n_times", int, 1, math.inf, 256),
     ("horizons", [float], 0.0, math.inf, [10.0]),
     ("kappas", [float], 0.0, math.inf, [1.0]),
     ("epsilon", float, 0.0, 1.0, 0.1),
     ("delta", float, 0.0, 1.0, 0.1),
-    ("observable.rank", int, 1, math.inf, None),
+    ("checks", [CHECKS], None, None, list(CHECKS)),
     ("concentration.time", float, -math.inf, math.inf, 1.0),
     ("concentration.n_states", int, 2, math.inf, 1000),
     ("concentration.scaling_dims", [int], 2, math.inf, [16, 64, 256]),
     ("concentration.epsilon_grid", [float], 0.0, math.inf, [0.1, 0.2, 0.4]),
 )
 
+#: Sections that may be null, meaning every default.
+NULLABLE = ("macro", "concentration")
 
-def _in_range(value, kind, low, high) -> bool:
+
+def _valid(value, kind, low, high) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and bool(value) and all(_valid(v, kind[0], low, high) for v in value)
+    if isinstance(kind, tuple):
+        if isinstance(value, str):
+            return value in kind
+        return isinstance(kind[-1], list) and _valid(value, kind[-1], low, high)
+    if kind is str:
+        return isinstance(value, str) and value != ""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     if kind is int:
@@ -275,51 +309,84 @@ def _in_range(value, kind, low, high) -> bool:
     return math.isfinite(value) and low < value < high
 
 
-def _describe(many: bool, kind, low, high) -> str:
+def _convert(value, kind):
+    if isinstance(kind, list):
+        return [_convert(v, kind[0]) for v in value]
+    if isinstance(kind, tuple):
+        return value if isinstance(value, str) else _convert(value, kind[-1])
+    return kind(value)
+
+
+def _describe(kind, low, high, many: bool = False) -> str:
     """What a field of ``FIELDS`` must be, e.g. "an integer >= 2"."""
+    if isinstance(kind, list):
+        return "a nonempty list of " + _describe(kind[0], low, high, many=True)
+    if isinstance(kind, tuple):
+        names = ", ".join(repr(c) for c in kind if isinstance(c, str))
+        lists = "".join(f" or {_describe(c, low, high)}" for c in kind if isinstance(c, list))
+        return ("names from " if many else "one of ") + names + lists
+    if kind is str:
+        return "nonempty strings" if many else "a nonempty string"
     ops = (">=", "<=") if kind is int else (">", "<")
     limits = [f"{op} {x:g}" for op, x in zip(ops, (low, high)) if math.isfinite(x)]
-    what = "integer" if kind is int else "finite number"
-    what = f"a nonempty list of {what}s" if many else f"{'an' if kind is int else 'a'} {what}"
+    if kind is int:
+        what = "integers" if many else "an integer"
+    else:
+        what = "finite numbers" if many else "a finite number"
     return " ".join([what, " and ".join(limits)]).rstrip()
 
 
 def _parse_fields(obj: dict) -> dict:
-    """Every field of ``FIELDS``, checked and converted, by path."""
-    out = {}
+    """Every field of ``FIELDS``, checked and converted, nested by section.
+
+    A key that is no row of ``FIELDS`` is refused.
+    """
+    out, holders = {}, {"": obj}
     for path, kind, low, high, default in FIELDS:
         section, _, key = path.rpartition(".")
-        holder = (obj.get(section) or {}) if section else obj
-        if key not in holder:
-            if default is REQUIRED:
-                raise ConfigError(f"{path} is required")
-            if default is None:
-                out[path] = None
-                continue
+        if section not in holders:
+            holder = obj.get(section, {})
+            if holder is None and section in NULLABLE:
+                holder = {}
+            if not isinstance(holder, dict):
+                raise ConfigError(f"{section} must be a JSON object, got {holder!r}")
+            holders[section], out[section] = holder, {}
+        holder, target = holders[section], out[section] if section else out
+        if key not in holder and default is None:
+            target[key] = None
+            continue
         value = holder.get(key, default)
-        many = isinstance(kind, list)
-        item = kind[0] if many else kind
-        if many:
-            ok = isinstance(value, list) and value and all(_in_range(v, item, low, high) for v in value)
-        else:
-            ok = _in_range(value, item, low, high)
-        if not ok:
-            raise ConfigError(f"{path} must be {_describe(many, item, low, high)}, got {value!r}")
-        out[path] = [item(v) for v in value] if many else item(value)
+        if value is REQUIRED:
+            raise ConfigError(f"{path} is required")
+        if not _valid(value, kind, low, high):
+            raise ConfigError(f"{path} must be {_describe(kind, low, high)}, got {value!r}")
+        target[key] = _convert(value, kind)
+    for section, holder in holders.items():
+        known = [p.rpartition(".")[2] for p, *_ in FIELDS if p.rpartition(".")[0] == section]
+        known += [] if section else [s for s in holders if s]
+        for key in holder:
+            if key not in known:
+                path = f"{section}.{key}" if section else key
+                raise ConfigError(f"unknown key: {path} must be one of {', '.join(sorted(known))}")
     return out
 
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario configuration (schema gaplab-scenario/1)."""
+    """Parsed scenario configuration (schema gaplab-scenario/1).
+
+    Each section (``hamiltonian``, ``rho``, ``observable``, ``macro``,
+    ``concentration``) is a dict of its parsed ``FIELDS`` by key; the
+    ``mc`` section is ``n_states`` and ``n_times``.  ``raw`` is the config
+    as given.
+    """
 
     dimension: int
     seed: int
     hamiltonian: dict
     rho: dict
     observable: dict
-    observable_rank: int | None
-    macro: dict | None
+    macro: dict
     n_states: int
     n_times: int
     horizons: list
@@ -334,56 +401,17 @@ class ScenarioConfig:
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
         if not isinstance(obj, dict):
             raise ConfigError("scenario config must be a JSON object")
-        schema = obj.get("schema")
-        if schema != SCHEMA:
-            raise ConfigError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
-        ham = obj.get("hamiltonian")
-        rho = obj.get("rho", {"kind": "uniform"})
-        observable = obj.get("observable")
-        if not isinstance(ham, dict) or "kind" not in ham:
-            raise ConfigError("hamiltonian section with a 'kind' is required")
-        if not isinstance(rho, dict) or "kind" not in rho:
-            raise ConfigError("rho section must have a 'kind'")
-        if not isinstance(observable, dict) or "kind" not in observable:
-            raise ConfigError("observable section with a 'kind' is required")
-        macro = obj.get("macro")
-        if macro is not None and not isinstance(macro, dict):
-            raise ConfigError("macro section must be an object")
-        if not isinstance(obj.get("mc", {}), dict):
-            raise ConfigError("mc section must be an object")
-        if not isinstance(obj.get("concentration") or {}, dict):
-            raise ConfigError("concentration section must be an object")
-        fields = _parse_fields(obj)
-        dims = fields["concentration.scaling_dims"]
+        # an absent rho section means the uniform density
+        fields = _parse_fields({"rho": {"kind": "uniform"}, **obj})
+        dims = fields["concentration"]["scaling_dims"]
         if len(set(dims)) < 2:
             raise ConfigError(f"concentration.scaling_dims needs two distinct dimensions, got {dims!r}")
-        checks = obj.get("checks", ["spectral", "variance", "moments", "equilibration", "concentration"])
-        known = {"spectral", "variance", "moments", "equilibration", "concentration"}
-        if not isinstance(checks, list) or not checks:
-            raise ConfigError("checks must be a nonempty list")
-        unknown = set(checks) - known
-        if unknown:
-            raise ConfigError(f"unknown checks: {sorted(unknown)}")
-        return cls(
-            dimension=fields["dimension"],
-            seed=fields["seed"],
-            hamiltonian=ham,
-            rho=rho,
-            observable=observable,
-            observable_rank=fields["observable.rank"],
-            macro=macro,
-            n_states=fields["mc.n_states"],
-            n_times=fields["mc.n_times"],
-            horizons=fields["horizons"],
-            kappas=fields["kappas"],
-            epsilon=fields["epsilon"],
-            delta=fields["delta"],
-            checks=list(checks),
-            concentration={
-                k: fields[f"concentration.{k}"] for k in ("time", "n_states", "scaling_dims", "epsilon_grid")
-            },
-            raw=obj,
-        )
+        for section in ("hamiltonian", "rho", "observable"):
+            if fields[section]["kind"] == "file" and fields[section]["path"] is None:
+                raise ConfigError(f"{section}.path is required for {section}.kind 'file'")
+        del fields["schema"]
+        mc = fields.pop("mc")
+        return cls(**fields, n_states=mc["n_states"], n_times=mc["n_times"], raw=obj)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -430,97 +458,64 @@ class Scenario:
         return mixture_block_overlap(self.spec, self.rho, self.observable)
 
 
+@contextmanager
+def _building(section: str):
+    """Turn a builder's refusal of its section into a ConfigError naming it."""
+    try:
+        yield
+    except (OSError, ValueError, RuntimeError) as exc:
+        raise ConfigError(f"bad {section} section: {exc}") from exc
+
+
 def _build_hamiltonian(config: ScenarioConfig, base_dir: str) -> SpectralDecomposition:
-    ham = config.hamiltonian
-    kind = ham["kind"]
-    if kind == "file":
-        path = ham.get("path")
-        if not path:
-            raise ConfigError("hamiltonian file kind needs a 'path'")
-        try:
-            return jsonio.load_spectrum(os.path.join(base_dir, path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load spectrum: {exc}") from exc
-    if kind == "random":
-        mult = ham.get("multiplicities", [1] * config.dimension)
-        mode = ham.get("eigenvalues", "gaussian")
-        spacing = float(ham.get("spacing", 1.0))
+    ham, d = config.hamiltonian, config.dimension
+    with _building("hamiltonian"):
+        if ham["kind"] == "file":
+            return jsonio.load_spectrum(os.path.join(base_dir, ham["path"]))
         rng = derive_rng(config.seed, DOMAIN_HAMILTONIAN)
-        try:
-            return random_hamiltonian(config.dimension, mult, rng, eigenvalues=mode, spacing=spacing)
-        except ValueError as exc:
-            raise ConfigError(f"bad hamiltonian plan: {exc}") from exc
-    raise ConfigError(f"unknown hamiltonian kind {kind!r}")
+        mult = ham["multiplicities"] or [1] * d
+        return random_hamiltonian(d, mult, rng, eigenvalues=ham["eigenvalues"], spacing=ham["spacing"])
 
 
 def _build_macro(config: ScenarioConfig, spec: SpectralDecomposition) -> MacroDecomposition:
-    macro = config.macro or {}
-    try:
-        return macro_decomposition(spec, dims=macro.get("dims"), labels=macro.get("labels"))
-    except ValueError as exc:
-        raise ConfigError(f"bad macro decomposition: {exc}") from exc
+    with _building("macro"):
+        return macro_decomposition(spec, dims=config.macro["dims"], labels=config.macro["labels"])
 
 
 def _build_rho(config: ScenarioConfig, spec, macro, base_dir: str) -> DensityMatrix:
-    rho = config.rho
-    kind = rho["kind"]
-    try:
-        if kind == "uniform":
-            d = config.dimension
+    rho, d = config.rho, config.dimension
+    with _building("rho"):
+        if rho["kind"] == "uniform":
             return DensityMatrix(probabilities=np.full(d, 1.0 / d), basis=np.eye(d))
-        if kind == "canonical":
-            return canonical_density(spec, float(rho.get("beta", 1.0)))
-        if kind == "microcanonical":
-            return microcanonical_density(macro, rho.get("label", "eq"))
-        if kind == "random":
-            limit = rho.get("p_max_limit")
+        if rho["kind"] == "canonical":
+            return canonical_density(spec, rho["beta"])
+        if rho["kind"] == "microcanonical":
+            return microcanonical_density(macro, rho["label"])
+        if rho["kind"] == "random":
+            limit = rho["p_max_limit"]
             if limit is None and {"variance", "equilibration"} & set(config.checks):
                 # variance bounds require p_max < 1/4
                 limit = 0.25
-            rng = derive_rng(config.seed, DOMAIN_RHO)
-            try:
-                return random_density(config.dimension, rng, p_max_limit=limit)
-            except RuntimeError as exc:
-                raise ConfigError(f"bad rho section: {exc}") from exc
-        if kind == "file":
-            path = rho.get("path")
-            if not path:
-                raise ConfigError("rho file kind needs a 'path'")
-            return jsonio.load_density(os.path.join(base_dir, path))
-    except (OSError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad rho section: {exc}") from exc
-    raise ConfigError(f"unknown rho kind {kind!r}")
+            return random_density(d, derive_rng(config.seed, DOMAIN_RHO), p_max_limit=limit)
+        return jsonio.load_density(os.path.join(base_dir, rho["path"]))
 
 
 def _build_observable(config: ScenarioConfig, macro, base_dir: str) -> np.ndarray:
-    obs = config.observable
-    kind = obs["kind"]
-    try:
-        if kind == "macro_projector":
-            return macro.projector(obs.get("label", "eq"))
-        if kind == "random_projector":
-            rank = config.observable_rank or max(1, config.dimension // 2)
+    obs, d = config.observable, config.dimension
+    with _building("observable"):
+        if obs["kind"] == "macro_projector":
+            return macro.projector(obs["label"])
+        if obs["kind"] == "random_projector":
             rng = derive_rng(config.seed, DOMAIN_OBSERVABLE)
-            return random_projector(config.dimension, rank, rng)
-        if kind == "random_hermitian":
+            return random_projector(d, obs["rank"] or max(1, d // 2), rng)
+        if obs["kind"] == "random_hermitian":
             rng = derive_rng(config.seed, DOMAIN_OBSERVABLE)
-            z = rng.standard_normal((config.dimension, config.dimension))
-            z = z + 1j * rng.standard_normal((config.dimension, config.dimension))
+            z = rng.standard_normal((d, d))
+            z = z + 1j * rng.standard_normal((d, d))
             H = (z + z.conj().T) / 2.0
             return H / operator_norm(H)
-        if kind == "file":
-            path = obs.get("path")
-            if not path:
-                raise ConfigError("observable file kind needs a 'path'")
-            M = jsonio.load_matrix(os.path.join(base_dir, path))
-            return as_complex_matrix(M, name="observable", square=True)
-    except (OSError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad observable section: {exc}") from exc
-    raise ConfigError(f"unknown observable kind {kind!r}")
+        M = jsonio.load_matrix(os.path.join(base_dir, obs["path"]))
+        return as_complex_matrix(M, name="observable", square=True)
 
 
 def build_scenario(config: ScenarioConfig, base_dir: str = ".") -> Scenario:

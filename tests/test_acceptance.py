@@ -217,8 +217,6 @@ def sweep_configs():
                     "hamiltonian": {"kind": "random", "multiplicities": mult},
                     "rho": {"kind": "random"},
                     "observable": {"kind": "random_projector"},
-                    "n_states": 200,
-                    "n_times": 64,
                     "horizons": [6.0],
                     "kappas": [0.5, 1.5],
                     "epsilon": 0.1,
@@ -283,8 +281,6 @@ def test_c09_concentration_scaling():
             "hamiltonian": {"kind": "random"},
             "rho": {"kind": "uniform"},
             "observable": {"kind": "random_projector", "rank": 8},
-            "n_states": 64,
-            "n_times": 16,
             "horizons": [4.0],
             "kappas": [1.0],
             "checks": ["concentration"],
@@ -360,8 +356,6 @@ def test_c10_exact_identities():
 def test_c11_worker_determinism():
     shared = {
         "schema": "gaplab-scenario/1",
-        "n_states": 32,
-        "n_times": 16,
         "epsilon": 0.1,
         "delta": 0.1,
     }

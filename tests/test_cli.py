@@ -8,6 +8,7 @@ import pytest
 
 from gaplab import cli, runner
 from gaplab.dynamics import (
+    CONCENTRATION_CONSTANT,
     BoundInputs,
     expectation_curve,
     finite_time_branches,
@@ -222,6 +223,43 @@ def test_bounds_missing_key_exits_2(tmp_path):
     assert cli.main(["bounds", "--inputs", str(f)]) == 2
 
 
+BOUND_INPUTS = dict(
+    epsilon=0.1, delta=0.1, kappa=1.0, horizon=10.0, norm_b=1.0, norm_rho=0.1,
+    n_contributing=4, max_degeneracy=1, max_gap_degeneracy=2, gap_window_count=3,
+)
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        (5, "JSON object"),
+        ({**BOUND_INPUTS, "constant": 1.0}, "constant"),
+        ({**BOUND_INPUTS, "kappa": "a"}, "kappa"),
+        ({**BOUND_INPUTS, "kappa": None}, "kappa"),
+        ({**BOUND_INPUTS, "horizon": math.nan}, "horizon"),
+        ({**BOUND_INPUTS, "norm_b": True}, "norm_b"),
+    ],
+    ids=["scalar", "stale-constant", "kappa-string", "kappa-null", "horizon-nan", "norm_b-bool"],
+)
+def test_bounds_rejects_malformed_inputs(tmp_path, capsys, data, named):
+    f = tmp_path / "inputs.json"
+    f.write_text(json.dumps(data))
+    assert cli.main(["bounds", "--inputs", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_bounds_prints_the_concentration_constant(tmp_path):
+    f = tmp_path / "inputs.json"
+    out = tmp_path / "bounds.json"
+    f.write_text(json.dumps(BOUND_INPUTS))
+    assert cli.main(["bounds", "--inputs", str(f), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["constant"] == CONCENTRATION_CONSTANT
+    assert record["inputs"] == BOUND_INPUTS
+
+
 def write_run_config(tmp_path):
     config = {
         "schema": "gaplab-scenario/1",
@@ -230,8 +268,6 @@ def write_run_config(tmp_path):
         "hamiltonian": {"kind": "random"},
         "rho": {"kind": "uniform"},
         "observable": {"kind": "random_projector"},
-        "n_states": 24,
-        "n_times": 12,
         "horizons": [4.0],
         "kappas": [1.0],
         "checks": ["spectral", "variance"],
@@ -283,6 +319,17 @@ def test_run_success_writes_report_and_csv(tmp_path, capsys, monkeypatch):
         ({"seed": True}, "seed"),
         ({"concentration": {"n_states": 0}}, "concentration.n_states"),
         ({"concentration": {"scaling_dims": [1, 2]}}, "concentration.scaling_dims"),
+        ({"hamiltonian": {"kind": "random", "spacing": None}}, "hamiltonian.spacing"),
+        ({"hamiltonian": {"kind": "random", "multiplicities": 5}}, "hamiltonian.multiplicities"),
+        ({"rho": {"kind": "canonical", "beta": None}}, "rho.beta"),
+        ({"rho": {"kind": "random", "p_max_limit": "a"}}, "rho.p_max_limit"),
+        ({"macro": {"dims": 5}}, "macro.dims"),
+        ({"macro": {"labels": 5}}, "macro.labels"),
+        ({"checks": ["spectral", []]}, "checks"),
+        ({"hamiltonian": {"kind": "random", "multiplicities": [1.5, 1.5, 1, 1, 1]}}, "hamiltonian.multiplicities"),
+        ({"hamiltonian": {"kind": "random", "eigenvalues": [math.nan] + [1.0] * 5}}, "hamiltonian.eigenvalues"),
+        ({"n_states": 24}, "n_states"),
+        ({"hamiltonian": {"kind": "random", "bogus": 1}}, "hamiltonian.bogus"),
     ],
     ids=[
         "horizons-scalar",
@@ -297,6 +344,17 @@ def test_run_success_writes_report_and_csv(tmp_path, capsys, monkeypatch):
         "seed-bool",
         "concentration-n_states-zero",
         "scaling_dims-one",
+        "spacing-null",
+        "multiplicities-scalar",
+        "beta-null",
+        "p_max_limit-string",
+        "macro-dims-scalar",
+        "macro-labels-scalar",
+        "checks-nested-list",
+        "multiplicities-fraction",
+        "eigenvalues-nan",
+        "top-level-n_states",
+        "hamiltonian-unknown-key",
     ],
 )
 def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, patch, field):

@@ -410,6 +410,10 @@ def test_bound_inputs_validation():
         _unit_inputs(norm_rho=2.0)
     with pytest.raises(ValueError):
         _unit_inputs(gap_window_count=-1)
+    for name, value in (("kappa", "a"), ("kappa", None), ("horizon", math.nan), ("norm_b", math.inf),
+                        ("max_degeneracy", True), ("n_contributing", math.nan)):
+        with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+            _unit_inputs(**{name: value})
 
 
 def test_concentration_tail_values():

@@ -20,8 +20,6 @@ def make_config(**overrides):
         "hamiltonian": {"kind": "random"},
         "rho": {"kind": "random"},
         "observable": {"kind": "random_projector"},
-        "n_states": 48,
-        "n_times": 24,
         "horizons": [8.0],
         "kappas": [0.5, 1.5],
         "epsilon": 0.1,
@@ -120,8 +118,6 @@ def test_identity_observable_equilibrates_exactly(tmp_path):
         seed=19,
         rho={"kind": "uniform"},
         observable={"kind": "file", "path": "B.json"},
-        n_states=30,
-        n_times=12,
         horizons=[3.0],
         kappas=[1.0],
         checks=["moments", "equilibration"],
@@ -144,8 +140,6 @@ def test_stationary_density_has_constant_curves():
         macro={"dims": [5, 3], "labels": ["eq", "rest"]},
         rho={"kind": "microcanonical", "label": "eq"},
         observable={"kind": "random_projector", "rank": 4},
-        n_states=40,
-        n_times=16,
         horizons=[5.0],
         kappas=[0.8],
         checks=["moments", "equilibration"],
@@ -175,7 +169,7 @@ def test_single_eigenvalue_spectrum_is_trivially_vacuous():
 
 
 def test_checks_subset_controls_records():
-    config = make_config(checks=["variance"], concentration=None, n_states=16, n_times=8)
+    config = make_config(checks=["variance"], concentration=None)
     report = run_scenario(config)
     names = {c.name for c in report.checks}
     assert names == {"variance_bound_dominance", "variance_exact_vs_mc"}

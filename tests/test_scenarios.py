@@ -1,6 +1,7 @@
 """Scenario configs and the builders for Hamiltonians, states, and macrospaces."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,32 @@ def test_config_defaults_and_validation():
         ScenarioConfig.from_dict(config_dict(epsilon=1.0))
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(config_dict(horizons=[-1.0]))
+
+
+def test_readme_minimal_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A minimal scenario config:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    obj = json.loads(block)
+    cfg = ScenarioConfig.from_dict(obj)
+    assert (cfg.dimension, cfg.n_states, cfg.n_times) == (obj["dimension"], 200, 64)
+    assert cfg.raw is obj
+
+
+def test_config_sections_and_unknown_keys():
+    cfg = ScenarioConfig.from_dict({k: v for k, v in config_dict().items() if k != "rho"})
+    assert cfg.rho["kind"] == "uniform" and "rho" not in cfg.raw
+    assert cfg.macro == {"dims": None, "labels": None}
+    nulls = ScenarioConfig.from_dict(config_dict(macro=None, concentration=None))
+    assert nulls.concentration["scaling_dims"] == [16, 64, 256]
+    for bad, named in (
+        (config_dict(rho={"beta": 1.0}), "rho.kind is required"),
+        (config_dict(mc=None), "mc must be"),
+        (config_dict(n_times=8), "n_times"),
+        (config_dict(mc={"n_states": 8, "states": 8}), "mc.states"),
+        (config_dict(hamiltonian={"kind": "file"}), "hamiltonian.path is required"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            ScenarioConfig.from_dict(bad)
 
 
 def test_build_scenario_from_files(tmp_path):
