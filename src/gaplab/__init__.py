@@ -58,12 +58,9 @@ from .spectra import (
     ContributingSet,
     GapIndex,
     SpectralDecomposition,
-    SpectralStats,
     contributing_set,
-    gap_count,
-    gap_tolerance,
     group_eigenvalues,
-    spectral_stats,
+    spectral_counts,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +78,6 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "SpectralDecomposition",
-    "SpectralStats",
     "VarianceReport",
     "block_overlap_matrix",
     "bound_inputs",
@@ -100,10 +96,8 @@ __all__ = [
     "expectation_curve_variance_infinite",
     "finite_time_branches",
     "gap_coefficients",
-    "gap_count",
     "gap_expectation",
     "gap_phase_matrix",
-    "gap_tolerance",
     "gap_variance_bound",
     "gap_variance_exact",
     "group_eigenvalues",
@@ -125,7 +119,7 @@ __all__ = [
     "sample_gap",
     "sample_gap_resampling_oracle",
     "sample_gaussian",
-    "spectral_stats",
+    "spectral_counts",
     "trace_norm",
     "verify_concentration",
     "verify_equilibration",

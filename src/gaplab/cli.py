@@ -31,7 +31,7 @@ from .linalg import operator_norm
 from .moments import gap_expectation, gap_variance_bound
 from .sampling import derive_rng, empirical_density_matrix, sample_gap
 from .scenarios import ConfigError, load_scenario
-from .spectra import contributing_set, gap_count, spectral_stats
+from .spectra import GapIndex, contributing_set, spectral_counts
 from .runner import run_scenario
 
 __all__ = ["main"]
@@ -49,34 +49,23 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _parse_times(spec: str) -> np.ndarray:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError("--times must have the form t0:t1:n")
-    t0, t1, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 2 or t1 <= t0:
-        raise ConfigError("--times needs t1 > t0 and n >= 2")
+    try:
+        t0, t1, n = spec.split(":")
+        t0, t1, n = float(t0), float(t1), int(n)
+    except ValueError:
+        raise ConfigError(f"--times must have the form t0:t1:n, got {spec!r}") from None
+    if not (np.isfinite([t0, t1]).all() and t1 > t0 and n >= 2):
+        raise ConfigError("--times needs finite t0 < t1 and n >= 2")
     return np.linspace(t0, t1, n)
 
 
 def _cmd_stats(args) -> int:
     spec = jsonio.load_spectrum(args.spectrum)
-    stats = spectral_stats(spec, args.gap_tol)
-    record = {
-        "n_distinct": stats.n_distinct,
-        "max_degeneracy": stats.max_degeneracy,
-        "max_gap_degeneracy": stats.max_gap_degeneracy,
-        "diameter": spec.diameter,
-        "window_counts": {str(k): gap_count(spec, k, args.gap_tol) for k in args.kappa},
-    }
+    record = spectral_counts(spec, args.kappa, GapIndex(spec.values, args.gap_tol))
+    record["diameter"] = spec.diameter
     if args.observable:
-        B = jsonio.load_matrix(args.observable)
-        cs = contributing_set(spec, B)
-        record["contributing"] = {
-            "n_distinct": cs.n_distinct,
-            "max_degeneracy": cs.max_degeneracy,
-            "max_gap_degeneracy": cs.max_gap_degeneracy,
-            "window_counts": {str(k): cs.gap_count(k, args.gap_tol) for k in args.kappa},
-        }
+        cs = contributing_set(spec, jsonio.load_matrix(args.observable))
+        record["contributing"] = spectral_counts(cs, args.kappa, GapIndex(cs.values, args.gap_tol))
     _emit(record, args.out)
     return 0
 

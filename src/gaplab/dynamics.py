@@ -15,10 +15,13 @@ diagonal, and its operator norm obeys the window bound
 G(kappa) (1 + 8 log2(d) / (kappa T)) for every window width kappa > 0
 (Short and Farrelly, New J. Phys. 14, 013063, 2012).
 
-Pairs, gaps and gap clusters come from one ``spectra.GapIndex`` (the cached
-``gaps`` of a contributing set), which the coefficients, the forms, their
-dephased limit and the norm with its window bound all read; only the forms
-and the norm build R.
+The contributing set of the observable is itself a spectrum, the full one
+restricted to the eigenvalues that couple to B, so the overlap matrices
+that feed the gap forms are built on it directly.  Pairs, gaps and gap
+clusters come from one ``spectra.GapIndex`` (the cached ``gaps`` of the
+contributing set), which the coefficients, the forms, their dephased limit
+and the norm with its window bound all read; only the forms and the norm
+build R.
 
 A time-grid oracle (composite Simpson quadrature of the same averages)
 exists solely to cross-check the exact quadratic forms.
@@ -38,7 +41,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .linalg import as_complex_matrix, operator_norm
-from .spectra import GapIndex, SpectralDecomposition, contributing_set
+from .spectra import GapIndex, SpectralDecomposition, contributing_set, spectral_counts
 
 __all__ = [
     "CONCENTRATION_CONSTANT",
@@ -132,13 +135,16 @@ def _block_sums(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
-    """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over eigenprojectors.
+    """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over the eigenprojectors of ``spec``.
 
     ``psi0`` is one state, or a stack of states (n, dim) that gives one
-    matrix per state, shape (n, d, d).
+    matrix per state, shape (n, d, d).  On a contributing set S is the
+    contributing submatrix of the full spectrum's S.
     """
     psi = _check_state(psi0, spec.dim, stack=True)
     B = _check_observable(B, spec.dim)
+    if spec.n_distinct == 0:  # a contributing set of an observable that couples to nothing
+        return np.zeros(psi.shape[:-1] + (0, 0), dtype=complex)
     V = spec.basis_matrix
     Bt = V.conj().T @ B @ V
     # one matrix-vector product per state, so a stack rounds like single calls
@@ -158,8 +164,8 @@ def overlap_curve(values, S, times) -> np.ndarray:
 
     Here a_i(t) = exp(i e_i t) over the eigenvalues ``values`` that index S
     and S_off is S without its diagonal.  For the block overlap matrix of a
-    state (restricted to any eigenvalues that include the contributing
-    ones) this is <psi_t|B|psi_t>, at d exponentials per time instead of
+    state, on the full spectrum or on the contributing set, this is
+    <psi_t|B|psi_t>, at d exponentials per time instead of
     d (d - 1) gap phases.  S of shape (..., d, d) and times of shape
     (..., n) broadcast to curves of shape (..., n).
     """
@@ -174,7 +180,7 @@ def overlap_curve(values, S, times) -> np.ndarray:
 
 
 def mixture_block_overlap(spec: SpectralDecomposition, rho, B) -> np.ndarray:
-    """Matrix W with W[i, j] = tr(P_i B P_j rho) over eigenprojectors."""
+    """Matrix W with W[i, j] = tr(P_i B P_j rho) over the eigenprojectors of ``spec``."""
     B = _check_observable(B, spec.dim)
     rho_dense = rho.matrix() if hasattr(rho, "matrix") else as_complex_matrix(rho, square=True)
     if rho_dense.shape[0] != spec.dim:
@@ -211,16 +217,15 @@ def diagonal_ensemble_expectation(spec: SpectralDecomposition, rho, B) -> comple
     return complex(np.trace(W))
 
 
-def gap_coefficients(S: np.ndarray, cs) -> np.ndarray:
-    """Phase-form coefficients of overlap matrices S over the gap pairs of a contributing set.
+def gap_coefficients(S: np.ndarray, gaps: GapIndex) -> np.ndarray:
+    """Phase-form coefficients S[..., i, j] of overlap matrices over the gap pairs (i, j) of ``gaps``.
 
-    S has shape (..., d, d) over the eigenvalues of the spectrum; ``cs``
-    supplies the pairs (``cs.gaps.pairs``, positions among its members) and
-    the members' spectrum indices (``cs.indices``).  The result has shape
-    (..., cs.gaps.count), in the order of the pairs.
+    S has shape (..., d, d) over the d eigenvalues that ``gaps`` indexes
+    (for a contributing set ``cs``, S built on ``cs`` and ``gaps = cs.gaps``).
+    The result has shape (..., gaps.count), in the order of the pairs.
     """
-    idx, pairs = cs.indices, cs.gaps.pairs
-    return S[..., idx[pairs[:, 0]], idx[pairs[:, 1]]]
+    pairs = gaps.pairs
+    return S[..., pairs[:, 0], pairs[:, 1]]
 
 
 def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
@@ -304,19 +309,19 @@ def expectation_curve_variance(spec: SpectralDecomposition, psi0, B, horizon: fl
     no time discretization is involved.
     """
     cs = contributing_set(spec, B)
-    w = gap_coefficients(block_overlap_matrix(spec, psi0, B), cs)
+    w = gap_coefficients(block_overlap_matrix(cs, psi0, B), cs.gaps)
     return float(phase_quadratic_forms(cs.gaps, w[None, :], horizon)[0])
 
 
-def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B, gap_tol=None) -> float:
+def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B) -> float:
     """Infinite-horizon limit of :func:`expectation_curve_variance` by dephasing.
 
-    Gaps are clustered at ``gap_tol``, by default relative to the diameter
-    of the contributing eigenvalues, as for their gap degeneracy.
+    Gaps are clustered as for the gap degeneracy of the contributing
+    eigenvalues, relative to their diameter.
     """
     cs = contributing_set(spec, B)
-    w = gap_coefficients(block_overlap_matrix(spec, psi0, B), cs)
-    return float(dephased_power(cs.gaps.with_tolerance(gap_tol), w[None, :])[0])
+    w = gap_coefficients(block_overlap_matrix(cs, psi0, B), cs.gaps)
+    return float(dephased_power(cs.gaps, w[None, :])[0])
 
 
 def expectation_curve_variance_quadrature(
@@ -344,7 +349,7 @@ def mixture_curve_deviation(spec: SpectralDecomposition, rho, B, horizon: float)
     phase quadratic form, now with mixture overlap coefficients.
     """
     cs = contributing_set(spec, B)
-    u = gap_coefficients(mixture_block_overlap(spec, rho, B), cs)
+    u = gap_coefficients(mixture_block_overlap(cs, rho, B), cs.gaps)
     return float(phase_quadratic_forms(cs.gaps, u[None, :], horizon)[0])
 
 
@@ -366,9 +371,7 @@ def mixture_curve_deviation_quadrature(
     return float(simpson(vals, x=times) / horizon)
 
 
-def phase_matrix_norm_bound(
-    spec: SpectralDecomposition, kappa: float, horizon: float, B=None, gap_tol=None
-) -> tuple[float, float]:
+def phase_matrix_norm_bound(spec: SpectralDecomposition, kappa: float, horizon: float, B=None) -> tuple[float, float]:
     """Operator norm of the phase-average matrix next to its window bound.
 
     With an observable, pairs run over the contributing eigenvalues and the
@@ -377,7 +380,7 @@ def phase_matrix_norm_bound(
     """
     if kappa <= 0 or horizon <= 0:
         raise ValueError("kappa and horizon must be positive")
-    gaps = (spec.gaps if B is None else contributing_set(spec, B).gaps).with_tolerance(gap_tol)
+    gaps = (spec if B is None else contributing_set(spec, B)).gaps
     if gaps.eigenvalues.size < 2:
         raise ValueError("need at least two (contributing) eigenvalues")
     [cell] = phase_norm_cells(gaps, [kappa], [horizon])
@@ -442,10 +445,10 @@ class BoundInputs:
 
     @classmethod
     def from_contributing(
-        cls, cs, norm_b: float, norm_rho: float, epsilon: float, delta: float, kappa: float, horizon: float,
-        gap_tol=None,
+        cls, cs, norm_b: float, norm_rho: float, epsilon: float, delta: float, kappa: float, horizon: float
     ) -> "BoundInputs":
-        """Inputs from the contributing set ``cs`` of the observable and its norm."""
+        """Inputs from the counts of the contributing set ``cs`` of the observable and its norm."""
+        counts = spectral_counts(cs, [kappa])
         return cls(
             epsilon=epsilon,
             delta=delta,
@@ -453,10 +456,10 @@ class BoundInputs:
             horizon=horizon,
             norm_b=norm_b,
             norm_rho=norm_rho,
-            n_contributing=cs.n_distinct,
-            max_degeneracy=cs.max_degeneracy,
-            max_gap_degeneracy=cs.max_gap_degeneracy,
-            gap_window_count=cs.gap_count(kappa, gap_tol),
+            n_contributing=counts["n_distinct"],
+            max_degeneracy=counts["max_degeneracy"],
+            max_gap_degeneracy=counts["max_gap_degeneracy"],
+            gap_window_count=counts["window_counts"][str(kappa)],
         )
 
     @property
@@ -473,11 +476,10 @@ def bound_inputs(
     delta: float,
     kappa: float,
     horizon: float,
-    gap_tol=None,
 ) -> BoundInputs:
     """Assemble :class:`BoundInputs` from a spectrum and observable."""
     return BoundInputs.from_contributing(
-        contributing_set(spec, B), operator_norm(B), norm_rho, epsilon, delta, kappa, horizon, gap_tol
+        contributing_set(spec, B), operator_norm(B), norm_rho, epsilon, delta, kappa, horizon
     )
 
 

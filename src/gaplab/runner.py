@@ -36,7 +36,7 @@ from .dynamics import (
 from .moments import gap_variance_bound
 from .sampling import DensityMatrix, derive_rng, sample_gap
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
-from .spectra import gap_count, spectral_stats
+from .spectra import spectral_counts
 
 __all__ = [
     "CheckRecord",
@@ -142,23 +142,13 @@ def _variance_and_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _spectral_section(scn: Scenario) -> dict:
-    spec, cs = scn.spec, scn.contributing
-    stats = spectral_stats(spec)
     kappas = scn.config.kappas
     return {
-        "n_distinct": stats.n_distinct,
-        "max_degeneracy": stats.max_degeneracy,
-        "max_gap_degeneracy": stats.max_gap_degeneracy,
-        "diameter": spec.diameter,
+        **spectral_counts(scn.spec, kappas),
+        "diameter": scn.spec.diameter,
         "norm_b": scn.norm_b,
         "norm_rho": scn.rho.p_max,
-        "window_counts": {str(k): gap_count(spec, k) for k in kappas},
-        "contributing": {
-            "n_distinct": cs.n_distinct,
-            "max_degeneracy": cs.max_degeneracy,
-            "max_gap_degeneracy": cs.max_gap_degeneracy,
-            "window_counts": {str(k): cs.gap_count(k) for k in kappas},
-        },
+        "contributing": spectral_counts(scn.contributing, kappas),
     }
 
 
@@ -207,29 +197,28 @@ def _ensemble(scn: Scenario, center: complex):
     holds one more row, last: the mixture's gap coefficients, so that all
     phase forms of a horizon come from one phase matrix without a copy of
     the state rows.  devs has shape (n_states, horizons, n_times), at the
-    state's uniform times on [0, T].
+    state's uniform times on [0, T].  Every overlap matrix is built on the
+    contributing set, which is all the curves and averages depend on.
     """
     config, cs = scn.config, scn.contributing
-    idx = cs.indices
     n, n_times = config.n_states, config.n_times
     itas = np.empty(n, dtype=complex)
     rows = np.empty((n + 1, cs.gaps.count), dtype=complex)
-    rows[n] = gap_coefficients(scn.mixture_overlap, cs)
+    rows[n] = gap_coefficients(scn.mixture_overlap, cs.gaps)
     devs = np.empty((n, len(config.horizons), n_times))
     for lo in range(0, n, CHUNK_STATES):
         hi = min(lo + CHUNK_STATES, n)
-        psis = np.empty((hi - lo, scn.spec.dim), dtype=complex)
+        psis = np.empty((hi - lo, cs.dim), dtype=complex)
         u = np.empty((hi - lo, n_times))
         for k in range(hi - lo):
             rng = derive_rng(config.seed, DOMAIN_STATES, lo + k)
             psis[k] = sample_gap(scn.rho, rng)
             u[k] = rng.random(n_times)
-        S = block_overlap_matrix(scn.spec, psis, scn.observable)
+        S = block_overlap_matrix(cs, psis, scn.observable)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
-        rows[lo:hi] = gap_coefficients(S, cs)
-        sub = S[:, idx[:, None], idx]
+        rows[lo:hi] = gap_coefficients(S, cs.gaps)
         for h, T in enumerate(config.horizons):
-            devs[lo:hi, h] = np.abs(overlap_curve(cs.values, sub, u * T) - center)
+            devs[lo:hi, h] = np.abs(overlap_curve(cs.values, S, u * T) - center)
     return itas, rows, devs
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -67,6 +68,16 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _positive_integers(values, name: str) -> list:
+    """``values`` as a nonempty list of ints; ValueError naming ``name`` unless each is an integer >= 1."""
+    values = list(values)
+    if not values or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 1 and float(v).is_integer() for v in values
+    ):
+        raise ValueError(f"{name} must be positive integers, got {values!r}")
+    return [int(v) for v in values]
+
+
 def random_hamiltonian(
     dim: int,
     multiplicities,
@@ -83,9 +94,7 @@ def random_hamiltonian(
     (which maximizes gap degeneracies), or an explicit ascending sequence.
     The eigenbasis is Haar random.
     """
-    mult = [int(m) for m in multiplicities]
-    if not mult or any(m < 1 for m in mult):
-        raise ValueError("multiplicities must be positive integers")
+    mult = _positive_integers(multiplicities, "multiplicities")
     if sum(mult) != dim:
         raise ValueError(f"multiplicities sum to {sum(mult)}, expected {dim}")
     k = len(mult)
@@ -192,9 +201,7 @@ def macro_decomposition(
     if dims is None:
         d_eq = max(1, min(total - 1, round(EQ_FRACTION * total))) if total > 1 else total
         dims = [d_eq, total - d_eq] if total - d_eq > 0 else [d_eq]
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError("macro dimensions must be positive")
+    dims = _positive_integers(dims, "macro dimensions")
     if sum(dims) != total:
         raise ValueError(f"macro dimensions sum to {sum(dims)}, expected {total}")
     if labels is None:
@@ -439,7 +446,7 @@ class Scenario:
 
     @cached_property
     def contributing(self) -> ContributingSet:
-        """Eigenvalues that couple to the observable, with their gap index ``gaps``."""
+        """The spectrum restricted to the eigenvalues that couple to the observable."""
         return contributing_set(self.spec, self.observable)
 
     @cached_property
@@ -454,8 +461,8 @@ class Scenario:
 
     @cached_property
     def mixture_overlap(self) -> np.ndarray:
-        """W[i, j] = tr(P_i B P_j rho); its trace is the dephased expectation."""
-        return mixture_block_overlap(self.spec, self.rho, self.observable)
+        """W[i, j] = tr(P_i B P_j rho) over the contributing set; its trace is the dephased expectation."""
+        return mixture_block_overlap(self.contributing, self.rho, self.observable)
 
 
 @contextmanager

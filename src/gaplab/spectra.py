@@ -1,23 +1,28 @@
-"""Spectral decompositions and degeneracy / gap statistics.
+"""Spectral decompositions, contributing sets and their degeneracy / gap counts.
 
 A Hamiltonian with pure point spectrum is held as its distinct eigenvalues
 together with orthonormal column blocks spanning the eigenspaces.  The
-statistics computed here count eigenvalue degeneracies, gap degeneracies,
-and the maximal number of ordered-pair gaps inside a sliding half-open
-window, both for the full spectrum and relative to the set of eigenvalues
-that actually couple to a given observable.
+contributing set of an observable is that spectrum restricted to the
+eigenvalues whose eigenspaces couple to the observable: a
+:class:`SpectralDecomposition` in its own right, so every routine that takes
+a spectrum also takes it.  Its ``indices`` give the members' positions in
+the full spectrum; only this module reads them.
 
-Every gap statistic, here and in ``dynamics``, reads one :class:`GapIndex`
-per set of eigenvalues; a spectral decomposition and a contributing set
-keep theirs, at the default tolerance, as the cached member ``gaps``.
+Every count, of a full spectrum or of a contributing set, comes from
+:func:`spectral_counts` as one record: distinct eigenvalues, largest
+degeneracy, largest gap degeneracy and the window counts.  The gap counts,
+here and in ``dynamics``, read one :class:`GapIndex` per set of
+eigenvalues; a spectrum keeps its own, at the default tolerance, as the
+cached member ``gaps``.
 
 Tolerance convention: realized gap values are clustered by transitive
 chaining within ``gap_tol`` (two gaps are equal iff they land in the same
 cluster), by default ``GAP_TOL_RELATIVE`` times the diameter of the
-eigenvalues the index is built on.  Both the maximal gap degeneracy and
-the window counts are computed on the clustered multiset, so the window
-count converges to the gap degeneracy as the window shrinks and is
-monotone in the window width.
+eigenvalues the index is built on.  ``GapIndex`` is the one place that
+takes ``gap_tol``.  Both the maximal gap degeneracy and the window counts
+are computed on the clustered multiset, so the window count converges to
+the gap degeneracy as the window shrinks and is monotone in the window
+width.
 """
 
 from __future__ import annotations
@@ -32,13 +37,10 @@ from .linalg import as_complex_matrix
 __all__ = [
     "GapIndex",
     "SpectralDecomposition",
-    "SpectralStats",
     "ContributingSet",
     "group_eigenvalues",
-    "spectral_stats",
-    "gap_count",
     "contributing_set",
-    "gap_tolerance",
+    "spectral_counts",
 ]
 
 #: Default gap-equality tolerance, relative to the spectral diameter.
@@ -53,8 +55,9 @@ class SpectralDecomposition:
     """Distinct eigenvalues (strictly ascending) with orthonormal eigenspace blocks.
 
     ``blocks[i]`` has shape (dim, multiplicity_i); its columns span the
-    eigenspace of ``values[i]``.  The blocks are mutually orthogonal and
-    together resolve the identity.
+    eigenspace of ``values[i]``.  The blocks are mutually orthogonal; those
+    of a full spectrum together resolve the identity, those of a restricted
+    one (a :class:`ContributingSet`) span only the members' eigenspaces.
     """
 
     values: np.ndarray
@@ -75,12 +78,12 @@ class SpectralDecomposition:
     @cached_property
     def basis_matrix(self) -> np.ndarray:
         """All eigenvector columns side by side, in block order."""
-        return np.hstack(self.blocks)
+        return np.hstack(self.blocks) if self.blocks else np.zeros((self.dim, 0))
 
     @cached_property
     def block_starts(self) -> np.ndarray:
         """Column offset of each block inside ``basis_matrix``."""
-        return np.concatenate(([0], np.cumsum(self.multiplicities)[:-1]))
+        return np.cumsum(self.multiplicities) - self.multiplicities
 
     @cached_property
     def column_values(self) -> np.ndarray:
@@ -101,21 +104,6 @@ class SpectralDecomposition:
     def gaps(self) -> GapIndex:
         """Gap index of the distinct eigenvalues at the default tolerance."""
         return GapIndex(self.values)
-
-
-@dataclass
-class SpectralStats:
-    """Counting statistics of a spectrum.
-
-    n_distinct: number of distinct eigenvalues.
-    max_degeneracy: largest eigenspace dimension.
-    max_gap_degeneracy: largest number of ordered eigenvalue pairs sharing
-    one gap value.
-    """
-
-    n_distinct: int
-    max_degeneracy: int
-    max_gap_degeneracy: int
 
 
 def group_eigenvalues(raw_eigenvalues, eigenvectors, group_tol: float) -> SpectralDecomposition:
@@ -156,17 +144,6 @@ def group_eigenvalues(raw_eigenvalues, eigenvectors, group_tol: float) -> Spectr
     return SpectralDecomposition(values=reps, blocks=blocks)
 
 
-def gap_tolerance(values: np.ndarray, gap_tol=None) -> float:
-    """Gap-equality tolerance: ``gap_tol`` if given, else relative to the diameter of ``values``."""
-    if gap_tol is not None:
-        if gap_tol < 0:
-            raise ValueError("gap_tol must be nonnegative")
-        return float(gap_tol)
-    if values.size < 2:
-        return 0.0
-    return GAP_TOL_RELATIVE * float(values.max() - values.min())
-
-
 class GapIndex:
     """Ordered pairs of distinct eigenvalues, their gaps, and the gap clusters.
 
@@ -175,13 +152,19 @@ class GapIndex:
     ``order`` is the stable sort order of the gaps.  Sorted gaps closer than
     ``tol`` chain into one cluster; cluster k starts at position
     ``starts[k]`` of the sorted gaps and holds ``counts[k]`` of them, with
-    mean gap ``representatives[k]``.
+    mean gap ``representatives[k]``.  ``tol`` is ``gap_tol`` if given, else
+    ``GAP_TOL_RELATIVE`` times the diameter of the eigenvalues.
     """
 
     def __init__(self, eigenvalues, gap_tol=None):
         e = np.asarray(eigenvalues, dtype=float).ravel()
         self.eigenvalues = e
-        self.tol = gap_tolerance(e, gap_tol)
+        if gap_tol is None:
+            self.tol = GAP_TOL_RELATIVE * float(e.max() - e.min()) if e.size > 1 else 0.0
+        elif 0 <= gap_tol < np.inf:
+            self.tol = float(gap_tol)
+        else:
+            raise ValueError(f"gap_tol must be a finite nonnegative number, got {gap_tol!r}")
         mask = ~np.eye(e.size, dtype=bool)
         self.pairs = np.argwhere(mask)
         self.values = (e[:, None] - e[None, :])[mask]
@@ -206,68 +189,35 @@ class GapIndex:
         Windows are anchored at the cluster representatives; the window
         [a, a + kappa) includes its left edge only.
         """
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not kappa > 0:
+            raise ValueError(f"kappa must be positive, got {kappa!r}")
         if self.count == 0:
             return 0
         cum = np.concatenate(([0], np.cumsum(self.counts)))
         hi = np.searchsorted(self.representatives, self.representatives + kappa, side="left")
         return int((cum[hi] - cum[:-1]).max())
 
-    def with_tolerance(self, gap_tol) -> GapIndex:
-        """This index for ``gap_tol`` None, else the same eigenvalues indexed at ``gap_tol``."""
-        return self if gap_tol is None else GapIndex(self.eigenvalues, gap_tol)
-
-
-def spectral_stats(spec: SpectralDecomposition, gap_tol=None) -> SpectralStats:
-    """Degeneracy and gap-degeneracy counts for a spectral decomposition."""
-    return SpectralStats(
-        n_distinct=spec.n_distinct,
-        max_degeneracy=int(spec.multiplicities.max()),
-        max_gap_degeneracy=spec.gaps.with_tolerance(gap_tol).max_degeneracy,
-    )
-
-
-def gap_count(spec: SpectralDecomposition, kappa: float, gap_tol=None) -> int:
-    """Maximal number of ordered-pair gaps inside any half-open window of width kappa."""
-    return spec.gaps.with_tolerance(gap_tol).window_count(kappa)
-
 
 @dataclass
-class ContributingSet:
-    """Eigenvalues whose eigenspaces couple to a given observable.
+class ContributingSet(SpectralDecomposition):
+    """A spectrum restricted to the eigenvalues whose eigenspaces couple to an observable.
 
     An eigenvalue is a member iff its projector hits the observable on
-    either side above a relative Frobenius threshold.  The counting
-    statistics mirror :class:`SpectralStats` but run over members only.
+    either side above a relative Frobenius threshold.  ``indices`` are the
+    members' positions in the full spectrum and ``ambient_dim`` its
+    dimension, which ``dim`` reports also when no eigenvalue is a member.
     """
 
     indices: np.ndarray
-    values: np.ndarray
-    multiplicities: np.ndarray
-    n_distinct: int
-    max_degeneracy: int
-
-    @cached_property
-    def gaps(self) -> GapIndex:
-        """Gap index of the member eigenvalues at the default tolerance.
-
-        Its pair positions are positions in ``values``; ``indices`` maps
-        them to eigenvalues of the spectrum.
-        """
-        return GapIndex(self.values)
+    ambient_dim: int
 
     @property
-    def max_gap_degeneracy(self) -> int:
-        return self.gaps.max_degeneracy
-
-    def gap_count(self, kappa: float, gap_tol=None) -> int:
-        """Window gap count over member eigenvalues only."""
-        return self.gaps.with_tolerance(gap_tol).window_count(kappa)
+    def dim(self) -> int:
+        return self.ambient_dim
 
 
 def contributing_set(spec: SpectralDecomposition, B, zero_tol: float = ZERO_TOL) -> ContributingSet:
-    """Find the eigenvalues of ``spec`` that couple to observable ``B``.
+    """The spectrum ``spec`` restricted to the eigenvalues that couple to observable ``B``.
 
     Membership: ``|P_e B|_F > zero_tol * |B|_F`` or ``|B P_e|_F > zero_tol * |B|_F``.
     Since the blocks have orthonormal columns, ``|P_e B|_F = |U_e* B|_F`` and
@@ -288,11 +238,23 @@ def contributing_set(spec: SpectralDecomposition, B, zero_tol: float = ZERO_TOL)
             if left > threshold or right > threshold:
                 members.append(i)
     idx = np.array(members, dtype=int)
-    mult = spec.multiplicities[idx]
     return ContributingSet(
-        indices=idx,
-        values=spec.values[idx],
-        multiplicities=mult,
-        n_distinct=int(idx.size),
-        max_degeneracy=int(mult.max()) if idx.size else 0,
+        values=spec.values[idx], blocks=[spec.blocks[i] for i in idx], indices=idx, ambient_dim=spec.dim
     )
+
+
+def spectral_counts(spec: SpectralDecomposition, kappas, gaps: GapIndex | None = None) -> dict:
+    """The counts record of a spectrum, full or contributing.
+
+    Number of distinct eigenvalues, largest degeneracy, largest gap
+    degeneracy, and the window gap count at each width in ``kappas`` (keyed
+    by ``str(kappa)``).  The gap counts read ``gaps``, by default the
+    spectrum's own index ``spec.gaps``.
+    """
+    gaps = spec.gaps if gaps is None else gaps
+    return {
+        "n_distinct": spec.n_distinct,
+        "max_degeneracy": int(spec.multiplicities.max(initial=0)),
+        "max_gap_degeneracy": gaps.max_degeneracy,
+        "window_counts": {str(k): gaps.window_count(k) for k in kappas},
+    }

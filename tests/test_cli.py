@@ -73,6 +73,35 @@ def test_stats_contributing_restriction(tmp_path):
     assert record["contributing"]["window_counts"] == {"1.0": 0}
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--gap-tol", "nan"], "gap_tol"), (["--gap-tol", "inf"], "gap_tol"), (["--kappa", "nan"], "kappa")],
+    ids=["gap-tol-nan", "gap-tol-inf", "kappa-nan"],
+)
+def test_stats_rejects_non_finite_tolerance_and_width(tmp_path, capsys, flags, named):
+    f = tmp_path / "spec.json"
+    write_spectrum(f, [0.0, 1.0, 2.0])
+    assert cli.main(["stats", "--spectrum", str(f), *flags]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_stats_gap_tol_coarsens_both_records(tmp_path):
+    f = tmp_path / "spec.json"
+    b = tmp_path / "B.json"
+    out = tmp_path / "stats.json"
+    write_spectrum(f, [0.0, 1.0, 2.0, 3.5])
+    save_matrix(b, np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
+    argv = ["stats", "--spectrum", str(f), "--observable", str(b), "--kappa", "0.5", "--out", str(out)]
+    assert cli.main([*argv, "--gap-tol", "1.1"]) == 0
+    record = json.loads(out.read_text())
+    # gaps of {0, 1, 2} at tolerance 1.1 chain into one cluster per sign
+    assert record["contributing"]["max_gap_degeneracy"] == 3
+    assert record["max_gap_degeneracy"] > 3
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["contributing"]["max_gap_degeneracy"] == 2
+
+
 def test_sample_summary_close_to_target(tmp_path):
     rho_f = tmp_path / "rho.json"
     out = tmp_path / "summary.json"
@@ -171,18 +200,22 @@ def test_evolve_rejects_multiple_states(tmp_path):
     assert rc == 2
 
 
-def test_evolve_malformed_times(tmp_path):
+def test_evolve_malformed_times(tmp_path, capsys):
     spec_f = tmp_path / "spec.json"
     psi_f = tmp_path / "psi.json"
     b_f = tmp_path / "B.json"
     write_spectrum(spec_f, [0.0, 1.0])
     save_states(psi_f, np.array([[1.0, 0.0]], dtype=complex))
     save_matrix(b_f, np.eye(2, dtype=complex))
-    rc = cli.main(
-        ["evolve", "--spectrum", str(spec_f), "--psi0", str(psi_f), "--B", str(b_f),
-         "--times", "0,1,5", "--out", str(tmp_path / "c.csv")]
-    )
-    assert rc == 2
+    for times in ("0,1,5", "a:1:5", "0:1:x", "nan:1:5", "0:inf:5", "-inf:0:5"):
+        rc = cli.main(
+            ["evolve", "--spectrum", str(spec_f), "--psi0", str(psi_f), "--B", str(b_f),
+             f"--times={times}", "--out", str(tmp_path / "c.csv")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2, times
+        assert "--times" in err and "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_bounds_output_matches_module(tmp_path):
@@ -370,6 +403,26 @@ def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, patch, fiel
     assert rc == 2
     assert f"{field} must be" in err or f"{field} needs" in err
     assert "Traceback" not in err
+
+
+def test_run_with_an_observable_that_couples_to_nothing(tmp_path, capsys):
+    save_matrix(tmp_path / "B.json", np.zeros((6, 6), dtype=complex))
+    path = write_run_config(tmp_path)
+    config = {
+        **json.loads(path.read_text()),
+        "observable": {"kind": "file", "path": "B.json"},
+        "rho": {"kind": "random"},
+        "checks": ["spectral", "moments", "equilibration"],
+    }
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["spectral"]["contributing"] == {
+        "n_distinct": 0, "max_degeneracy": 0, "max_gap_degeneracy": 0, "window_counts": {"1.0": 0}
+    }
+    assert report["spectral"]["n_distinct"] == 6 and report["violations"] == 0
+    assert all(c["passed"] and (c["vacuous"] or c["measured"] == 0.0) for c in report["checks"])
 
 
 def test_run_reruns_are_byte_identical(tmp_path):

@@ -35,8 +35,8 @@ from gaplab.dynamics import (
 )
 from gaplab.linalg import operator_norm
 from gaplab.sampling import derive_rng
-from gaplab.scenarios import random_density, random_hamiltonian
-from gaplab.spectra import GapIndex, contributing_set, spectral_stats
+from gaplab.scenarios import macro_decomposition, random_density, random_hamiltonian
+from gaplab.spectra import GapIndex, contributing_set, spectral_counts
 from test_spectra import simple_spectrum
 
 
@@ -113,14 +113,35 @@ def test_gap_coefficients_follow_gap_pairs():
     B = spec.basis_matrix @ B @ spec.basis_matrix.conj().T
     cs = contributing_set(spec, B)
     gi = cs.gaps
-    stack = block_overlap_matrix(spec, np.array([random_state(8, rng) for _ in range(3)]), B)
-    rows = gap_coefficients(stack, cs)
+    stack = block_overlap_matrix(cs, np.array([random_state(8, rng) for _ in range(3)]), B)
+    rows = gap_coefficients(stack, gi)
     assert rows.shape == (3, gi.count)
     for S, row in zip(stack, rows):
-        sub = S[np.ix_(cs.indices, cs.indices)]
-        assert np.array_equal(row, sub[~np.eye(cs.n_distinct, dtype=bool)])
+        assert np.array_equal(row, S[~np.eye(cs.n_distinct, dtype=bool)])
     i, j = cs.indices[gi.pairs[:, 0]], cs.indices[gi.pairs[:, 1]]
     assert np.array_equal(gi.values, spec.values[i] - spec.values[j])
+
+
+def _uncoupled_levels_case():
+    """Spectrum with multiplicities, a macro projector cut from its eigenbasis (two levels do not couple), a state."""
+    rng = derive_rng(513)
+    spec = random_hamiltonian(9, [2, 1, 3, 1, 2], rng, eigenvalues="arithmetic", spacing=0.6)
+    B = macro_decomposition(spec, dims=[6, 3]).projector("eq")
+    return spec, contributing_set(spec, B), B, random_state(9, rng)
+
+
+def test_restricted_overlaps_are_the_contributing_submatrix():
+    spec, cs, B, psi = _uncoupled_levels_case()
+    assert cs.indices.tolist() == [0, 1, 2] and cs.dim == spec.dim
+    full = block_overlap_matrix(spec, psi, B)
+    assert np.abs(block_overlap_matrix(cs, psi, B) - full[np.ix_(cs.indices, cs.indices)]).max() <= 1e-13
+    assert np.abs(full[3:]).max() <= 1e-13 and np.abs(full[:, 3:]).max() <= 1e-13
+
+
+def test_restricted_expectation_curve_matches_the_full_one():
+    spec, cs, B, psi = _uncoupled_levels_case()
+    times = np.linspace(0.0, 20.0, 41)
+    assert np.abs(expectation_curve(cs, psi, B, times) - expectation_curve(spec, psi, B, times)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -189,7 +210,7 @@ def test_infinite_horizon_variance_by_dephasing_oracle():
         psi = random_state(dim, rng)
         B = random_hermitian(dim, rng)
         cs = contributing_set(spec, B)
-        S = block_overlap_matrix(spec, psi, B)[np.ix_(cs.indices, cs.indices)]
+        S = block_overlap_matrix(cs, psi, B)
         gi = cs.gaps
         coeffs = S[~np.eye(cs.n_distinct, dtype=bool)]
         clusters = {}
@@ -210,8 +231,8 @@ def test_dephasing_clusters_with_contributing_tolerance():
     B[:3, :3] = 1.0 / 3.0
     psi = np.full(4, 0.5)
     cs = contributing_set(spec, B)
-    assert cs.n_distinct == 3 and cs.max_gap_degeneracy == 1
-    power = float(np.sum(np.abs(gap_coefficients(block_overlap_matrix(spec, psi, B), cs)) ** 2))
+    assert cs.n_distinct == 3 and cs.gaps.max_degeneracy == 1
+    power = float(np.sum(np.abs(gap_coefficients(block_overlap_matrix(cs, psi, B), cs.gaps)) ** 2))
     assert power == pytest.approx(1.0 / 24.0, rel=1e-12)
     infinite = expectation_curve_variance_infinite(spec, psi, B)
     assert infinite == pytest.approx(power, rel=1e-12)
@@ -278,7 +299,7 @@ def test_phase_matrix_norm_arithmetic_degeneracy():
     # {0,1,2,3}: the gap +1 (and -1) appears three times, so the long-time
     # norm is the maximal gap multiplicity.
     spec = simple_spectrum([0.0, 1.0, 2.0, 3.0])
-    assert spectral_stats(spec).max_gap_degeneracy == 3
+    assert spec.gaps.max_degeneracy == 3
     gaps = GapIndex(spec.values).values
     norm = operator_norm(gap_phase_matrix(gaps, horizon=1e6))
     assert norm == pytest.approx(3.0, abs=1e-3)
@@ -325,11 +346,11 @@ def test_bound_inputs_builder_matches_contributing_set():
     spec = random_hamiltonian(8, [2, 2, 2, 2], rng)
     B = random_hermitian(8, rng)
     inp = bound_inputs(spec, B, norm_rho=0.2, epsilon=0.1, delta=0.1, kappa=1.0, horizon=10.0)
-    cs = contributing_set(spec, B)
-    assert inp.n_contributing == cs.n_distinct
-    assert inp.max_degeneracy == cs.max_degeneracy
-    assert inp.max_gap_degeneracy == cs.max_gap_degeneracy
-    assert inp.gap_window_count == cs.gap_count(1.0)
+    counts = spectral_counts(contributing_set(spec, B), [1.0])
+    assert inp.n_contributing == counts["n_distinct"]
+    assert inp.max_degeneracy == counts["max_degeneracy"]
+    assert inp.max_gap_degeneracy == counts["max_gap_degeneracy"]
+    assert inp.gap_window_count == counts["window_counts"]["1.0"]
     assert inp.norm_b == pytest.approx(operator_norm(B), rel=1e-12)
 
 

@@ -3,6 +3,8 @@
 No module uses another module's ``_``-prefixed names, neither through
 ``from .x import _name`` nor as an attribute ``x._name`` of an imported
 sibling module.  Only ``dynamics`` builds the dense phase-average matrix.
+Only ``spectra`` reads a contributing set's ``indices``: every other module
+works on the restricted spectrum itself, without translating positions.
 """
 
 import ast
@@ -64,3 +66,15 @@ def test_only_dynamics_builds_the_phase_matrix():
     callers = {p.name for p in PACKAGE.glob("*.py") if calls_of(p.read_text(), "gap_phase_matrix")}
     assert callers == {"dynamics.py"}
     assert calls_of("R = dynamics.gap_phase_matrix(g, 1.0)\ngap_phase_matrix(g, 2.0)", "gap_phase_matrix") == 2
+
+
+def attribute_reads(source: str, name: str) -> int:
+    """Number of attribute accesses ``x.name`` in a module's source."""
+    return sum(1 for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_only_spectra_reads_contributing_indices():
+    readers = {p.name for p in PACKAGE.glob("*.py") if attribute_reads(p.read_text(), "indices")}
+    assert readers <= {"spectra.py"}
+    source = "idx = cs.indices\nS[:, scn.contributing.indices]\nindices = 3\nf(indices=idx)"
+    assert attribute_reads(source, "indices") == 2

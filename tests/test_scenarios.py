@@ -20,7 +20,7 @@ from gaplab.scenarios import (
     random_density,
     random_hamiltonian,
 )
-from gaplab.spectra import spectral_stats
+from gaplab.spectra import spectral_counts
 
 
 def config_dict(**overrides):
@@ -47,18 +47,33 @@ def test_random_hamiltonian_respects_multiplicities():
     rng = derive_rng(701)
     spec = random_hamiltonian(7, [1, 1, 2, 3], rng)
     assert list(spec.multiplicities) == [1, 1, 2, 3]
-    s = spectral_stats(spec)
-    assert s.n_distinct == 4
-    assert s.max_degeneracy == 3
+    s = spectral_counts(spec, [])
+    assert s["n_distinct"] == 4
+    assert s["max_degeneracy"] == 3
     singles = random_hamiltonian(5, [1] * 5, derive_rng(702))
-    assert spectral_stats(singles).max_degeneracy == 1
+    assert spectral_counts(singles, [])["max_degeneracy"] == 1
+    # integral floats and numpy integers are integers
+    assert random_hamiltonian(6, [2.0, np.int64(1), 3], derive_rng(709)).multiplicities.tolist() == [2, 1, 3]
+
+
+@pytest.mark.parametrize("multiplicities", [[1.9, 1, 1, 1, 1, 1], [0.5, 0.5, 1, 1, 1, 1, 1], [2, 0, 4], [True] * 6])
+def test_random_hamiltonian_refuses_non_integral_multiplicities(multiplicities):
+    with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+        random_hamiltonian(6, multiplicities, derive_rng(709))
+
+
+@pytest.mark.parametrize("dims", [[4.5, 1.5], [6.0, 0.0], [5, float("nan")]])
+def test_macro_decomposition_refuses_non_integral_dims(dims):
+    spec = random_hamiltonian(6, [1] * 6, derive_rng(710))
+    with pytest.raises(ValueError, match="macro dimensions must be positive integers"):
+        macro_decomposition(spec, dims=dims)
 
 
 def test_random_hamiltonian_arithmetic_progression_gaps():
     for k in (3, 5):
         spec = random_hamiltonian(k + 1, [1] * (k + 1), derive_rng(703), eigenvalues="arithmetic")
         assert np.abs(np.diff(spec.values) - 1.0).max() <= 1e-12
-        assert spectral_stats(spec).max_gap_degeneracy == k
+        assert spec.gaps.max_degeneracy == k
 
 
 def test_random_hamiltonian_explicit_values():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gaplab.sampling import derive_rng
 from gaplab.scenarios import random_hamiltonian
-from gaplab.spectra import GapIndex, contributing_set, gap_count, group_eigenvalues, spectral_stats
+from gaplab.spectra import GapIndex, contributing_set, group_eigenvalues, spectral_counts
 
 
 def simple_spectrum(raw_values, tol=1e-9):
@@ -41,34 +41,36 @@ def test_grouping_blocks_are_orthonormal():
 
 
 def test_stats_two_levels():
-    s = spectral_stats(simple_spectrum([0.0, 1.0]))
-    assert (s.n_distinct, s.max_degeneracy, s.max_gap_degeneracy) == (2, 1, 1)
+    s = spectral_counts(simple_spectrum([0.0, 1.0]), [])
+    assert s == {"n_distinct": 2, "max_degeneracy": 1, "max_gap_degeneracy": 1, "window_counts": {}}
 
 
 def test_stats_three_levels_gap_degeneracy():
-    s = spectral_stats(simple_spectrum([0.0, 1.0, 2.0]))
-    assert (s.n_distinct, s.max_degeneracy, s.max_gap_degeneracy) == (3, 1, 2)
+    s = spectral_counts(simple_spectrum([0.0, 1.0, 2.0]), [])
+    assert (s["n_distinct"], s["max_degeneracy"], s["max_gap_degeneracy"]) == (3, 1, 2)
 
 
 def test_stats_uneven_four_levels():
     # Ordered gaps of {0,1,2,4}: +-1 twice, +-2 twice, +-3, +-4.
-    s = spectral_stats(simple_spectrum([0.0, 1.0, 2.0, 4.0]))
-    assert s.max_gap_degeneracy == 2
+    assert simple_spectrum([0.0, 1.0, 2.0, 4.0]).gaps.max_degeneracy == 2
 
 
 def test_stats_with_multiplicities():
     rng = derive_rng(201)
     spec = random_hamiltonian(6, [2, 3, 1], rng)
-    s = spectral_stats(spec)
-    assert s.n_distinct == 3
-    assert s.max_degeneracy == 3
+    s = spectral_counts(spec, [])
+    assert s["n_distinct"] == 3
+    assert s["max_degeneracy"] == 3
 
 
 def test_window_count_worked_example():
     spec = simple_spectrum([0.0, 1.0, 2.0])
     # Window [1, 2.5) captures the two +1 gaps and the +2 gap.
-    assert gap_count(spec, 1.5) == 3
-    assert gap_count(spec, 0.5) == 2
+    assert spec.gaps.window_count(1.5) == 3
+    assert spec.gaps.window_count(0.5) == 2
+    assert spectral_counts(spec, [1.5, 0.5])["window_counts"] == {"1.5": 3, "0.5": 2}
+    # a gap index at another tolerance replaces the spectrum's own
+    assert spectral_counts(spec, [0.5], GapIndex(spec.values, 1.5))["window_counts"] == {"0.5": 3}
 
 
 def test_gap_index_pairs_and_clusters():
@@ -82,8 +84,7 @@ def test_gap_index_pairs_and_clusters():
     assert gi.tol == pytest.approx(2e-9)
     assert gi.max_degeneracy == 2
     assert gi.window_count(1.5) == 3
-    assert gi.with_tolerance(None) is gi
-    coarse = gi.with_tolerance(1.5)
+    coarse = GapIndex(gi.eigenvalues, 1.5)
     assert coarse.counts.tolist() == [3, 3] and coarse.max_degeneracy == 3
     empty = GapIndex([4.0])
     assert (empty.count, empty.max_degeneracy, empty.window_count(1.0)) == (0, 0, 0)
@@ -93,18 +94,30 @@ def test_gap_index_pairs_and_clusters():
         GapIndex([0.0, 1.0], gap_tol=-1.0)
 
 
+@pytest.mark.parametrize("gap_tol", [float("nan"), float("inf")])
+def test_gap_index_refuses_a_non_finite_tolerance(gap_tol):
+    with pytest.raises(ValueError, match="gap_tol"):
+        GapIndex([0.0, 1.0, 2.0], gap_tol)
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), 0.0, -1.0])
+def test_window_count_refuses_a_nan_or_nonpositive_width(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        GapIndex([0.0, 1.0, 2.0]).window_count(kappa)
+
+
 def test_window_count_limits_and_monotonicity():
     rng = derive_rng(202)
     for trial in range(10):
         d = int(rng.integers(3, 9))
         spec = simple_spectrum(np.sort(rng.standard_normal(d)) * 3.0)
-        s = spectral_stats(spec)
+        gaps = spec.gaps
         diameter = spec.values[-1] - spec.values[0]
-        counts = [gap_count(spec, k) for k in np.linspace(1e-9, 2.2 * diameter, 12)]
+        counts = [gaps.window_count(k) for k in np.linspace(1e-9, 2.2 * diameter, 12)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
-        assert counts[0] == s.max_gap_degeneracy
+        assert counts[0] == gaps.max_degeneracy
         assert counts[-1] == d * (d - 1)
-        assert all(c >= s.max_gap_degeneracy for c in counts)
+        assert all(c >= gaps.max_degeneracy for c in counts)
 
 
 def test_contributing_single_projector():
@@ -114,7 +127,8 @@ def test_contributing_single_projector():
     assert cs.n_distinct == 1
     assert list(cs.indices) == [1]
     assert cs.values[0] == pytest.approx(1.0)
-    assert cs.gap_count(1.0) == 0
+    assert cs.gaps.window_count(1.0) == 0
+    assert cs.blocks[0] is spec.blocks[1] and cs.dim == 3
 
 
 def test_contributing_identity_keeps_everything():
@@ -132,7 +146,7 @@ def test_contributing_two_block_coupling():
     B = np.outer(v0, v2.conj()) + np.outer(v2, v0.conj())
     cs = contributing_set(spec, B)
     assert list(cs.indices) == [0, 2]
-    assert cs.max_gap_degeneracy == 1
+    assert cs.gaps.max_degeneracy == 1
 
 
 def test_contributing_never_exceeds_absolute_stats():
@@ -141,12 +155,22 @@ def test_contributing_never_exceeds_absolute_stats():
         spec = random_hamiltonian(8, [1, 2, 2, 3], rng)
         X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         B = (X + X.conj().T) / 2
-        s = spectral_stats(spec)
-        cs = contributing_set(spec, B)
-        assert cs.n_distinct <= s.n_distinct
-        assert cs.max_degeneracy <= s.max_degeneracy
-        assert cs.max_gap_degeneracy <= s.max_gap_degeneracy
-        assert cs.gap_count(1.0) <= gap_count(spec, 1.0)
+        s = spectral_counts(spec, [1.0])
+        c = spectral_counts(contributing_set(spec, B), [1.0])
+        assert c["n_distinct"] <= s["n_distinct"]
+        assert c["max_degeneracy"] <= s["max_degeneracy"]
+        assert c["max_gap_degeneracy"] <= s["max_gap_degeneracy"]
+        assert c["window_counts"]["1.0"] <= s["window_counts"]["1.0"]
+
+
+def test_contributing_set_of_a_zero_observable_is_empty():
+    spec = random_hamiltonian(5, [2, 1, 2], derive_rng(205))
+    cs = contributing_set(spec, np.zeros((5, 5)))
+    assert (cs.n_distinct, cs.indices.size, cs.blocks, cs.dim) == (0, 0, [], 5)
+    assert cs.basis_matrix.shape == (5, 0) and cs.block_starts.size == 0
+    assert spectral_counts(cs, [1.0]) == {
+        "n_distinct": 0, "max_degeneracy": 0, "max_gap_degeneracy": 0, "window_counts": {"1.0": 0}
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,4 +187,4 @@ def test_contributing_never_exceeds_absolute_stats():
 def test_window_count_monotone_property(values, k1, k2):
     spec = simple_spectrum(sorted(values))
     lo, hi = sorted((k1, k2))
-    assert gap_count(spec, lo) <= gap_count(spec, hi)
+    assert spec.gaps.window_count(lo) <= spec.gaps.window_count(hi)
