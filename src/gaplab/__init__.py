@@ -9,25 +9,21 @@ writes deterministic JSON reports (`scenarios`, `runner`, `cli`).
 
 from .dynamics import (
     BoundInputs,
-    MomentBounds,
-    bound_inputs,
+    Bounds,
     block_overlap_matrix,
     concentration_tail_bound,
     dephased_power,
     diagonal_ensemble_expectation,
-    equilibration_bound_finite_time,
-    equilibration_bound_infinite_time,
+    equilibration_bounds,
     evolve,
     expectation_curve,
     expectation_curve_variance,
     expectation_curve_variance_infinite,
-    finite_time_branches,
     gap_coefficients,
     gap_phase_matrix,
     infinite_time_average,
     mixture_curve_deviation,
     mixture_expectation_curve,
-    moment_bounds,
     overlap_curve,
     phase_matrix_norm_bound,
     phase_quadratic_forms,
@@ -67,20 +63,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundInputs",
+    "Bounds",
     "CheckRecord",
     "ConfigError",
     "ContributingSet",
     "DensityMatrix",
     "GapIndex",
     "KIntegralTable",
-    "MomentBounds",
     "Report",
     "Scenario",
     "ScenarioConfig",
     "SpectralDecomposition",
     "VarianceReport",
     "block_overlap_matrix",
-    "bound_inputs",
     "build_scenario",
     "concentration_tail_bound",
     "contributing_set",
@@ -88,13 +83,11 @@ __all__ = [
     "derive_rng",
     "diagonal_ensemble_expectation",
     "empirical_density_matrix",
-    "equilibration_bound_finite_time",
-    "equilibration_bound_infinite_time",
+    "equilibration_bounds",
     "evolve",
     "expectation_curve",
     "expectation_curve_variance",
     "expectation_curve_variance_infinite",
-    "finite_time_branches",
     "gap_coefficients",
     "gap_expectation",
     "gap_phase_matrix",
@@ -110,7 +103,6 @@ __all__ = [
     "load_scenario",
     "mixture_curve_deviation",
     "mixture_expectation_curve",
-    "moment_bounds",
     "operator_norm",
     "overlap_curve",
     "phase_matrix_norm_bound",

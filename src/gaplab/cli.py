@@ -21,13 +21,10 @@ from . import jsonio
 from .dynamics import (
     CONCENTRATION_CONSTANT,
     BoundInputs,
+    equilibration_bounds,
     expectation_curve,
-    finite_time_branches,
-    equilibration_bound_infinite_time,
     mixture_expectation_curve,
-    moment_bounds,
 )
-from .linalg import operator_norm
 from .moments import gap_expectation, gap_variance_bound
 from .sampling import derive_rng, empirical_density_matrix, sample_gap
 from .scenarios import ConfigError, load_scenario
@@ -94,11 +91,9 @@ def _cmd_variance(args) -> int:
     rho = jsonio.load_density(args.rho)
     A = jsonio.load_matrix(args.A)
     report = gap_variance_bound(rho, A)
+    expectation = gap_expectation(rho, A)
     record = {
-        "expectation": [
-            float(np.real(gap_expectation(rho, A))),
-            float(np.imag(gap_expectation(rho, A))),
-        ],
+        "expectation": [float(np.real(expectation)), float(np.imag(expectation))],
         "exact_variance": report.exact_variance,
         "bound": report.bound,
         "quadrature_bound": report.quadrature_bound,
@@ -145,25 +140,21 @@ def _cmd_bounds(args) -> int:
     if unknown:
         raise ConfigError(f"unknown bound input keys: {unknown}")
     inputs = BoundInputs(**data)
-    markov, concentration = finite_time_branches(inputs)
-    moments = moment_bounds(inputs)
+    b = equilibration_bounds(inputs)
+    moments = ("expected_time_variance", "mixture_curve_deviation", "time_average_variance",
+               "expected_dephasing_variance")
     record = {
         "inputs": dataclasses.asdict(inputs),
         "constant": CONCENTRATION_CONSTANT,
         "window_factor": inputs.window_factor,
         "finite_time": {
-            "markov": markov,
-            "concentration": concentration,
-            "bound": min(markov, concentration),
-            "branch": "markov" if markov <= concentration else "concentration",
+            "markov": b.markov,
+            "concentration": b.concentration,
+            "bound": b.finite_time,
+            "branch": "markov" if b.markov <= b.concentration else "concentration",
         },
-        "infinite_time": equilibration_bound_infinite_time(inputs),
-        "moment_bounds": {
-            "expected_time_variance": moments.expected_time_variance,
-            "mixture_curve_deviation": moments.mixture_curve_deviation,
-            "time_average_variance": moments.time_average_variance,
-            "expected_dephasing_variance": moments.expected_dephasing_variance,
-        },
+        "infinite_time": b.infinite_time,
+        "moment_bounds": {name: getattr(b, name) for name in moments},
     }
     _emit(record, args.out)
     return 0

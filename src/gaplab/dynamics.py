@@ -26,27 +26,31 @@ build R.
 A time-grid oracle (composite Simpson quadrature of the same averages)
 exists solely to cross-check the exact quadratic forms.
 
-The bound evaluators at the end assemble the finite- and infinite-time
-equilibration bounds, the four second-moment bounds, and the concentration
-tail bound from precomputed spectral counts; they never look at matrices.
+At the end, ``equilibration_bounds`` writes each of the paper's bound
+formulas once: from the scalar ``BoundInputs`` of one (kappa, T) cell (the
+norms, the contributing-set counts and the window factor) it builds one
+frozen ``Bounds`` record holding the finite-time bound with its two
+branches, the infinite-time bound and the four second-moment bounds.  The
+runner and ``gaplab bounds`` both read that record.  The concentration
+tail bound sits beside it; none of these look at matrices.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .linalg import as_complex_matrix, operator_norm
+from .linalg import as_complex_matrix
 from .spectra import GapIndex, SpectralDecomposition, contributing_set, spectral_counts
 
 __all__ = [
     "CONCENTRATION_CONSTANT",
     "BoundInputs",
-    "MomentBounds",
+    "Bounds",
     "evolve",
     "expectation_curve",
     "mixture_expectation_curve",
@@ -68,11 +72,7 @@ __all__ = [
     "mixture_curve_deviation",
     "mixture_curve_deviation_quadrature",
     "phase_matrix_norm_bound",
-    "bound_inputs",
-    "finite_time_branches",
-    "equilibration_bound_finite_time",
-    "equilibration_bound_infinite_time",
-    "moment_bounds",
+    "equilibration_bounds",
     "concentration_tail_bound",
 ]
 
@@ -284,6 +284,8 @@ def phase_matrix_norm(gaps: GapIndex, horizon: float) -> float:
 
 def window_factor(d: int, kappa: float, horizon: float) -> float:
     """1 + 8 log2(d) / (kappa T): the window bound over d eigenvalues is G(kappa) times this."""
+    if not kappa * horizon > 0.0:
+        raise ValueError(f"kappa * horizon must be positive, got kappa={kappa!r} and horizon={horizon!r}")
     return 1.0 + 8.0 * math.log2(max(d, 1)) / (kappa * horizon)
 
 
@@ -324,10 +326,12 @@ def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B) ->
     return float(dephased_power(cs.gaps, w[None, :])[0])
 
 
-def expectation_curve_variance_quadrature(
-    spec: SpectralDecomposition, psi0, B, horizon: float, n_points: int = QUADRATURE_POINTS
-) -> float:
-    """Time-grid oracle for :func:`expectation_curve_variance` (composite Simpson)."""
+def _simpson_deviation(curve, center: complex, horizon: float, n_points: int) -> float:
+    """Composite Simpson average of |curve(t) - center|^2 over [0, horizon].
+
+    ``curve`` maps a time grid to the curve's values on it; an even point
+    count is raised by one, as Simpson's rule needs.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     n = int(n_points)
@@ -336,10 +340,16 @@ def expectation_curve_variance_quadrature(
     if n % 2 == 0:
         n += 1
     times = np.linspace(0.0, horizon, n)
-    curve = expectation_curve(spec, psi0, B, times)
-    center = infinite_time_average(spec, psi0, B)
-    vals = np.abs(curve - center) ** 2
+    vals = np.abs(curve(times) - center) ** 2
     return float(simpson(vals, x=times) / horizon)
+
+
+def expectation_curve_variance_quadrature(
+    spec: SpectralDecomposition, psi0, B, horizon: float, n_points: int = QUADRATURE_POINTS
+) -> float:
+    """Time-grid oracle for :func:`expectation_curve_variance` (composite Simpson)."""
+    center = infinite_time_average(spec, psi0, B)
+    return _simpson_deviation(lambda ts: expectation_curve(spec, psi0, B, ts), center, horizon, n_points)
 
 
 def mixture_curve_deviation(spec: SpectralDecomposition, rho, B, horizon: float) -> float:
@@ -357,18 +367,8 @@ def mixture_curve_deviation_quadrature(
     spec: SpectralDecomposition, rho, B, horizon: float, n_points: int = QUADRATURE_POINTS
 ) -> float:
     """Time-grid oracle for :func:`mixture_curve_deviation`."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    n = int(n_points)
-    if n < 3:
-        raise ValueError("n_points must be at least 3")
-    if n % 2 == 0:
-        n += 1
-    times = np.linspace(0.0, horizon, n)
-    curve = mixture_expectation_curve(spec, rho, B, times)
     center = diagonal_ensemble_expectation(spec, rho, B)
-    vals = np.abs(curve - center) ** 2
-    return float(simpson(vals, x=times) / horizon)
+    return _simpson_deviation(lambda ts: mixture_expectation_curve(spec, rho, B, ts), center, horizon, n_points)
 
 
 def phase_matrix_norm_bound(spec: SpectralDecomposition, kappa: float, horizon: float, B=None) -> tuple[float, float]:
@@ -468,87 +468,58 @@ class BoundInputs:
         return window_factor(self.n_contributing, self.kappa, self.horizon)
 
 
-def bound_inputs(
-    spec: SpectralDecomposition,
-    B,
-    norm_rho: float,
-    epsilon: float,
-    delta: float,
-    kappa: float,
-    horizon: float,
-) -> BoundInputs:
-    """Assemble :class:`BoundInputs` from a spectrum and observable."""
-    return BoundInputs.from_contributing(
-        contributing_set(spec, B), operator_norm(B), norm_rho, epsilon, delta, kappa, horizon
-    )
+@dataclass(frozen=True)
+class Bounds:
+    """Every equilibration bound of one (kappa, T) cell.
 
+    ``finite_time`` is the smaller of its Markov and concentration
+    branches.  The four second-moment bounds (prefactors 24, 1, 23, 24)
+    are, in order: the ensemble mean of the finite-horizon curve variance,
+    the mixture curve deviation, the ensemble variance of the long-run
+    average, and the ensemble mean of the dephased (infinite-horizon)
+    variance.
+    """
 
-def _moment_base(inputs: BoundInputs) -> float:
-    return (
-        inputs.norm_b**2
-        * inputs.norm_rho
-        * inputs.max_degeneracy
-        * inputs.gap_window_count
-        * inputs.window_factor
-    )
-
-
-def finite_time_branches(inputs: BoundInputs) -> tuple[float, float]:
-    """Both branches of the finite-time bound: (Markov branch, concentration branch)."""
-    base = _moment_base(inputs)
-    eps_delta = inputs.epsilon * inputs.delta
-    markov = math.sqrt(188.0 / eps_delta * base)
-    concentration = math.sqrt(
-        25.0 * math.log(24.0 / eps_delta) / (inputs.delta * CONCENTRATION_CONSTANT) * base
-    )
-    return markov, concentration
-
-
-def equilibration_bound_finite_time(inputs: BoundInputs) -> float:
-    """Finite-horizon equilibration bound (minimum of the two branches)."""
-    return min(finite_time_branches(inputs))
-
-
-def equilibration_bound_infinite_time(inputs: BoundInputs) -> float:
-    """Infinite-horizon equilibration bound."""
-    return math.sqrt(
-        188.0
-        / (inputs.epsilon * inputs.delta)
-        * inputs.norm_b**2
-        * inputs.norm_rho
-        * inputs.max_degeneracy
-        * inputs.max_gap_degeneracy
-    )
-
-
-@dataclass
-class MomentBounds:
-    """The four second-moment bounds (prefactors 24, 1, 23, 24)."""
-
+    markov: float
+    concentration: float
+    finite_time: float
+    infinite_time: float
     expected_time_variance: float
     mixture_curve_deviation: float
     time_average_variance: float
     expected_dephasing_variance: float
 
 
-def moment_bounds(inputs: BoundInputs) -> MomentBounds:
-    """Second-moment bounds shared by the exceedance bounds.
-
-    In order: the ensemble mean of the finite-horizon curve variance, the
-    mixture curve deviation, the ensemble variance of the long-run average,
-    and the ensemble mean of the dephased (infinite-horizon) variance.
-    """
-    core = inputs.norm_b**2 * inputs.norm_rho
-    base = _moment_base(inputs)
-    return MomentBounds(
-        expected_time_variance=24.0 * base,
-        mixture_curve_deviation=base,
-        time_average_variance=23.0 * core,
-        expected_dephasing_variance=24.0
-        * core
-        * inputs.max_degeneracy
-        * inputs.max_gap_degeneracy,
-    )
+def equilibration_bounds(inputs: BoundInputs) -> Bounds:
+    """The bound record of the cell of ``inputs``; raises ValueError if a bound is not finite."""
+    i = inputs
+    eps_delta = i.epsilon * i.delta
+    try:
+        core = i.norm_b**2 * i.norm_rho
+        base = core * i.max_degeneracy * i.gap_window_count * i.window_factor
+        markov = math.sqrt(188.0 / eps_delta * base)
+        concentration = math.sqrt(25.0 * math.log(24.0 / eps_delta) / (i.delta * CONCENTRATION_CONSTANT) * base)
+        bounds = Bounds(
+            markov=markov,
+            concentration=concentration,
+            finite_time=min(markov, concentration),
+            infinite_time=math.sqrt(
+                188.0 / eps_delta * i.norm_b**2 * i.norm_rho * i.max_degeneracy * i.max_gap_degeneracy
+            ),
+            expected_time_variance=24.0 * base,
+            mixture_curve_deviation=base,
+            time_average_variance=23.0 * i.norm_b**2 * i.norm_rho,
+            expected_dephasing_variance=24.0 * core * i.max_degeneracy * i.max_gap_degeneracy,
+        )
+        finite = all(math.isfinite(v) for v in astuple(bounds))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"a bound is not finite at kappa={i.kappa!r}, horizon={i.horizon!r}, norm_b={i.norm_b!r}, "
+            f"epsilon={i.epsilon!r}, delta={i.delta!r}"
+        )
+    return bounds
 
 
 def concentration_tail_bound(

@@ -24,11 +24,9 @@ from .dynamics import (
     block_overlap_matrix,
     concentration_tail_bound,
     dephased_power,
-    equilibration_bound_infinite_time,
-    finite_time_branches,
+    equilibration_bounds,
     gap_coefficients,
     mixture_expectation_curve,
-    moment_bounds,
     overlap_curve,
     phase_norm_cells,
     phase_quadratic_forms,
@@ -225,25 +223,27 @@ def _ensemble(scn: Scenario, center: complex):
 def verify_equilibration(scn: Scenario) -> list:
     """Second-moment and exceedance checks over sampled projected-ensemble states.
 
-    Emits the four moment-bound records (prefactors 24, 1, 23, 24), the
-    identity check that the ensemble-mean long-run average matches the
-    dephased expectation, and the finite-horizon exceedance record.
+    Emits the four moment-bound records, the identity check that the
+    ensemble-mean long-run average matches the dephased expectation, and
+    the finite-horizon exceedance record.  Every bound is read from the
+    ``Bounds`` record of its (kappa, T) cell, which is built before any
+    state is drawn.
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
-    norm_b, norm_rho = scn.norm_b, scn.rho.p_max
-    gaps = scn.contributing.gaps
-    center = complex(np.trace(scn.mixture_overlap))
-    itas, rows, devs = _ensemble(scn, center)
-    W = rows[:-1]
-    inputs = {
-        (k, T): BoundInputs.from_contributing(
-            scn.contributing, norm_b, norm_rho, config.epsilon, config.delta, k, T
+    cs, norm_b = scn.contributing, scn.norm_b
+    bounds = {
+        (k, T): equilibration_bounds(
+            BoundInputs.from_contributing(cs, norm_b, scn.rho.p_max, config.epsilon, config.delta, k, T)
         )
         for T in config.horizons
         for k in kappas
     }
-    first = inputs[kappas[0], config.horizons[0]]
+    first = bounds[kappas[0], config.horizons[0]]
+    gaps = cs.gaps
+    center = complex(np.trace(scn.mixture_overlap))
+    itas, rows, devs = _ensemble(scn, center)
+    W = rows[:-1]
     records = []
 
     if "moments" in config.checks:
@@ -251,14 +251,13 @@ def verify_equilibration(scn: Scenario) -> list:
         curve_cells, mixture_cells = [], []
         for T in config.horizons:
             forms = phase_quadratic_forms(gaps, rows, T)
-            bounds = {str(k): moment_bounds(inputs[k, T]) for k in kappas}
-            per_kappa = {k: b.expected_time_variance for k, b in bounds.items()}
+            per_kappa = {str(k): bounds[k, T].expected_time_variance for k in kappas}
             measured, se = _mean_and_se(forms[:-1])
             bound = min(per_kappa.values())
             curve_cells.append(
                 {"horizon": T, "bound": bound, "measured": measured, "se": se, "per_kappa": per_kappa}
             )
-            per_kappa = {k: b.mixture_curve_deviation for k, b in bounds.items()}
+            per_kappa = {str(k): bounds[k, T].mixture_curve_deviation for k in kappas}
             bound = min(per_kappa.values())
             mixture_cells.append(
                 {"horizon": T, "bound": bound, "measured": float(forms[-1]), "per_kappa": per_kappa}
@@ -277,14 +276,14 @@ def verify_equilibration(scn: Scenario) -> list:
         )
 
         var_ita, se = _variance_and_se(itas)
-        bound = 23.0 * norm_b**2 * norm_rho
+        bound = first.time_average_variance
         records.append(
             _record("time_average_variance_bound", bound, var_ita, seed, {"n_states": n_states},
                     slack=4 * se, mc_error=se, vacuous=bound > norm_b**2)
         )
 
         measured, se = _mean_and_se(dephased_power(gaps, W))
-        bound = moment_bounds(first).expected_dephasing_variance
+        bound = first.expected_dephasing_variance
         records.append(
             _record("mean_dephasing_variance_bound", bound, measured, seed, {"n_states": n_states},
                     slack=4 * se, mc_error=se, vacuous=bound > sq_cap)
@@ -310,8 +309,8 @@ def verify_equilibration(scn: Scenario) -> list:
         for h, T in enumerate(config.horizons):
             per_kappa = {}
             for k in kappas:
-                markov, conc = finite_time_branches(inputs[k, T])
-                per_kappa[str(k)] = {"bound": min(markov, conc), "markov": markov, "concentration": conc}
+                b = bounds[k, T]
+                per_kappa[str(k)] = {"bound": b.finite_time, "markov": b.markov, "concentration": b.concentration}
             bound = min(v["bound"] for v in per_kappa.values())
             frac_per_state = (devs[:, h, :] > bound).mean(axis=1)
             cells.append(
@@ -331,7 +330,7 @@ def verify_equilibration(scn: Scenario) -> list:
             "delta": config.delta,
             "n_states": n_states,
             "n_times": config.n_times,
-            "infinite_time_bound": equilibration_bound_infinite_time(first),
+            "infinite_time_bound": first.infinite_time,
         }
         measured = worst["exceed_fraction"] if worst else 0.0
         records.append(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from gaplab import cli, runner
 from gaplab.dynamics import (
     CONCENTRATION_CONSTANT,
     BoundInputs,
+    equilibration_bounds,
     expectation_curve,
-    finite_time_branches,
-    equilibration_bound_infinite_time,
-    moment_bounds,
 )
 from gaplab.jsonio import (
     load_states,
@@ -237,15 +236,14 @@ def test_bounds_output_matches_module(tmp_path):
     assert cli.main(["bounds", "--inputs", str(f), "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     bi = BoundInputs(**inputs)
-    markov, conc = finite_time_branches(bi)
-    assert record["finite_time"]["markov"] == pytest.approx(markov, rel=1e-12)
+    b = equilibration_bounds(bi)
+    assert record["finite_time"]["markov"] == pytest.approx(b.markov, rel=1e-12)
     assert record["finite_time"]["markov"] == pytest.approx(math.sqrt(18800.0 * 1e-6), rel=1e-12)
-    assert record["finite_time"]["concentration"] == pytest.approx(conc, rel=1e-12)
-    assert record["finite_time"]["bound"] == min(markov, conc)
-    assert record["infinite_time"] == pytest.approx(equilibration_bound_infinite_time(bi), rel=1e-12)
-    m = moment_bounds(bi)
-    assert record["moment_bounds"]["expected_time_variance"] == pytest.approx(m.expected_time_variance, rel=1e-12)
-    assert record["moment_bounds"]["time_average_variance"] == pytest.approx(m.time_average_variance, rel=1e-12)
+    assert record["finite_time"]["concentration"] == pytest.approx(b.concentration, rel=1e-12)
+    assert record["finite_time"]["bound"] == min(b.markov, b.concentration)
+    assert record["infinite_time"] == pytest.approx(b.infinite_time, rel=1e-12)
+    assert record["moment_bounds"]["expected_time_variance"] == pytest.approx(b.expected_time_variance, rel=1e-12)
+    assert record["moment_bounds"]["time_average_variance"] == pytest.approx(b.time_average_variance, rel=1e-12)
     assert record["inputs"]["norm_rho"] == 1e-6
     assert record["window_factor"] == pytest.approx(bi.window_factor, rel=1e-12)
 
@@ -271,8 +269,15 @@ BOUND_INPUTS = dict(
         ({**BOUND_INPUTS, "kappa": None}, "kappa"),
         ({**BOUND_INPUTS, "horizon": math.nan}, "horizon"),
         ({**BOUND_INPUTS, "norm_b": True}, "norm_b"),
+        ({**BOUND_INPUTS, "kappa": 1e-200, "horizon": 1e-200}, "kappa * horizon must be positive"),
+        ({**BOUND_INPUTS, "norm_b": 1e300}, "norm_b=1e+300"),
+        ({**BOUND_INPUTS, "norm_b": 1e154}, "norm_b=1e+154"),
+        ({**BOUND_INPUTS, "epsilon": 1e-200, "delta": 1e-200}, "epsilon=1e-200, delta=1e-200"),
     ],
-    ids=["scalar", "stale-constant", "kappa-string", "kappa-null", "horizon-nan", "norm_b-bool"],
+    ids=[
+        "scalar", "stale-constant", "kappa-string", "kappa-null", "horizon-nan", "norm_b-bool",
+        "kappa-horizon-underflow", "norm_b-overflow", "moment-bound-overflow", "epsilon-delta-underflow",
+    ],
 )
 def test_bounds_rejects_malformed_inputs(tmp_path, capsys, data, named):
     f = tmp_path / "inputs.json"
@@ -291,6 +296,41 @@ def test_bounds_prints_the_concentration_constant(tmp_path):
     record = json.loads(out.read_text())
     assert record["constant"] == CONCENTRATION_CONSTANT
     assert record["inputs"] == BOUND_INPUTS
+
+
+GOLDEN = sorted((pathlib.Path(__file__).parent / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_bounds_agree_with_the_report_bit_for_bit(tmp_path, path):
+    """``gaplab bounds`` on a report's own inputs prints the report's bounds exactly."""
+    report = json.loads(path.read_text())
+    config, spectral = report["config"], report["spectral"]
+    counts = spectral["contributing"]
+    checks = {c["name"]: c for c in report["checks"]}
+    f, out = tmp_path / "inputs.json", tmp_path / "bounds.json"
+    for h, T in enumerate(config["horizons"]):
+        for k in config["kappas"]:
+            f.write_text(json.dumps({
+                "epsilon": config["epsilon"], "delta": config["delta"], "kappa": k, "horizon": T,
+                "norm_b": spectral["norm_b"], "norm_rho": spectral["norm_rho"],
+                "n_contributing": counts["n_distinct"], "max_degeneracy": counts["max_degeneracy"],
+                "max_gap_degeneracy": counts["max_gap_degeneracy"],
+                "gap_window_count": counts["window_counts"][str(k)],
+            }))
+            assert cli.main(["bounds", "--inputs", str(f), "--out", str(out)]) == 0
+            record = json.loads(out.read_text())
+            moments, finite = record["moment_bounds"], record["finite_time"]
+            assert checks["time_average_variance_bound"]["bound"] == moments["time_average_variance"]
+            assert checks["mean_dephasing_variance_bound"]["bound"] == moments["expected_dephasing_variance"]
+            exceedance = checks["finite_time_exceedance"]["detail"]
+            assert exceedance["infinite_time_bound"] == record["infinite_time"]
+            cell = exceedance["cells"][h]["per_kappa"][str(k)]
+            assert cell == {"markov": finite["markov"], "concentration": finite["concentration"],
+                            "bound": finite["bound"]}
+            for name, key in (("mean_curve_variance_bound", "expected_time_variance"),
+                              ("mixture_curve_deviation_bound", "mixture_curve_deviation")):
+                assert checks[name]["detail"]["cells"][h]["per_kappa"][str(k)] == moments[key]
 
 
 def write_run_config(tmp_path):
@@ -363,6 +403,8 @@ def test_run_success_writes_report_and_csv(tmp_path, capsys, monkeypatch):
         ({"hamiltonian": {"kind": "random", "eigenvalues": [math.nan] + [1.0] * 5}}, "hamiltonian.eigenvalues"),
         ({"n_states": 24}, "n_states"),
         ({"hamiltonian": {"kind": "random", "bogus": 1}}, "hamiltonian.bogus"),
+        ({"kappas": [1e-200], "horizons": [1e-200], "checks": ["equilibration"]}, "kappa * horizon"),
+        ({"kappas": [1e-200], "horizons": [1e-200], "checks": ["spectral"]}, "kappa * horizon"),
     ],
     ids=[
         "horizons-scalar",
@@ -388,6 +430,8 @@ def test_run_success_writes_report_and_csv(tmp_path, capsys, monkeypatch):
         "eigenvalues-nan",
         "top-level-n_states",
         "hamiltonian-unknown-key",
+        "kappa-horizon-underflow-equilibration",
+        "kappa-horizon-underflow-spectral",
     ],
 )
 def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, patch, field):

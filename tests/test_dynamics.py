@@ -9,25 +9,20 @@ from conftest import random_hermitian, random_state
 from gaplab.dynamics import (
     CONCENTRATION_CONSTANT,
     BoundInputs,
-    bound_inputs,
     concentration_tail_bound,
     block_overlap_matrix,
     gap_coefficients,
-    diagonal_ensemble_expectation,
-    equilibration_bound_finite_time,
-    equilibration_bound_infinite_time,
+    equilibration_bounds,
     evolve,
     expectation_curve,
     expectation_curve_variance,
     expectation_curve_variance_infinite,
     expectation_curve_variance_quadrature,
-    finite_time_branches,
     gap_phase_matrix,
     infinite_time_average,
     mixture_curve_deviation,
     mixture_curve_deviation_quadrature,
     mixture_expectation_curve,
-    moment_bounds,
     overlap_curve,
     phase_matrix_norm,
     phase_matrix_norm_bound,
@@ -345,7 +340,9 @@ def test_bound_inputs_builder_matches_contributing_set():
     rng = derive_rng(510)
     spec = random_hamiltonian(8, [2, 2, 2, 2], rng)
     B = random_hermitian(8, rng)
-    inp = bound_inputs(spec, B, norm_rho=0.2, epsilon=0.1, delta=0.1, kappa=1.0, horizon=10.0)
+    inp = BoundInputs.from_contributing(
+        contributing_set(spec, B), operator_norm(B), norm_rho=0.2, epsilon=0.1, delta=0.1, kappa=1.0, horizon=10.0
+    )
     counts = spectral_counts(contributing_set(spec, B), [1.0])
     assert inp.n_contributing == counts["n_distinct"]
     assert inp.max_degeneracy == counts["max_degeneracy"]
@@ -372,7 +369,7 @@ def _unit_inputs(**overrides):
 
 
 def test_moment_bound_prefactors():
-    m = moment_bounds(_unit_inputs())
+    m = equilibration_bounds(_unit_inputs())
     assert m.expected_time_variance == pytest.approx(24.0, rel=1e-12)
     assert m.mixture_curve_deviation == pytest.approx(1.0, rel=1e-12)
     assert m.time_average_variance == pytest.approx(23.0, rel=1e-12)
@@ -380,8 +377,8 @@ def test_moment_bound_prefactors():
 
 
 def test_moment_bounds_linear_in_state_norm():
-    a = moment_bounds(_unit_inputs(norm_rho=0.5))
-    b = moment_bounds(_unit_inputs(norm_rho=0.25))
+    a = equilibration_bounds(_unit_inputs(norm_rho=0.5))
+    b = equilibration_bounds(_unit_inputs(norm_rho=0.25))
     for field in (
         "expected_time_variance",
         "mixture_curve_deviation",
@@ -392,27 +389,26 @@ def test_moment_bounds_linear_in_state_norm():
 
 
 def test_finite_time_branch_worked_examples():
-    markov, _ = finite_time_branches(_unit_inputs(norm_rho=1e-6))
+    markov = equilibration_bounds(_unit_inputs(norm_rho=1e-6)).markov
     assert markov == pytest.approx(math.sqrt(18800.0 * 1e-6), rel=1e-12)
 
-    vac, _ = finite_time_branches(_unit_inputs(norm_rho=1.0 / 64.0))
+    vac = equilibration_bounds(_unit_inputs(norm_rho=1.0 / 64.0)).markov
     assert vac == pytest.approx(math.sqrt(293.75), rel=1e-12)
     assert vac > 2.0  # vacuous: exceeds any possible deviation of a unit observable
 
-    inf_bound = equilibration_bound_infinite_time(_unit_inputs(norm_rho=1e-8))
+    inf_bound = equilibration_bounds(_unit_inputs(norm_rho=1e-8)).infinite_time
     assert inf_bound == pytest.approx(math.sqrt(1.88e-4), rel=1e-12)
 
 
 def test_finite_time_bound_takes_minimum_branch():
-    inp = _unit_inputs(norm_rho=0.01)
-    markov, conc = finite_time_branches(inp)
-    assert equilibration_bound_finite_time(inp) == pytest.approx(min(markov, conc), rel=1e-12)
+    b = equilibration_bounds(_unit_inputs(norm_rho=0.01))
+    assert b.finite_time == pytest.approx(min(b.markov, b.concentration), rel=1e-12)
 
 
 def test_time_variance_bound_converges_to_dephased_bound():
     # With the window count already at the gap degeneracy, the finite-horizon
     # moment bound approaches the dephased one as the horizon grows.
-    small = moment_bounds(
+    small = equilibration_bounds(
         _unit_inputs(max_gap_degeneracy=3, gap_window_count=3, n_contributing=12, horizon=1e12)
     )
     assert small.expected_time_variance == pytest.approx(

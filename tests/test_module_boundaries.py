@@ -5,6 +5,7 @@ No module uses another module's ``_``-prefixed names, neither through
 sibling module.  Only ``dynamics`` builds the dense phase-average matrix.
 Only ``spectra`` reads a contributing set's ``indices``: every other module
 works on the restricted spectrum itself, without translating positions.
+Every name a module imports is read in it (``__init__`` only re-exports).
 """
 
 import ast
@@ -78,3 +79,31 @@ def test_only_spectra_reads_contributing_indices():
     assert readers <= {"spectra.py"}
     source = "idx = cs.indices\nS[:, scn.contributing.indices]\nindices = 3\nf(indices=idx)"
     assert attribute_reads(source, "indices") == 2
+
+
+def unused_imports(source: str) -> list:
+    """Names that a module's imports bind but its code never reads (``__future__`` aside)."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.extend(a.asname or a.name.split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_imports_are_detected():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .linalg import operator_norm, trace_norm\nx = np.eye(2)\ny = trace_norm(x)\nos = 1"
+    )
+    assert unused_imports(source) == ["os", "operator_norm"]
