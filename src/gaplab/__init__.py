@@ -15,7 +15,6 @@ from .dynamics import (
     dephased_power,
     diagonal_ensemble_expectation,
     equilibration_bounds,
-    evolve,
     expectation_curve,
     expectation_curve_variance,
     expectation_curve_variance_infinite,
@@ -25,10 +24,9 @@ from .dynamics import (
     mixture_curve_deviation,
     mixture_expectation_curve,
     overlap_curve,
-    phase_matrix_norm_bound,
     phase_quadratic_forms,
 )
-from .linalg import hermitian_eigendecomposition, operator_norm, trace_norm
+from .linalg import hermitian_eigendecomposition, operator_norm
 from .moments import (
     KIntegralTable,
     VarianceReport,
@@ -55,7 +53,6 @@ from .spectra import (
     GapIndex,
     SpectralDecomposition,
     contributing_set,
-    group_eigenvalues,
     spectral_counts,
 )
 
@@ -84,7 +81,6 @@ __all__ = [
     "diagonal_ensemble_expectation",
     "empirical_density_matrix",
     "equilibration_bounds",
-    "evolve",
     "expectation_curve",
     "expectation_curve_variance",
     "expectation_curve_variance_infinite",
@@ -93,7 +89,6 @@ __all__ = [
     "gap_phase_matrix",
     "gap_variance_bound",
     "gap_variance_exact",
-    "group_eigenvalues",
     "hermitian_eigendecomposition",
     "infinite_time_average",
     "k_integral",
@@ -105,14 +100,12 @@ __all__ = [
     "mixture_expectation_curve",
     "operator_norm",
     "overlap_curve",
-    "phase_matrix_norm_bound",
     "phase_quadratic_forms",
     "run_scenario",
     "sample_gap",
     "sample_gap_resampling_oracle",
     "sample_gaussian",
     "spectral_counts",
-    "trace_norm",
     "verify_concentration",
     "verify_equilibration",
     "__version__",

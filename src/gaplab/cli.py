@@ -25,7 +25,7 @@ from .dynamics import (
     expectation_curve,
     mixture_expectation_curve,
 )
-from .moments import gap_expectation, gap_variance_bound
+from .moments import gap_expectation, gap_variance_bound, mc_variance
 from .sampling import derive_rng, empirical_density_matrix, sample_gap
 from .scenarios import ConfigError, load_scenario
 from .spectra import GapIndex, contributing_set, spectral_counts
@@ -103,14 +103,8 @@ def _cmd_variance(args) -> int:
     if args.mc_check:
         rng = derive_rng(args.seed)
         psis = sample_gap(rho, rng, size=args.mc_check)
-        vals = np.einsum("sd,de,se->s", psis.conj(), A, psis)
-        sq = np.abs(vals - vals.mean()) ** 2
-        record["mc"] = {
-            "n": args.mc_check,
-            "seed": args.seed,
-            "variance": float(sq.mean()),
-            "se": float(np.std(sq) / np.sqrt(sq.size)),
-        }
+        variance, se = mc_variance(np.einsum("sd,de,se->s", psis.conj(), A, psis))
+        record["mc"] = {"n": args.mc_check, "seed": args.seed, "variance": variance, "se": se}
     _emit(record, args.out)
     return 0
 
@@ -163,7 +157,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_run(args) -> int:
     config = load_scenario(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    report = run_scenario(config, base_dir=base_dir, workers=args.workers)
+    report = run_scenario(config, base_dir=base_dir)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     if args.csv:

@@ -51,7 +51,6 @@ __all__ = [
     "CONCENTRATION_CONSTANT",
     "BoundInputs",
     "Bounds",
-    "evolve",
     "expectation_curve",
     "mixture_expectation_curve",
     "block_overlap_matrix",
@@ -71,7 +70,6 @@ __all__ = [
     "expectation_curve_variance_quadrature",
     "mixture_curve_deviation",
     "mixture_curve_deviation_quadrature",
-    "phase_matrix_norm_bound",
     "equilibration_bounds",
     "concentration_tail_bound",
 ]
@@ -79,7 +77,7 @@ __all__ = [
 #: Concentration constant of the tail bound, 1 / (288 pi^2).
 CONCENTRATION_CONSTANT = 1.0 / (288.0 * math.pi**2)
 
-#: Default point count for the Simpson time-grid oracle.
+#: Point count of the Simpson time-grid oracle (odd, as Simpson's rule needs).
 QUADRATURE_POINTS = 10001
 
 
@@ -104,14 +102,6 @@ def _check_observable(B, dim: int) -> np.ndarray:
     if B.shape[0] != dim:
         raise ValueError(f"observable dimension {B.shape[0]} does not match spectrum dim {dim}")
     return B
-
-
-def evolve(spec: SpectralDecomposition, psi0, t: float) -> np.ndarray:
-    """State at time t: phase-rotate each eigencomponent of the initial state."""
-    psi = _check_state(psi0, spec.dim)
-    V = spec.basis_matrix
-    c = V.conj().T @ psi
-    return V @ (np.exp(-1j * spec.column_values * t) * c)
 
 
 def expectation_curve(spec: SpectralDecomposition, psi0, B, times) -> np.ndarray:
@@ -326,30 +316,22 @@ def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B) ->
     return float(dephased_power(cs.gaps, w[None, :])[0])
 
 
-def _simpson_deviation(curve, center: complex, horizon: float, n_points: int) -> float:
-    """Composite Simpson average of |curve(t) - center|^2 over [0, horizon].
+def _simpson_deviation(curve, center: complex, horizon: float) -> float:
+    """Composite Simpson average of |curve(t) - center|^2 over [0, horizon] on ``QUADRATURE_POINTS`` points.
 
-    ``curve`` maps a time grid to the curve's values on it; an even point
-    count is raised by one, as Simpson's rule needs.
+    ``curve`` maps a time grid to the curve's values on it.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    n = int(n_points)
-    if n < 3:
-        raise ValueError("n_points must be at least 3")
-    if n % 2 == 0:
-        n += 1
-    times = np.linspace(0.0, horizon, n)
+    times = np.linspace(0.0, horizon, QUADRATURE_POINTS)
     vals = np.abs(curve(times) - center) ** 2
     return float(simpson(vals, x=times) / horizon)
 
 
-def expectation_curve_variance_quadrature(
-    spec: SpectralDecomposition, psi0, B, horizon: float, n_points: int = QUADRATURE_POINTS
-) -> float:
+def expectation_curve_variance_quadrature(spec: SpectralDecomposition, psi0, B, horizon: float) -> float:
     """Time-grid oracle for :func:`expectation_curve_variance` (composite Simpson)."""
     center = infinite_time_average(spec, psi0, B)
-    return _simpson_deviation(lambda ts: expectation_curve(spec, psi0, B, ts), center, horizon, n_points)
+    return _simpson_deviation(lambda ts: expectation_curve(spec, psi0, B, ts), center, horizon)
 
 
 def mixture_curve_deviation(spec: SpectralDecomposition, rho, B, horizon: float) -> float:
@@ -363,31 +345,10 @@ def mixture_curve_deviation(spec: SpectralDecomposition, rho, B, horizon: float)
     return float(phase_quadratic_forms(cs.gaps, u[None, :], horizon)[0])
 
 
-def mixture_curve_deviation_quadrature(
-    spec: SpectralDecomposition, rho, B, horizon: float, n_points: int = QUADRATURE_POINTS
-) -> float:
+def mixture_curve_deviation_quadrature(spec: SpectralDecomposition, rho, B, horizon: float) -> float:
     """Time-grid oracle for :func:`mixture_curve_deviation`."""
     center = diagonal_ensemble_expectation(spec, rho, B)
-    return _simpson_deviation(lambda ts: mixture_expectation_curve(spec, rho, B, ts), center, horizon, n_points)
-
-
-def phase_matrix_norm_bound(spec: SpectralDecomposition, kappa: float, horizon: float, B=None) -> tuple[float, float]:
-    """Operator norm of the phase-average matrix next to its window bound.
-
-    With an observable, pairs run over the contributing eigenvalues and the
-    window count is the relative one.  Raises if the bound is violated
-    (that would falsify the underlying inequality, not the data).
-    """
-    if kappa <= 0 or horizon <= 0:
-        raise ValueError("kappa and horizon must be positive")
-    gaps = (spec if B is None else contributing_set(spec, B)).gaps
-    if gaps.eigenvalues.size < 2:
-        raise ValueError("need at least two (contributing) eigenvalues")
-    [cell] = phase_norm_cells(gaps, [kappa], [horizon])
-    norm, bound = cell["norm"], cell["bound"]
-    if norm > bound * (1.0 + 1e-9):
-        raise RuntimeError(f"phase-matrix norm {norm!r} exceeds window bound {bound!r}")
-    return norm, bound
+    return _simpson_deviation(lambda ts: mixture_expectation_curve(spec, rho, B, ts), center, horizon)
 
 
 def _finite_real(v) -> bool:

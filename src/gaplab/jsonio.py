@@ -37,6 +37,19 @@ __all__ = [
     "dumps_canonical",
 ]
 
+#: Largest max-entry defect allowed in a spectrum file's orthonormal blocks and their resolution of the identity.
+ORTHONORMALITY_TOL = 1e-8
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    """A JSON list of numbers (nested to any depth) as a float array; ValueError naming ``what`` otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(value).__name__}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must hold numbers: {exc}") from None
+
 
 def matrix_to_json(M) -> dict:
     M = as_complex_matrix(M)
@@ -53,11 +66,11 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    if len(entries) != rows * cols:
+    flat = _float_array(entries, "matrix JSON 'entries'")
+    if len(flat) != rows * cols:
         raise ValueError(
-            f"matrix JSON has {len(entries)} entries, expected {rows * cols}"
+            f"matrix JSON has {len(flat)} entries, expected {rows * cols}"
         )
-    flat = np.asarray(entries, dtype=float)
     if flat.ndim != 2 or flat.shape[1] != 2:
         raise ValueError("matrix entries must be [re, im] pairs")
     M = (flat[:, 0] + 1j * flat[:, 1]).reshape(rows, cols)
@@ -75,9 +88,9 @@ def load_matrix(path) -> np.ndarray:
         return matrix_from_json(json.load(fh))
 
 
-def load_density(path, tol: float = 1e-10) -> DensityMatrix:
+def load_density(path) -> DensityMatrix:
     """Load a dense density matrix file and put it in spectral form."""
-    return DensityMatrix.from_matrix(load_matrix(path), tol=tol)
+    return DensityMatrix.from_matrix(load_matrix(path))
 
 
 def spectrum_to_json(spec: SpectralDecomposition) -> dict:
@@ -87,14 +100,16 @@ def spectrum_to_json(spec: SpectralDecomposition) -> dict:
     }
 
 
-def spectrum_from_json(obj, tol: float = 1e-8) -> SpectralDecomposition:
+def spectrum_from_json(obj) -> SpectralDecomposition:
     if not isinstance(obj, dict) or "eigenvalues" not in obj or "blocks" not in obj:
         raise ValueError("spectrum JSON must have 'eigenvalues' and 'blocks'")
-    values = np.asarray(obj["eigenvalues"], dtype=float)
+    values = _float_array(obj["eigenvalues"], "spectrum JSON 'eigenvalues'")
     if values.ndim != 1 or values.size == 0:
         raise ValueError("eigenvalues must be a nonempty list")
     if np.any(np.diff(values) <= 0):
         raise ValueError("eigenvalues must be strictly increasing")
+    if not isinstance(obj["blocks"], list):
+        raise ValueError(f"spectrum JSON 'blocks' must be a JSON array, got {type(obj['blocks']).__name__}")
     blocks = [matrix_from_json(b) for b in obj["blocks"]]
     if len(blocks) != values.size:
         raise ValueError("block count does not match eigenvalue count")
@@ -104,7 +119,7 @@ def spectrum_from_json(obj, tol: float = 1e-8) -> SpectralDecomposition:
         if b.shape[0] != dim:
             raise ValueError("blocks have inconsistent ambient dimension")
         defect = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
-        if defect > tol:
+        if defect > ORTHONORMALITY_TOL:
             raise ValueError(f"block columns are not orthonormal (defect {defect:.3e})")
         total += b.shape[1]
     if total != dim:
@@ -112,7 +127,7 @@ def spectrum_from_json(obj, tol: float = 1e-8) -> SpectralDecomposition:
     spec = SpectralDecomposition(values=values, blocks=blocks)
     resolution = spec.basis_matrix @ spec.basis_matrix.conj().T
     defect = np.abs(resolution - np.eye(dim)).max()
-    if defect > tol:
+    if defect > ORTHONORMALITY_TOL:
         raise ValueError(f"blocks do not resolve the identity (defect {defect:.3e})")
     return spec
 
@@ -123,9 +138,9 @@ def save_spectrum(path, spec: SpectralDecomposition) -> None:
         fh.write("\n")
 
 
-def load_spectrum(path, tol: float = 1e-8) -> SpectralDecomposition:
+def load_spectrum(path) -> SpectralDecomposition:
     with open(path, encoding="utf-8") as fh:
-        return spectrum_from_json(json.load(fh), tol=tol)
+        return spectrum_from_json(json.load(fh))
 
 
 def states_to_json(states) -> list:
@@ -136,7 +151,7 @@ def states_to_json(states) -> list:
 
 
 def states_from_json(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    arr = _float_array(obj, "states JSON")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("states JSON must be an array of [re, im] pair lists")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
@@ -165,14 +180,18 @@ def write_curve_csv(path, times, values) -> None:
             fh.write(f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n")
 
 
-def sanitize(obj):
-    """Convert nested numpy containers to plain JSON-safe Python values."""
+def sanitize(obj, path: str = ""):
+    """Convert nested numpy containers to plain JSON-safe Python values.
+
+    ``path`` is the JSON path of ``obj`` (empty at the top), so that a
+    non-finite value is refused by its path, e.g. ``checks[1].bound``.
+    """
     if isinstance(obj, dict):
-        return {str(k): sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
+        return {str(k): sanitize(v, f"{path}.{k}" if path else str(k)) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v, f"{path}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
@@ -180,7 +199,7 @@ def sanitize(obj):
     if isinstance(obj, (np.floating, float)):
         val = float(obj)
         if not np.isfinite(val):
-            raise ValueError(f"non-finite value in report payload: {val!r}")
+            raise ValueError(f"non-finite value at {path or 'the top level'} of the JSON payload: {val!r}")
         return val
     if isinstance(obj, (np.complexfloating, complex)):
         raise ValueError("complex values must be split into re/im before serialization")

@@ -11,11 +11,13 @@ __all__ = [
     "as_complex_matrix",
     "hermitian_eigendecomposition",
     "operator_norm",
-    "trace_norm",
 ]
 
 #: Relative residual allowed for an eigendecomposition reconstruction.
 RECONSTRUCTION_TOL = 1e-9
+
+#: Largest max-entry defect |M - M*| accepted as Hermitian.
+HERMITIAN_TOL = 1e-10
 
 
 def as_complex_matrix(M, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -47,22 +49,20 @@ class HermitianEigenSystem:
         return self.basis.shape[0]
 
 
-def hermitian_eigendecomposition(M, tol: float = 1e-10) -> HermitianEigenSystem:
+def hermitian_eigendecomposition(M) -> HermitianEigenSystem:
     """Full eigendecomposition of a Hermitian matrix.
 
-    The input must be Hermitian up to ``tol`` in max-entry norm; it is
+    The input must be Hermitian up to ``HERMITIAN_TOL`` in max-entry norm; it is
     symmetrized before factorization so the result is exactly Hermitian
     regardless of roundoff in the input.  The reconstruction
     ``U diag(w) U*`` is checked against the input to a residual of
     ``1e-9 * (1 + |M|)``.
     """
     M = as_complex_matrix(M, square=True)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     defect = np.abs(M - M.conj().T).max()
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max |M - M*| = {defect:.3e} exceeds tol {tol:.3e}"
+            f"matrix is not Hermitian: max |M - M*| = {defect:.3e} exceeds {HERMITIAN_TOL:.0e}"
         )
     sym = (M + M.conj().T) / 2.0
     w, U = np.linalg.eigh(sym)
@@ -83,9 +83,3 @@ def operator_norm(M) -> float:
     s = np.linalg.svd(M, compute_uv=False)
     return float(s[0])
 
-
-def trace_norm(M) -> float:
-    """Sum of singular values of a square matrix."""
-    M = as_complex_matrix(M, square=True)
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s.sum())

@@ -37,6 +37,9 @@ quadrature (after the compactifying substitution x = u / (1 - u), tolerance
 1e-10) as independent oracles for tests.  Their integrand factors are paired
 (numerator powers against the largest denominators) so the integrand stays
 bounded all the way to u = 1.
+
+``mc_variance`` is the Monte Carlo estimate that the exact variance is
+checked against, shared by the runner and ``gaplab variance --mc-check``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "k_table",
     "gap_variance_exact",
     "gap_variance_bound",
+    "mc_variance",
 ]
 
 #: Absolute quadrature tolerance for the K-integrals.
@@ -332,10 +336,11 @@ def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
 
     Evaluates, term by term over the eigenbasis of rho,
 
-        ( T11 + (T21 + T12) / (1 - 2q)
-          + 2 (T31 + T22 + T13 + S31 + S22 + S13) / ((1 - 2q)(1 - 3q)) ) / (1 - q)
+        K(0) T11 + K(1) (T21 + T12) + 2 K(2) (T31 + T22 + T13 + S31 + S22 + S13)
 
-    where q = p_max, Tab = tr(A rho^a A* rho^b), and the Sab are the
+    with every K(k) at its product bound (see ``k_product_bound``) for
+    ``bound`` and at its rule value for ``quadrature_bound``.  Here
+    q = p_max, Tab = tr(A rho^a A* rho^b), and the Sab are the
     absolute-value cross sums over eigenprojectors.  The observable enters
     as given (no centering).  Requires q <= 1/4 and dimension >= 4; the
     boundary q = 1/4 (uniform spectrum on four levels) is accepted since
@@ -378,14 +383,10 @@ def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
     cross13 = s1 * s3
 
     inner = t31 + t22 + t13 + cross31 + cross22 + cross13
-    bound = (
-        t11
-        + (t21 + t12) / (1.0 - 2.0 * q)
-        + 2.0 * inner / ((1.0 - 2.0 * q) * (1.0 - 3.0 * q))
-    ) / (1.0 - q)
-
     table = k_table(p)
-    quadrature_bound = table.k0 * t11 + table.k1 * (t21 + t12) + 2.0 * table.k2 * inner
+
+    def bound_with(k0: float, k1: float, k2: float) -> float:
+        return float(k0 * t11 + k1 * (t21 + t12) + 2.0 * k2 * inner)
 
     breakdown = {
         "tr_a_rho_astar_rho": t11,
@@ -403,10 +404,20 @@ def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
     }
     return VarianceReport(
         exact_variance=_exact_variance(At, p, table.pair),
-        bound=float(bound),
-        quadrature_bound=float(quadrature_bound),
+        bound=bound_with(*(k_product_bound(q, k) for k in (0, 1, 2))),
+        quadrature_bound=bound_with(table.k0, table.k1, table.k2),
         term_breakdown=breakdown,
         clamped_terms=clamped,
         rule_nodes=table.nodes,
         rule_self_check=table.self_check,
     )
+
+
+def mc_variance(values) -> tuple[float, float]:
+    """Monte Carlo variance mean |x - mean|^2 of complex samples, with its standard error.
+
+    The error is the standard deviation of the squared deviations over the
+    square root of the sample count.
+    """
+    sq = np.abs(values - values.mean()) ** 2
+    return float(sq.mean()), float(np.std(sq) / np.sqrt(sq.size))

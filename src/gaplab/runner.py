@@ -31,7 +31,7 @@ from .dynamics import (
     phase_norm_cells,
     phase_quadratic_forms,
 )
-from .moments import gap_variance_bound
+from .moments import gap_variance_bound, mc_variance
 from .sampling import DensityMatrix, derive_rng, sample_gap
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
 from .spectra import spectral_counts
@@ -130,15 +130,6 @@ def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
     return m, se
 
 
-def _variance_and_se(values: np.ndarray) -> tuple[float, float]:
-    """Variance mean|x - mean|^2 of complex samples and its delta-method error."""
-    center = values.mean()
-    sq = np.abs(values - center) ** 2
-    var = float(sq.mean())
-    se = float(np.std(sq) / np.sqrt(sq.size))
-    return var, se
-
-
 def _spectral_section(scn: Scenario) -> dict:
     kappas = scn.config.kappas
     return {
@@ -182,28 +173,30 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     dominance = _record("variance_bound_dominance", report.bound, exact, seed, detail, passed=passed)
     n = max(config.n_states * 10, 2000)
     psis = sample_gap(rho, derive_rng(seed, DOMAIN_VARIANCE), size=n)
-    mc_var, se = _variance_and_se(np.einsum("sd,de,se->s", psis.conj(), B, psis))
+    mc_var, se = mc_variance(np.einsum("sd,de,se->s", psis.conj(), B, psis))
     detail = {"n_samples": n, "mc_variance": mc_var, "exact_variance": exact}
     mc = _record("variance_exact_vs_mc", 4.0 * se, abs(mc_var - exact), seed, detail, mc_error=se)
     return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
 
 
-def _ensemble(scn: Scenario, center: complex):
-    """Long-run averages, gap coefficients and curve deviations of the sampled states.
+def _ensemble(scn: Scenario, center: complex, deviation_bounds: list):
+    """Long-run averages, gap coefficients and exceedance fractions of the sampled states.
 
-    Returns (itas, rows, devs), one entry per state, except that ``rows``
-    holds one more row, last: the mixture's gap coefficients, so that all
-    phase forms of a horizon come from one phase matrix without a copy of
-    the state rows.  devs has shape (n_states, horizons, n_times), at the
-    state's uniform times on [0, T].  Every overlap matrix is built on the
-    contributing set, which is all the curves and averages depend on.
+    Returns (itas, rows, fractions), one entry per state, except that
+    ``rows`` holds one more row, last: the mixture's gap coefficients, so
+    that all phase forms of a horizon come from one phase matrix without a
+    copy of the state rows.  fractions has shape (n_states, horizons), one
+    column per entry of ``deviation_bounds``: the share of the state's
+    uniform times on [0, T] at which its curve deviates from ``center`` by
+    more than the bound.  Every overlap matrix is built on the contributing
+    set, which is all the curves and averages depend on.
     """
     config, cs = scn.config, scn.contributing
     n, n_times = config.n_states, config.n_times
     itas = np.empty(n, dtype=complex)
     rows = np.empty((n + 1, cs.gaps.count), dtype=complex)
     rows[n] = gap_coefficients(scn.mixture_overlap, cs.gaps)
-    devs = np.empty((n, len(config.horizons), n_times))
+    fractions = np.empty((n, len(deviation_bounds)))
     for lo in range(0, n, CHUNK_STATES):
         hi = min(lo + CHUNK_STATES, n)
         psis = np.empty((hi - lo, cs.dim), dtype=complex)
@@ -215,9 +208,10 @@ def _ensemble(scn: Scenario, center: complex):
         S = block_overlap_matrix(cs, psis, scn.observable)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
         rows[lo:hi] = gap_coefficients(S, cs.gaps)
-        for h, T in enumerate(config.horizons):
-            devs[lo:hi, h] = np.abs(overlap_curve(cs.values, S, u * T) - center)
-    return itas, rows, devs
+        for h, (T, bound) in enumerate(zip(config.horizons, deviation_bounds)):
+            devs = np.abs(overlap_curve(cs.values, S, u * T) - center)
+            fractions[lo:hi, h] = (devs > bound).mean(axis=1)
+    return itas, rows, fractions
 
 
 def verify_equilibration(scn: Scenario) -> list:
@@ -227,7 +221,8 @@ def verify_equilibration(scn: Scenario) -> list:
     ensemble-mean long-run average matches the dephased expectation, and
     the finite-horizon exceedance record.  Every bound is read from the
     ``Bounds`` record of its (kappa, T) cell, which is built before any
-    state is drawn.
+    state is drawn, so each chunk of states keeps only its exceedance
+    fractions, not its curves.
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
@@ -240,9 +235,11 @@ def verify_equilibration(scn: Scenario) -> list:
         for k in kappas
     }
     first = bounds[kappas[0], config.horizons[0]]
+    # the finite-time deviation bound of each horizon: the smallest over kappa
+    deviation_bounds = [min(bounds[k, T].finite_time for k in kappas) for T in config.horizons]
     gaps = cs.gaps
     center = complex(np.trace(scn.mixture_overlap))
-    itas, rows, devs = _ensemble(scn, center)
+    itas, rows, fractions = _ensemble(scn, center, deviation_bounds)
     W = rows[:-1]
     records = []
 
@@ -275,7 +272,7 @@ def verify_equilibration(scn: Scenario) -> list:
                     {"cells": mixture_cells}, passed=passed, vacuous=worst["bound"] > sq_cap)
         )
 
-        var_ita, se = _variance_and_se(itas)
+        var_ita, se = mc_variance(itas)
         bound = first.time_average_variance
         records.append(
             _record("time_average_variance_bound", bound, var_ita, seed, {"n_states": n_states},
@@ -306,19 +303,17 @@ def verify_equilibration(scn: Scenario) -> list:
         se_frac = float(np.sqrt(config.epsilon * (1 - config.epsilon) / n_states))
         threshold = config.epsilon + 4.0 * se_frac
         cells = []
-        for h, T in enumerate(config.horizons):
+        for h, (T, bound) in enumerate(zip(config.horizons, deviation_bounds)):
             per_kappa = {}
             for k in kappas:
                 b = bounds[k, T]
                 per_kappa[str(k)] = {"bound": b.finite_time, "markov": b.markov, "concentration": b.concentration}
-            bound = min(v["bound"] for v in per_kappa.values())
-            frac_per_state = (devs[:, h, :] > bound).mean(axis=1)
             cells.append(
                 {
                     "horizon": T,
                     "deviation_bound": bound,
                     "vacuous": bound > 2.0 * norm_b,
-                    "exceed_fraction": float((frac_per_state > config.delta).mean()),
+                    "exceed_fraction": float((fractions[:, h] > config.delta).mean()),
                     "per_kappa": per_kappa,
                 }
             )
@@ -390,11 +385,8 @@ def verify_concentration(scn: Scenario) -> list:
     return records
 
 
-def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) -> Report:
-    """Materialize a scenario, run every enabled check, and assemble the report.
-
-    ``workers`` is accepted and has no effect.
-    """
+def run_scenario(config: ScenarioConfig, base_dir: str = ".") -> Report:
+    """Materialize a scenario, run every enabled check, and assemble the report."""
     t0 = time.perf_counter()
     scn = build_scenario(config, base_dir)
     timings = {"build": time.perf_counter() - t0}

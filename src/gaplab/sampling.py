@@ -89,10 +89,10 @@ class DensityMatrix:
         self.basis = U
 
     @classmethod
-    def from_matrix(cls, M, tol: float = 1e-10) -> "DensityMatrix":
+    def from_matrix(cls, M) -> "DensityMatrix":
         """Build from a dense density matrix (Hermitian, PSD, unit trace)."""
         M = as_complex_matrix(M, name="density matrix", square=True)
-        eig = hermitian_eigendecomposition(M, tol=tol)
+        eig = hermitian_eigendecomposition(M)
         w = eig.eigenvalues
         if np.any(w < -1e-10):
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")

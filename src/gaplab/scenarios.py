@@ -53,6 +53,16 @@ DOMAIN_CONCENTRATION = 5
 #: Default fraction of dimensions held by the dominant macro space.
 EQ_FRACTION = 0.9
 
+#: Smallest separation of Gaussian eigenvalues; closer draws are redrawn.
+MIN_SEPARATION = 1e-6
+
+#: Draws of a random density's probabilities before its p_max limit is given up.
+MAX_DENSITY_TRIES = 1000
+
+#: Largest |B| for which (2 |B|)^4 is finite: deviations are at most 2 |B|, and
+#: the Monte Carlo standard errors square their squares.
+NORM_B_MAX = (np.finfo(float).max / 16.0) ** 0.25
+
 
 class ConfigError(ValueError):
     """Scenario configuration is malformed or inconsistent."""
@@ -84,13 +94,12 @@ def random_hamiltonian(
     rng: np.random.Generator,
     eigenvalues="gaussian",
     spacing: float = 1.0,
-    min_separation: float = 1e-6,
 ) -> SpectralDecomposition:
     """Random Hamiltonian with a prescribed degeneracy plan.
 
     ``multiplicities`` lists the eigenspace dimensions.  Eigenvalues are
     either sorted standard normals (resampled until all separations exceed
-    ``min_separation``), an arithmetic progression with step ``spacing``
+    ``MIN_SEPARATION``), an arithmetic progression with step ``spacing``
     (which maximizes gap degeneracies), or an explicit ascending sequence.
     The eigenbasis is Haar random.
     """
@@ -102,7 +111,7 @@ def random_hamiltonian(
         if eigenvalues == "gaussian":
             for _ in range(1000):
                 vals = np.sort(rng.standard_normal(k))
-                if k < 2 or np.diff(vals).min() > min_separation:
+                if k < 2 or np.diff(vals).min() > MIN_SEPARATION:
                     break
             else:
                 raise RuntimeError("could not draw separated eigenvalues")
@@ -124,26 +133,22 @@ def random_hamiltonian(
     return SpectralDecomposition(values=vals, blocks=blocks)
 
 
-def random_density(
-    dim: int,
-    rng: np.random.Generator,
-    p_max_limit=None,
-    max_tries: int = 1000,
-) -> DensityMatrix:
+def random_density(dim: int, rng: np.random.Generator, p_max_limit=None) -> DensityMatrix:
     """Random full-rank density matrix with a Haar eigenbasis.
 
-    Probabilities are a flat-Dirichlet draw, resampled until the largest
-    one is below ``p_max_limit`` (if given).
+    Probabilities are a flat-Dirichlet draw, resampled (at most
+    ``MAX_DENSITY_TRIES`` times) until the largest one is below
+    ``p_max_limit`` (if given).
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    for _ in range(max_tries):
+    for _ in range(MAX_DENSITY_TRIES):
         p = rng.standard_exponential(dim)
         p /= p.sum()
         if p_max_limit is None or p.max() < p_max_limit:
             break
     else:
-        raise RuntimeError(f"no admissible spectrum after {max_tries} draws")
+        raise RuntimeError(f"no admissible spectrum after {MAX_DENSITY_TRIES} draws")
     p = np.sort(p)[::-1]
     return DensityMatrix(probabilities=p, basis=haar_unitary(dim, rng))
 
@@ -166,10 +171,6 @@ class MacroDecomposition:
 
     labels: list
     blocks: list
-
-    @property
-    def dims(self) -> np.ndarray:
-        return np.array([b.shape[1] for b in self.blocks], dtype=int)
 
     @property
     def dim(self) -> int:
@@ -434,14 +435,16 @@ def load_scenario(path) -> ScenarioConfig:
 class Scenario:
     """Materialized scenario: spectrum, density matrix, observable, macro spaces.
 
-    The quantities that depend on the scenario alone are computed on first
-    use and kept, so every check shares one copy.
+    ``norm_b`` is the observable's operator norm, taken when it is built.
+    The other quantities that depend on the scenario alone are computed on
+    first use and kept, so every check shares one copy.
     """
 
     config: ScenarioConfig
     spec: SpectralDecomposition
     rho: DensityMatrix
     observable: np.ndarray
+    norm_b: float
     macro: MacroDecomposition
 
     @cached_property
@@ -454,10 +457,6 @@ class Scenario:
         """V* B V over the columns of ``spec.basis_matrix``."""
         V = self.spec.basis_matrix
         return V.conj().T @ self.observable @ V
-
-    @cached_property
-    def norm_b(self) -> float:
-        return operator_norm(self.observable)
 
     @cached_property
     def mixture_overlap(self) -> np.ndarray:
@@ -507,22 +506,28 @@ def _build_rho(config: ScenarioConfig, spec, macro, base_dir: str) -> DensityMat
         return jsonio.load_density(os.path.join(base_dir, rho["path"]))
 
 
-def _build_observable(config: ScenarioConfig, macro, base_dir: str) -> np.ndarray:
+def _build_observable(config: ScenarioConfig, macro, base_dir: str) -> tuple[np.ndarray, float]:
+    """The observable and its operator norm; refused where (2 |B|)^4 overflows (see ``NORM_B_MAX``)."""
     obs, d = config.observable, config.dimension
     with _building("observable"):
         if obs["kind"] == "macro_projector":
-            return macro.projector(obs["label"])
-        if obs["kind"] == "random_projector":
+            B = macro.projector(obs["label"])
+        elif obs["kind"] == "random_projector":
             rng = derive_rng(config.seed, DOMAIN_OBSERVABLE)
-            return random_projector(d, obs["rank"] or max(1, d // 2), rng)
-        if obs["kind"] == "random_hermitian":
+            B = random_projector(d, obs["rank"] or max(1, d // 2), rng)
+        elif obs["kind"] == "random_hermitian":
             rng = derive_rng(config.seed, DOMAIN_OBSERVABLE)
             z = rng.standard_normal((d, d))
             z = z + 1j * rng.standard_normal((d, d))
             H = (z + z.conj().T) / 2.0
-            return H / operator_norm(H)
-        M = jsonio.load_matrix(os.path.join(base_dir, obs["path"]))
-        return as_complex_matrix(M, name="observable", square=True)
+            B = H / operator_norm(H)
+        else:
+            M = jsonio.load_matrix(os.path.join(base_dir, obs["path"]))
+            B = as_complex_matrix(M, name="observable", square=True)
+        norm_b = operator_norm(B)
+        if not norm_b <= NORM_B_MAX:
+            raise ValueError(f"|B| = {norm_b:.4g} exceeds {NORM_B_MAX:.4g}, above which (2 |B|)^4 overflows")
+    return B, norm_b
 
 
 def build_scenario(config: ScenarioConfig, base_dir: str = ".") -> Scenario:
@@ -536,7 +541,7 @@ def build_scenario(config: ScenarioConfig, base_dir: str = ".") -> Scenario:
     rho = _build_rho(config, spec, macro, base_dir)
     if rho.dim != config.dimension:
         raise ConfigError("rho dimension does not match config dimension")
-    B = _build_observable(config, macro, base_dir)
+    B, norm_b = _build_observable(config, macro, base_dir)
     if B.shape[0] != config.dimension:
         raise ConfigError("observable dimension does not match config dimension")
     needs_small_pmax = {"variance", "equilibration"} & set(config.checks)
@@ -544,4 +549,4 @@ def build_scenario(config: ScenarioConfig, base_dir: str = ".") -> Scenario:
         raise ConfigError(
             f"p_max = {rho.p_max!r} must be < 1/4 for checks {sorted(needs_small_pmax)}"
         )
-    return Scenario(config=config, spec=spec, rho=rho, observable=B, macro=macro)
+    return Scenario(config=config, spec=spec, rho=rho, observable=B, norm_b=norm_b, macro=macro)

@@ -5,8 +5,8 @@ together with orthonormal column blocks spanning the eigenspaces.  The
 contributing set of an observable is that spectrum restricted to the
 eigenvalues whose eigenspaces couple to the observable: a
 :class:`SpectralDecomposition` in its own right, so every routine that takes
-a spectrum also takes it.  Its ``indices`` give the members' positions in
-the full spectrum; only this module reads them.
+a spectrum also takes it, and no routine translates positions between the
+two.
 
 Every count, of a full spectrum or of a contributing set, comes from
 :func:`spectral_counts` as one record: distinct eigenvalues, largest
@@ -38,7 +38,6 @@ __all__ = [
     "GapIndex",
     "SpectralDecomposition",
     "ContributingSet",
-    "group_eigenvalues",
     "contributing_set",
     "spectral_counts",
 ]
@@ -46,7 +45,7 @@ __all__ = [
 #: Default gap-equality tolerance, relative to the spectral diameter.
 GAP_TOL_RELATIVE = 1e-9
 
-#: Default relative Frobenius threshold below which a block does not couple.
+#: Relative Frobenius threshold below which a block does not couple.
 ZERO_TOL = 1e-12
 
 
@@ -90,10 +89,6 @@ class SpectralDecomposition:
         """Eigenvalue of each column of ``basis_matrix``."""
         return np.repeat(self.values, self.multiplicities)
 
-    def projector(self, i: int) -> np.ndarray:
-        b = self.blocks[i]
-        return b @ b.conj().T
-
     @property
     def diameter(self) -> float:
         if self.n_distinct < 2:
@@ -104,44 +99,6 @@ class SpectralDecomposition:
     def gaps(self) -> GapIndex:
         """Gap index of the distinct eigenvalues at the default tolerance."""
         return GapIndex(self.values)
-
-
-def group_eigenvalues(raw_eigenvalues, eigenvectors, group_tol: float) -> SpectralDecomposition:
-    """Merge numerically repeated eigenvalues into eigenspace blocks.
-
-    Values are sorted and merged by transitive chaining: consecutive sorted
-    values closer than ``group_tol`` land in one group.  Each group is
-    represented by its mean, and the group's eigenvector columns are
-    re-orthonormalized by QR.
-    """
-    raw = np.asarray(raw_eigenvalues, dtype=float).ravel()
-    if raw.size == 0:
-        raise ValueError("empty eigenvalue list")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("eigenvalues contain NaN or Inf")
-    if group_tol <= 0:
-        raise ValueError("group_tol must be positive")
-    V = as_complex_matrix(eigenvectors, name="eigenvectors")
-    if V.shape[1] != raw.size:
-        raise ValueError(
-            f"eigenvector count {V.shape[1]} does not match eigenvalue count {raw.size}"
-        )
-
-    order = np.argsort(raw, kind="stable")
-    vals = raw[order]
-    vecs = V[:, order]
-
-    breaks = np.nonzero(np.diff(vals) > group_tol)[0] + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [vals.size]))
-
-    reps = np.empty(starts.size, dtype=float)
-    blocks = []
-    for g, (a, b) in enumerate(zip(starts, ends)):
-        reps[g] = vals[a:b].mean()
-        Q, _ = np.linalg.qr(vecs[:, a:b])
-        blocks.append(Q)
-    return SpectralDecomposition(values=reps, blocks=blocks)
 
 
 class GapIndex:
@@ -203,12 +160,11 @@ class ContributingSet(SpectralDecomposition):
     """A spectrum restricted to the eigenvalues whose eigenspaces couple to an observable.
 
     An eigenvalue is a member iff its projector hits the observable on
-    either side above a relative Frobenius threshold.  ``indices`` are the
-    members' positions in the full spectrum and ``ambient_dim`` its
-    dimension, which ``dim`` reports also when no eigenvalue is a member.
+    either side above a relative Frobenius threshold.  ``ambient_dim`` is
+    the dimension of the full spectrum, which ``dim`` reports also when no
+    eigenvalue is a member.
     """
 
-    indices: np.ndarray
     ambient_dim: int
 
     @property
@@ -216,30 +172,31 @@ class ContributingSet(SpectralDecomposition):
         return self.ambient_dim
 
 
-def contributing_set(spec: SpectralDecomposition, B, zero_tol: float = ZERO_TOL) -> ContributingSet:
+def contributing_set(spec: SpectralDecomposition, B) -> ContributingSet:
     """The spectrum ``spec`` restricted to the eigenvalues that couple to observable ``B``.
 
-    Membership: ``|P_e B|_F > zero_tol * |B|_F`` or ``|B P_e|_F > zero_tol * |B|_F``.
+    Membership: ``|P_e B|_F > ZERO_TOL * |B|_F`` or ``|B P_e|_F > ZERO_TOL * |B|_F``.
     Since the blocks have orthonormal columns, ``|P_e B|_F = |U_e* B|_F`` and
-    ``|B P_e|_F = |B U_e|_F``.
+    ``|B P_e|_F = |B U_e|_F``.  An observable whose Frobenius norm overflows
+    is refused: against an infinite threshold no eigenvalue would couple.
     """
     B = as_complex_matrix(B, name="observable", square=True)
     if B.shape[0] != spec.dim:
         raise ValueError(f"observable dimension {B.shape[0]} does not match spectrum dim {spec.dim}")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    norm_b = np.linalg.norm(B)
+    with np.errstate(over="ignore"):
+        norm_b = np.linalg.norm(B)
+    if not np.isfinite(norm_b):
+        raise ValueError("observable Frobenius norm overflows; scale the observable down")
     members = []
     if norm_b > 0:
-        threshold = zero_tol * norm_b
+        threshold = ZERO_TOL * norm_b
         for i, U in enumerate(spec.blocks):
             left = np.linalg.norm(U.conj().T @ B)
             right = np.linalg.norm(B @ U)
             if left > threshold or right > threshold:
                 members.append(i)
-    idx = np.array(members, dtype=int)
     return ContributingSet(
-        values=spec.values[idx], blocks=[spec.blocks[i] for i in idx], indices=idx, ambient_dim=spec.dim
+        values=spec.values[members], blocks=[spec.blocks[i] for i in members], ambient_dim=spec.dim
     )
 
 

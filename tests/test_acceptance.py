@@ -4,6 +4,7 @@ Each test prints a one-line summary with the measured margins; `pytest -v`
 gives the pass/fail line per criterion.
 """
 
+import json
 import math
 import time
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from conftest import simple_spectrum
+from gaplab import cli
 from gaplab.dynamics import (
     diagonal_ensemble_expectation,
     expectation_curve_variance,
@@ -20,7 +23,7 @@ from gaplab.dynamics import (
     mixture_curve_deviation,
     mixture_curve_deviation_quadrature,
 )
-from gaplab.linalg import operator_norm, trace_norm
+from gaplab.linalg import operator_norm
 from gaplab.moments import (
     gap_variance_bound,
     gap_variance_exact,
@@ -41,7 +44,7 @@ from gaplab.scenarios import (
     random_density,
     random_hamiltonian,
 )
-from gaplab.spectra import GapIndex, group_eigenvalues
+from gaplab.spectra import GapIndex
 
 SEED = 20260817
 
@@ -70,14 +73,14 @@ def test_c01_sampler_fidelity():
     t0 = time.perf_counter()
     states = sample_gap(rho, rng, size=n)
     emp = empirical_density_matrix(states)
-    distance = trace_norm(emp - rho.matrix())
+    distance = np.linalg.norm(emp - rho.matrix(), "nuc")
     replicates = 32
     boot = np.empty(replicates)
     base = np.einsum("s,sd,se->de", np.ones(n) / n, states, states.conj())
     assert np.abs(base - emp).max() <= 1e-12
     for b in range(replicates):
         w = rng.multinomial(n, np.full(n, 1.0 / n)) / n
-        boot[b] = trace_norm(np.einsum("s,sd,se->de", w, states, states.conj()) - emp)
+        boot[b] = np.linalg.norm(np.einsum("s,sd,se->de", w, states, states.conj()) - emp, "nuc")
     se = float(np.sqrt(np.mean(boot**2)))
     elapsed = time.perf_counter() - t0
     assert distance <= 0.02
@@ -179,7 +182,7 @@ def test_c06_phase_norm_window_bound():
     for i in range(50):
         d = int(rng.integers(3, 21))
         values = np.sort(rng.uniform(0.0, float(d), size=d))
-        spec = group_eigenvalues(values, np.eye(d), 1e-9)
+        spec = simple_spectrum(values)
         gaps = GapIndex(spec.values).values
         if i < 5:
             small = operator_norm(gap_phase_matrix(gaps, 1e-9))
@@ -353,42 +356,44 @@ def test_c10_exact_identities():
     print(f"c10 identities ok, worst quadrature gap={quad_gap:.2e} (cap 1e-6)")
 
 
-def test_c11_worker_determinism():
+def test_c11_worker_determinism(tmp_path):
     shared = {
         "schema": "gaplab-scenario/1",
         "epsilon": 0.1,
         "delta": 0.1,
     }
     configs = [
-        ScenarioConfig.from_dict(
-            {
-                **shared,
-                "dimension": 8,
-                "seed": 11,
-                "hamiltonian": {"kind": "random"},
-                "rho": {"kind": "random"},
-                "observable": {"kind": "random_projector"},
-                "horizons": [8.0],
-                "kappas": [0.5, 1.5],
-                "checks": ["spectral", "variance", "moments", "equilibration", "concentration"],
-                "concentration": {"time": 1.0, "n_states": 200, "scaling_dims": [16, 32], "epsilon_grid": [0.2]},
-            }
-        ),
-        ScenarioConfig.from_dict(
-            {
-                **shared,
-                "dimension": 12,
-                "seed": 101,
-                "hamiltonian": {"kind": "random", "multiplicities": [2, 2] + [1] * 8},
-                "rho": {"kind": "random"},
-                "observable": {"kind": "random_hermitian"},
-                "horizons": [5.0],
-                "kappas": [0.7],
-                "checks": ["spectral", "variance", "moments", "equilibration"],
-            }
-        ),
+        {
+            **shared,
+            "dimension": 8,
+            "seed": 11,
+            "hamiltonian": {"kind": "random"},
+            "rho": {"kind": "random"},
+            "observable": {"kind": "random_projector"},
+            "horizons": [8.0],
+            "kappas": [0.5, 1.5],
+            "checks": ["spectral", "variance", "moments", "equilibration", "concentration"],
+            "concentration": {"time": 1.0, "n_states": 200, "scaling_dims": [16, 32], "epsilon_grid": [0.2]},
+        },
+        {
+            **shared,
+            "dimension": 12,
+            "seed": 101,
+            "hamiltonian": {"kind": "random", "multiplicities": [2, 2] + [1] * 8},
+            "rho": {"kind": "random"},
+            "observable": {"kind": "random_hermitian"},
+            "horizons": [5.0],
+            "kappas": [0.7],
+            "checks": ["spectral", "variance", "moments", "equilibration"],
+        },
     ]
-    for config in configs:
-        blobs = {w: run_scenario(config, workers=w).to_json() for w in (1, 2, 8)}
-        assert blobs[1] == blobs[2] == blobs[8]
-    print("c11 reports byte-identical across workers 1/2/8 on both configs")
+    for i, config in enumerate(configs):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(config))
+        blobs = {}
+        for w in ("1", "2", "8"):
+            out = tmp_path / f"report{i}-{w}.json"
+            assert cli.main(["run", "--config", str(path), "--out", str(out), "--workers", w]) == 0
+            blobs[w] = out.read_bytes()
+        assert blobs["1"] == blobs["2"] == blobs["8"]
+    print("c11 reports byte-identical across --workers 1/2/8 on both configs")

@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import simple_spectrum
 from gaplab import cli, runner
 from gaplab.dynamics import (
     CONCENTRATION_CONSTANT,
@@ -21,12 +22,10 @@ from gaplab.jsonio import (
     save_states,
 )
 from gaplab.runner import CheckRecord, Report
-from gaplab.spectra import group_eigenvalues
 
 
 def write_spectrum(path, values):
-    d = len(values)
-    spec = group_eigenvalues(np.asarray(values, dtype=float), np.eye(d), 1e-9)
+    spec = simple_spectrum(values)
     save_spectrum(path, spec)
     return spec
 
@@ -469,6 +468,54 @@ def test_run_with_an_observable_that_couples_to_nothing(tmp_path, capsys):
     assert all(c["passed"] and (c["vacuous"] or c["measured"] == 0.0) for c in report["checks"])
 
 
+@pytest.mark.parametrize(
+    "scale, check",
+    [(2.5e76, "variance"), (2.5e76, "moments"), (1e160, "spectral"), (1e160, "concentration")],
+)
+def test_run_refuses_an_observable_whose_fourth_power_overflows(tmp_path, capsys, scale, check):
+    """Above |B| = (float max / 16)^(1/4) = 5.79e76 every check exits 2 naming the observable."""
+    save_matrix(tmp_path / "B.json", scale * np.diag(np.arange(6.0)))
+    path = write_run_config(tmp_path)
+    config = {**json.loads(path.read_text()), "observable": {"kind": "file", "path": "B.json"}, "checks": [check]}
+    path.write_text(json.dumps(config))
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "bad observable section" in err and "overflows" in err
+
+
+def test_run_takes_an_observable_just_below_the_cut(tmp_path):
+    save_matrix(tmp_path / "B.json", 1.1e76 * np.diag(np.arange(6.0)))
+    path = write_run_config(tmp_path)
+    config = {
+        **json.loads(path.read_text()),
+        "observable": {"kind": "file", "path": "B.json"},
+        "checks": ["spectral", "variance", "moments", "equilibration", "concentration"],
+    }
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["spectral"]["norm_b"] == pytest.approx(5.5e76, rel=1e-12)
+    assert report["spectral"]["contributing"]["n_distinct"] == 6  # a Haar eigenbasis couples every level
+
+
+def test_stats_refuses_an_observable_whose_frobenius_norm_overflows(tmp_path, capsys):
+    spec_f, b_f = tmp_path / "spec.json", tmp_path / "B.json"
+    write_spectrum(spec_f, np.arange(6.0))
+    save_matrix(b_f, 1e160 * np.diag(np.arange(6.0)))
+    assert cli.main(["stats", "--spectrum", str(spec_f), "--observable", str(b_f)]) == 2
+    assert "observable Frobenius norm overflows" in capsys.readouterr().err
+
+
+def test_stats_exits_2_naming_a_wrongly_typed_key(tmp_path, capsys):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({"eigenvalues": [0.0], "blocks": 3}))
+    assert cli.main(["stats", "--spectrum", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "'blocks'" in err and "Traceback" not in err
+
+
 def test_run_reruns_are_byte_identical(tmp_path):
     config = write_run_config(tmp_path)
     out1 = tmp_path / "r1.json"
@@ -492,7 +539,7 @@ def test_run_violation_exits_1(tmp_path, monkeypatch):
     )
     fake = Report(config={}, seed=0, spectral={}, checks=[failing])
 
-    def fake_run(config, base_dir=".", workers=1):
+    def fake_run(config, base_dir="."):
         return fake
 
     monkeypatch.setattr(cli, "run_scenario", fake_run)

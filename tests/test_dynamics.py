@@ -1,11 +1,11 @@
-"""Evolution, phase-average matrices, and the bound evaluators."""
+"""Expectation curves, phase-average matrices, and the bound evaluators."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, simple_spectrum
 from gaplab.dynamics import (
     CONCENTRATION_CONSTANT,
     BoundInputs,
@@ -13,7 +13,6 @@ from gaplab.dynamics import (
     block_overlap_matrix,
     gap_coefficients,
     equilibration_bounds,
-    evolve,
     expectation_curve,
     expectation_curve_variance,
     expectation_curve_variance_infinite,
@@ -25,26 +24,13 @@ from gaplab.dynamics import (
     mixture_expectation_curve,
     overlap_curve,
     phase_matrix_norm,
-    phase_matrix_norm_bound,
+    phase_norm_cells,
     phase_quadratic_forms,
 )
 from gaplab.linalg import operator_norm
 from gaplab.sampling import derive_rng
 from gaplab.scenarios import macro_decomposition, random_density, random_hamiltonian
 from gaplab.spectra import GapIndex, contributing_set, spectral_counts
-from test_spectra import simple_spectrum
-
-
-def test_evolve_identities():
-    rng = derive_rng(500)
-    spec = random_hamiltonian(6, [1, 2, 3], rng)
-    psi = random_state(6, rng)
-    assert np.abs(evolve(spec, psi, 0.0) - psi).max() <= 1e-12
-    t = 0.77
-    assert np.linalg.norm(evolve(spec, psi, t)) == pytest.approx(1.0, abs=1e-12)
-    v = spec.blocks[1][:, 0]
-    e = spec.values[1]
-    assert np.abs(evolve(spec, v, t) - np.exp(-1j * e * t) * v).max() <= 1e-12
 
 
 def test_expectation_curve_identities():
@@ -113,7 +99,8 @@ def test_gap_coefficients_follow_gap_pairs():
     assert rows.shape == (3, gi.count)
     for S, row in zip(stack, rows):
         assert np.array_equal(row, S[~np.eye(cs.n_distinct, dtype=bool)])
-    i, j = cs.indices[gi.pairs[:, 0]], cs.indices[gi.pairs[:, 1]]
+    positions = np.searchsorted(spec.values, cs.values)
+    i, j = positions[gi.pairs[:, 0]], positions[gi.pairs[:, 1]]
     assert np.array_equal(gi.values, spec.values[i] - spec.values[j])
 
 
@@ -127,9 +114,9 @@ def _uncoupled_levels_case():
 
 def test_restricted_overlaps_are_the_contributing_submatrix():
     spec, cs, B, psi = _uncoupled_levels_case()
-    assert cs.indices.tolist() == [0, 1, 2] and cs.dim == spec.dim
+    assert np.array_equal(cs.values, spec.values[:3]) and cs.dim == spec.dim
     full = block_overlap_matrix(spec, psi, B)
-    assert np.abs(block_overlap_matrix(cs, psi, B) - full[np.ix_(cs.indices, cs.indices)]).max() <= 1e-13
+    assert np.abs(block_overlap_matrix(cs, psi, B) - full[:3, :3]).max() <= 1e-13
     assert np.abs(full[3:]).max() <= 1e-13 and np.abs(full[:, 3:]).max() <= 1e-13
 
 
@@ -318,10 +305,10 @@ def test_phase_matrix_norm_matches_singular_value_oracle(values):
 
 def test_window_norm_bound_worked_example():
     spec = simple_spectrum([0.0, 1.0, 2.0])
-    norm, bound = phase_matrix_norm_bound(spec, kappa=1.5, horizon=100.0)
+    [cell] = phase_norm_cells(spec.gaps, [1.5], [100.0])
     expected = 3.0 * (1.0 + 8.0 * math.log2(3.0) / 150.0)
-    assert bound == pytest.approx(expected, rel=1e-12)
-    assert norm <= bound
+    assert cell["bound"] == pytest.approx(expected, rel=1e-12)
+    assert cell["norm"] <= cell["bound"]
 
 
 def test_window_norm_bound_random_sweep():
@@ -330,10 +317,10 @@ def test_window_norm_bound_random_sweep():
         d = int(rng.integers(3, 9))
         spec = simple_spectrum(np.sort(rng.standard_normal(d)) * 2.0)
         diameter = spec.values[-1] - spec.values[0]
-        for kappa in (0.1 * diameter, 0.7 * diameter):
-            for T in (0.5, 5.0, 50.0):
-                norm, bound = phase_matrix_norm_bound(spec, kappa, T)
-                assert norm <= bound * (1 + 1e-9)
+        cells = phase_norm_cells(spec.gaps, (0.1 * diameter, 0.7 * diameter), (0.5, 5.0, 50.0))
+        assert len(cells) == 6
+        for cell in cells:
+            assert cell["norm"] <= cell["bound"] * (1 + 1e-9)
 
 
 def test_bound_inputs_builder_matches_contributing_set():

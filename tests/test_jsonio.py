@@ -30,6 +30,24 @@ def test_matrix_rejects_malformed():
         jsonio.matrix_from_json({"rows": 1, "cols": 1, "entries": [[1.0]]})
 
 
+@pytest.mark.parametrize(
+    "reader, obj, named",
+    [
+        (jsonio.matrix_from_json, {"rows": 1, "cols": 1, "entries": {"re": 1.0}}, "'entries'"),
+        (jsonio.matrix_from_json, {"rows": 1, "cols": 1, "entries": 1.0}, "'entries'"),
+        (jsonio.matrix_from_json, {"rows": 1, "cols": 1, "entries": [{"re": 1.0}]}, "'entries'"),
+        (jsonio.spectrum_from_json, {"eigenvalues": [0.0], "blocks": 1}, "'blocks'"),
+        (jsonio.spectrum_from_json, {"eigenvalues": {"a": 0.0}, "blocks": []}, "'eigenvalues'"),
+        (jsonio.states_from_json, {"states": [[[1.0, 0.0]]]}, "states JSON"),
+    ],
+    ids=["entries-object", "entries-number", "entries-objects", "blocks-number", "eigenvalues-object",
+         "states-object"],
+)
+def test_readers_refuse_wrongly_typed_json_with_a_value_error(reader, obj, named):
+    with pytest.raises(ValueError, match=named):
+        reader(obj)
+
+
 def test_spectrum_round_trip(tmp_path):
     rng = derive_rng(601)
     spec = random_hamiltonian(6, [2, 1, 3], rng)
@@ -112,3 +130,11 @@ def test_canonical_dumps_reject_non_finite():
         jsonio.dumps_canonical({"x": np.inf})
     with pytest.raises(ValueError):
         jsonio.dumps_canonical({"x": 1.0 + 2.0j})
+
+
+def test_canonical_dumps_name_the_path_of_a_non_finite_value():
+    payload = {"checks": [{"bound": 1.0}, {"detail": {"cells": np.array([0.5, np.inf])}}]}
+    with pytest.raises(ValueError, match=r"at checks\[1\]\.detail\.cells\[1\] "):
+        jsonio.dumps_canonical(payload)
+    with pytest.raises(ValueError, match="at the top level"):
+        jsonio.dumps_canonical(np.nan)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from gaplab.linalg import hermitian_eigendecomposition, operator_norm, trace_norm
+from gaplab.linalg import hermitian_eigendecomposition, operator_norm
 from gaplab.sampling import derive_rng
-from gaplab.scenarios import random_density
 
 
 @pytest.mark.parametrize("dim", [2, 6, 33, 256])
@@ -45,20 +44,6 @@ def test_operator_norm_rank_one_cross_term():
     assert operator_norm(np.outer(u, v.conj())) == pytest.approx(6.0, rel=1e-12)
 
 
-def test_trace_norm_identity_and_diagonal():
-    assert trace_norm(np.eye(9)) == pytest.approx(9.0, abs=1e-10)
-    assert trace_norm(np.diag([1.0, -2.0, 0.0])) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_trace_norm_density_difference_in_zero_two():
-    for trial in range(5):
-        rng = derive_rng(102, trial)
-        a = random_density(6, rng).matrix()
-        b = random_density(6, rng).matrix()
-        d = trace_norm(a - b)
-        assert 0.0 <= d <= 2.0 + 1e-12
-
-
 def test_norm_inequalities():
     rng = derive_rng(103)
     for trial in range(5):
@@ -66,5 +51,5 @@ def test_norm_inequalities():
         B = random_hermitian(7, rng)
         fro = np.linalg.norm(A)
         assert operator_norm(A) <= fro + 1e-10
-        assert fro <= trace_norm(A) + 1e-10
-        assert abs(np.trace(A @ B)) <= operator_norm(A) * trace_norm(B) + 1e-9
+        assert fro <= np.linalg.norm(A, "nuc") + 1e-10
+        assert abs(np.trace(A @ B)) <= operator_norm(A) * np.linalg.norm(B, "nuc") + 1e-9

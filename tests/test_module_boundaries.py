@@ -3,9 +3,11 @@
 No module uses another module's ``_``-prefixed names, neither through
 ``from .x import _name`` nor as an attribute ``x._name`` of an imported
 sibling module.  Only ``dynamics`` builds the dense phase-average matrix.
-Only ``spectra`` reads a contributing set's ``indices``: every other module
-works on the restricted spectrum itself, without translating positions.
 Every name a module imports is read in it (``__init__`` only re-exports).
+Every function and method is read somewhere in the package outside
+``__init__``, unless it is one of the few kept for the tests
+(``TEST_FACING``): code that no command, run path or oracle reaches is
+deleted, not exported.
 """
 
 import ast
@@ -69,18 +71,6 @@ def test_only_dynamics_builds_the_phase_matrix():
     assert calls_of("R = dynamics.gap_phase_matrix(g, 1.0)\ngap_phase_matrix(g, 2.0)", "gap_phase_matrix") == 2
 
 
-def attribute_reads(source: str, name: str) -> int:
-    """Number of attribute accesses ``x.name`` in a module's source."""
-    return sum(1 for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr == name)
-
-
-def test_only_spectra_reads_contributing_indices():
-    readers = {p.name for p in PACKAGE.glob("*.py") if attribute_reads(p.read_text(), "indices")}
-    assert readers <= {"spectra.py"}
-    source = "idx = cs.indices\nS[:, scn.contributing.indices]\nindices = 3\nf(indices=idx)"
-    assert attribute_reads(source, "indices") == 2
-
-
 def unused_imports(source: str) -> list:
     """Names that a module's imports bind but its code never reads (``__future__`` aside)."""
     tree = ast.parse(source)
@@ -107,3 +97,56 @@ def test_unused_imports_are_detected():
         "from .linalg import operator_norm, trace_norm\nx = np.eye(2)\ny = trace_norm(x)\nos = 1"
     )
     assert unused_imports(source) == ["os", "operator_norm"]
+
+
+#: Functions that only the tests call: the slow oracles, the exact
+#: per-state variances they are checked against, and the file writers that
+#: build test inputs.
+TEST_FACING = (
+    "expectation_curve_variance",
+    "expectation_curve_variance_infinite",
+    "expectation_curve_variance_quadrature",
+    "gap_variance_exact",
+    "k_integral",
+    "k_pair_integral",
+    "mixture_curve_deviation_quadrature",
+    "sample_gap_resampling_oracle",
+    "save_matrix",
+    "save_spectrum",
+)
+
+
+def defined_functions(source: str) -> list:
+    """Top-level functions and methods of top-level classes, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        names += [n.name for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def names_read(source: str) -> set:
+    """Every name a module's source reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_function_is_read_in_the_package():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    read = set().union(*(names_read(s) for name, s in sources.items() if name != "__init__.py"))
+    unread = [f"{name}:{fn}" for name, s in sorted(sources.items()) for fn in defined_functions(s)
+              if fn not in read and fn not in TEST_FACING]
+    assert unread == []
+
+
+def test_unread_functions_are_detected():
+    source = (
+        "class A:\n    def __init__(self): pass\n    def used(self): pass\n    def spare(self): pass\n"
+        "def helper(): pass\ndef lonely(): pass\nA().used()\nx = helper\n"
+    )
+    assert defined_functions(source) == ["used", "spare", "helper", "lonely"]
+    read = names_read(source)
+    assert [fn for fn in defined_functions(source) if fn not in read] == ["spare", "lonely"]

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from gaplab import runner
 from gaplab.jsonio import save_matrix
 from gaplab.runner import CheckRecord, Report, run_scenario
 from gaplab.scenarios import ScenarioConfig
@@ -37,9 +38,8 @@ def make_config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def full_reports():
-    config = make_config()
-    return {w: run_scenario(config, workers=w) for w in (1, 2, 8)}
+def report():
+    return run_scenario(make_config())
 
 
 def record_by_name(report, name):
@@ -48,8 +48,7 @@ def record_by_name(report, name):
     return matches[0]
 
 
-def test_all_checks_pass_on_generic_scenario(full_reports):
-    report = full_reports[1]
+def test_all_checks_pass_on_generic_scenario(report):
     assert report.violations == 0
     names = {c.name for c in report.checks}
     assert names == {
@@ -69,8 +68,7 @@ def test_all_checks_pass_on_generic_scenario(full_reports):
         assert c.passed, c.name
 
 
-def test_spectral_section_contents(full_reports):
-    report = full_reports[1]
+def test_spectral_section_contents(report):
     sec = report.spectral
     assert sec["n_distinct"] == 8
     assert sec["max_degeneracy"] == 1
@@ -82,13 +80,19 @@ def test_spectral_section_contents(full_reports):
     assert sec["contributing"]["n_distinct"] <= sec["n_distinct"]
 
 
-def test_report_bytes_identical_across_workers(full_reports):
-    blobs = {w: r.to_json() for w, r in full_reports.items()}
-    assert blobs[1] == blobs[2] == blobs[8]
+def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+    config = make_config(
+        horizons=[2.0, 8.0], mc={"n_states": 20, "n_times": 16}, checks=["moments", "equilibration"],
+        concentration=None,
+    )
+    blobs = {}
+    for chunk in (1, 7, runner.CHUNK_STATES):
+        monkeypatch.setattr(runner, "CHUNK_STATES", chunk)
+        blobs[chunk] = run_scenario(config).to_json()
+    assert len(set(blobs.values())) == 1
 
 
-def test_report_serialization_excludes_timings(full_reports):
-    report = full_reports[1]
+def test_report_serialization_excludes_timings(report):
     assert report.timings
     payload = json.loads(report.to_json())
     assert set(payload) == {"schema", "config", "seed", "spectral", "checks", "violations"}

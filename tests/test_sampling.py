@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from conftest import diagonal_density
-from gaplab.linalg import trace_norm
 from gaplab.sampling import (
     DensityMatrix,
     derive_rng,
@@ -72,7 +71,7 @@ def test_gap_matches_target_density_matrix():
     rng = derive_rng(305)
     psi = sample_gap(rho, rng, size=50_000)
     emp = empirical_density_matrix(psi)
-    assert trace_norm(emp - rho.matrix()) <= 0.03
+    assert np.linalg.norm(emp - rho.matrix(), "nuc") <= 0.03
 
 
 def test_gap_covariant_under_change_of_basis():
@@ -141,7 +140,7 @@ def test_fidelity_improves_at_root_n_rate():
     target = rho.matrix()
     small = sample_gap(rho, derive_rng(314), size=20_000)
     large = sample_gap(rho, derive_rng(315), size=80_000)
-    d_small = trace_norm(empirical_density_matrix(small) - target)
-    d_large = trace_norm(empirical_density_matrix(large) - target)
+    d_small = np.linalg.norm(empirical_density_matrix(small) - target, "nuc")
+    d_large = np.linalg.norm(empirical_density_matrix(large) - target, "nuc")
     ratio = d_small / d_large
     assert 1.4 <= ratio <= 2.6

@@ -122,8 +122,9 @@ def test_macro_decomposition_default_split():
     spec = random_hamiltonian(10, [1] * 10, rng)
     macro = macro_decomposition(spec)
     assert macro.labels[0] == "eq"
-    assert sum(macro.dims) == 10
-    assert macro.dims[0] >= 5
+    dims = [b.shape[1] for b in macro.blocks]
+    assert sum(dims) == 10
+    assert dims[0] >= 5
     P = macro.projector("eq")
     assert np.abs(P @ P - P).max() <= 1e-10
     total = sum(macro.projector(lab) for lab in macro.labels)

@@ -1,43 +1,14 @@
-"""Eigenvalue grouping, gap statistics, and the contributing set."""
+"""Gap statistics and the contributing set."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import simple_spectrum
 from gaplab.sampling import derive_rng
 from gaplab.scenarios import random_hamiltonian
-from gaplab.spectra import GapIndex, contributing_set, group_eigenvalues, spectral_counts
-
-
-def simple_spectrum(raw_values, tol=1e-9):
-    raw = np.asarray(raw_values, dtype=float)
-    return group_eigenvalues(raw, np.eye(raw.size), tol)
-
-
-def test_grouping_keeps_separated_values_apart():
-    spec = simple_spectrum([0.0, 1.0, 2.0])
-    assert [b.shape[1] for b in spec.blocks] == [1, 1, 1]
-    assert list(spec.values) == [0.0, 1.0, 2.0]
-
-
-def test_grouping_chains_transitively():
-    # 0 and 2e-10 differ by more than the tolerance but are linked through 1e-10.
-    spec = simple_spectrum([0.0, 1e-10, 2e-10, 1.0], tol=1.5e-10)
-    assert spec.values.size == 2
-    assert spec.multiplicities[0] == 3
-    assert spec.values[0] == pytest.approx(1e-10, abs=1e-25)
-
-
-def test_grouping_blocks_are_orthonormal():
-    rng = derive_rng(200)
-    raw = np.array([0.0, 0.0, 0.0, 2.0, 2.0, 5.0])
-    X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    Q, _ = np.linalg.qr(X)
-    spec = group_eigenvalues(raw, Q, 1e-9)
-    assert [b.shape[1] for b in spec.blocks] == [3, 2, 1]
-    for b in spec.blocks:
-        assert np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() <= 1e-10
+from gaplab.spectra import GapIndex, contributing_set, spectral_counts
 
 
 def test_stats_two_levels():
@@ -125,8 +96,7 @@ def test_contributing_single_projector():
     P0 = spec.blocks[1] @ spec.blocks[1].conj().T
     cs = contributing_set(spec, P0)
     assert cs.n_distinct == 1
-    assert list(cs.indices) == [1]
-    assert cs.values[0] == pytest.approx(1.0)
+    assert cs.values.tolist() == [1.0]
     assert cs.gaps.window_count(1.0) == 0
     assert cs.blocks[0] is spec.blocks[1] and cs.dim == 3
 
@@ -136,7 +106,7 @@ def test_contributing_identity_keeps_everything():
     spec = random_hamiltonian(7, [2, 2, 3], rng)
     cs = contributing_set(spec, np.eye(7))
     assert cs.n_distinct == 3
-    assert list(cs.indices) == [0, 1, 2]
+    assert np.array_equal(cs.values, spec.values)
 
 
 def test_contributing_two_block_coupling():
@@ -145,7 +115,7 @@ def test_contributing_two_block_coupling():
     v2 = spec.blocks[2][:, 0]
     B = np.outer(v0, v2.conj()) + np.outer(v2, v0.conj())
     cs = contributing_set(spec, B)
-    assert list(cs.indices) == [0, 2]
+    assert np.searchsorted(spec.values, cs.values).tolist() == [0, 2]
     assert cs.gaps.max_degeneracy == 1
 
 
@@ -166,11 +136,19 @@ def test_contributing_never_exceeds_absolute_stats():
 def test_contributing_set_of_a_zero_observable_is_empty():
     spec = random_hamiltonian(5, [2, 1, 2], derive_rng(205))
     cs = contributing_set(spec, np.zeros((5, 5)))
-    assert (cs.n_distinct, cs.indices.size, cs.blocks, cs.dim) == (0, 0, [], 5)
+    assert (cs.n_distinct, cs.values.size, cs.blocks, cs.dim) == (0, 0, [], 5)
     assert cs.basis_matrix.shape == (5, 0) and cs.block_starts.size == 0
     assert spectral_counts(cs, [1.0]) == {
         "n_distinct": 0, "max_degeneracy": 0, "max_gap_degeneracy": 0, "window_counts": {"1.0": 0}
     }
+
+
+def test_contributing_set_refuses_an_observable_whose_frobenius_norm_overflows():
+    spec = simple_spectrum(np.arange(6.0))
+    with pytest.raises(ValueError, match="Frobenius norm overflows"):
+        contributing_set(spec, 1e160 * np.diag(np.arange(6.0)))
+    # just below the overflow every level but the zero one still couples
+    assert contributing_set(spec, 1e150 * np.diag(np.arange(6.0))).values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 @settings(max_examples=60, deadline=None)
