@@ -56,6 +56,11 @@ def _parse_times(spec: str) -> np.ndarray:
     return np.linspace(t0, t1, n)
 
 
+def _check_count(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+
+
 def _cmd_stats(args) -> int:
     spec = jsonio.load_spectrum(args.spectrum)
     record = spectral_counts(spec, args.kappa, GapIndex(spec.values, args.gap_tol))
@@ -68,6 +73,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_count("--n", args.n, 1)
+    _check_count("--seed", args.seed, 0)
     rho = jsonio.load_density(args.rho)
     rng = derive_rng(args.seed)
     states = sample_gap(rho, rng, size=args.n)
@@ -88,6 +95,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_variance(args) -> int:
+    _check_count("--seed", args.seed, 0)
+    if args.mc_check < 0 or args.mc_check == 1:  # one sample has no spread to estimate
+        raise ConfigError(f"--mc-check must be 0 (off) or at least 2, got {args.mc_check}")
     rho = jsonio.load_density(args.rho)
     A = jsonio.load_matrix(args.A)
     report = gap_variance_bound(rho, A)
@@ -202,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variance", help="exact observable variance and its closed-form bound")
     p.add_argument("--rho", required=True)
     p.add_argument("--A", required=True)
-    p.add_argument("--mc-check", type=int, default=0)
+    p.add_argument("--mc-check", type=int, default=0, help="Monte Carlo sample count, 0 for none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_variance)

@@ -20,8 +20,15 @@ restricted to the eigenvalues that couple to B, so the overlap matrices
 that feed the gap forms are built on it directly.  Pairs, gaps and gap
 clusters come from one ``spectra.GapIndex`` (the cached ``gaps`` of the
 contributing set), which the coefficients, the forms, their dephased limit
-and the norm with its window bound all read; only the forms and the norm
-build R.
+and the norm with its window bound all read.  Only the forms and the dense
+route of the norm build R.  The norm's kernel route never does: on n
+Gauss-Legendre nodes t_k of [0, T], R is approximated by A^H W A with
+A_ka = exp(i G_a t_k), whose nonzero spectrum is that of the real n x n
+matrix W^(1/2) K W^(1/2), K_jk = |sum_i exp(i e_i (t_j - t_k))|^2 - d over
+the d eigenvalues.  A Bernstein-ellipse bound fixes n before the
+evaluation, and that bound is added to the result, so the norm is never
+understated; when n would reach the pair count P the dense P x P route is
+the cheaper one and is taken instead.
 
 A time-grid oracle (composite Simpson quadrature of the same averages)
 exists solely to cross-check the exact quadratic forms.
@@ -62,6 +69,9 @@ __all__ = [
     "gap_phase_matrix",
     "phase_quadratic_forms",
     "dephased_power",
+    "gauss_legendre",
+    "gauss_phase_error",
+    "kernel_nodes",
     "phase_matrix_norm",
     "window_factor",
     "phase_norm_cells",
@@ -79,6 +89,11 @@ CONCENTRATION_CONSTANT = 1.0 / (288.0 * math.pi**2)
 
 #: Point count of the Simpson time-grid oracle (odd, as Simpson's rule needs).
 QUADRATURE_POINTS = 10001
+
+#: Largest error the kernel route may add to the phase-matrix norm.  The
+#: norm is at least 1 (R has a unit diagonal), so this is below one
+#: rounding unit of it.
+PHASE_NORM_ERROR = 1e-16
 
 
 def _check_state(psi0, dim: int, stack: bool = False) -> np.ndarray:
@@ -267,9 +282,113 @@ def dephased_power(gaps: GapIndex, coeff_rows: np.ndarray) -> np.ndarray:
     return np.einsum("sc,sc->s", sums, sums.conj()).real
 
 
-def phase_matrix_norm(gaps: GapIndex, horizon: float) -> float:
-    """Operator norm of the phase-average matrix over ``gaps``: its largest eigenvalue, R being Hermitian PSD."""
-    return float(np.linalg.eigvalsh(gap_phase_matrix(gaps.values, horizon))[-1])
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and its derivative P_n'(x), from the three-term recurrence (x inside (-1, 1))."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], nodes descending.
+
+    Newton's method from Tricomi's estimate of the roots of P_n, run in
+    extended precision on the nonnegative half and mirrored, keeps every
+    weight to a rounding unit, also the small ones at the ends of the
+    interval that the eigenvalue method of ``numpy``'s ``leggauss`` loses
+    digits in.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1, dtype=np.longdouble)
+    x = (1 - 1 / (8 * n**2) + 1 / (8 * n**3)) * np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    tol = 4 * np.finfo(np.longdouble).eps
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.abs(step).max() <= tol:
+            break
+    p, dp = _legendre(n, x)
+    w = 2 / ((1 - x * x) * dp * dp)
+    mirror = slice(n % 2, None)  # an odd rule's middle node, 0, is not mirrored
+    return (
+        np.concatenate((x, -x[::-1][mirror])).astype(float),
+        np.concatenate((w, w[::-1][mirror])).astype(float),
+    )
+
+
+def gauss_phase_error(n: int, omega: float) -> float:
+    """Bound on the error of the n-node Gauss-Legendre average of exp(i w t) over [0, T], for |w| T <= 2 omega.
+
+    The Bernstein-ellipse bound of Gauss quadrature (Trefethen,
+    *Approximation Theory and Approximation Practice*, Thm 19.3, whose
+    n + 1 points give rho^(-2n)), halved for an average:
+    (32/15) exp(omega (rho - 1/rho) / 2) rho^(-2 (n - 1)) / (rho^2 - 1),
+    at the rho > 1 that minimizes it.  Every rho gives a valid bound; in
+    s = log rho the exponent is convex, and bisection on its derivative
+    finds the minimum.
+    """
+    # in s the log of the bound is log(32/15) + omega sinh(s) - 2 n s - log(1 - exp(-2 s)), finite for s > 0;
+    # its derivative omega cosh(s) - 2 (n - 1) - 2 / (1 - exp(-2 s)) is positive at cosh(s) >= (2n + 2) / omega
+    # with s >= 1, and cosh stays finite below s = 690
+    hi = min(math.acosh(max((2 * n + 2) / omega, math.cosh(1.0))) if omega > 0 else math.inf, 690.0)
+    lo = 0.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        if omega * math.cosh(s) - 2 * (n - 1) + 2.0 / math.expm1(-2.0 * s) < 0:
+            lo = s
+        else:
+            hi = s
+    return math.exp(math.log(32.0 / 15.0) + omega * math.sinh(hi) - 2 * n * hi - math.log(-math.expm1(-2.0 * hi)))
+
+
+def kernel_nodes(omega: float, pairs: int) -> int | None:
+    """Fewest Gauss nodes n < ``pairs`` with ``gauss_phase_error(n, omega) * pairs <= PHASE_NORM_ERROR``, else None.
+
+    ``omega`` is the diameter of the eigenvalues times the horizon.  At
+    n <= omega / 2 the bound exceeds 32/15, so the search starts at
+    ceil(omega / 2); the bound falls as n grows, so it bisects.
+    """
+    target = PHASE_NORM_ERROR / pairs
+    lo = max(1, math.ceil(omega / 2)) if omega < 2 * pairs else pairs
+    if lo >= pairs or gauss_phase_error(pairs - 1, omega) > target:
+        return None
+    hi = pairs - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if gauss_phase_error(mid, omega) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def phase_matrix_norm(gaps: GapIndex, horizon: float) -> tuple[float, dict]:
+    """Operator norm of the phase-average matrix R over ``gaps``, with the record of its route.
+
+    R is Hermitian PSD, so its norm is its largest eigenvalue.  The kernel
+    route (see the module docstring) returns lambda_max(W^(1/2) K W^(1/2))
+    plus the error bound eps P of its n nodes, never less than |R|, since
+    |c^H (R_q - R) c| <= eps (sum |c_a|)^2 <= eps P |c|^2.  Where n would
+    not be below P it takes the dense route, ``eigvalsh`` of R itself.  The
+    record is ``{horizon, route, nodes, pairs, error}``, ``error`` being
+    the eps P that was added (0 and no nodes on the dense route).
+    """
+    e, pairs = gaps.eigenvalues, gaps.count
+    omega = float(e.max() - e.min()) * horizon
+    n = kernel_nodes(omega, pairs)
+    if n is None:
+        norm = float(np.linalg.eigvalsh(gap_phase_matrix(gaps.values, horizon))[-1])
+        return norm, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": pairs, "error": 0.0}
+    x, w = gauss_legendre(n)
+    # centred eigenvalues and times leave |S_jk| as it is and keep the phases small
+    E = np.exp(1j * np.outer(0.5 * horizon * x, e - 0.5 * (e.max() + e.min())))
+    S = E @ E.conj().T
+    K = S.real**2 + S.imag**2 - e.size
+    r = np.sqrt(0.5 * w)
+    error = gauss_phase_error(n, omega) * pairs
+    norm = float(np.linalg.eigvalsh(r[:, None] * K * r)[-1]) + error
+    return norm, {"horizon": horizon, "route": "kernel", "nodes": n, "pairs": pairs, "error": error}
 
 
 def window_factor(d: int, kappa: float, horizon: float) -> float:
@@ -279,19 +398,21 @@ def window_factor(d: int, kappa: float, horizon: float) -> float:
     return 1.0 + 8.0 * math.log2(max(d, 1)) / (kappa * horizon)
 
 
-def phase_norm_cells(gaps: GapIndex, kappas, horizons) -> list:
+def phase_norm_cells(gaps: GapIndex, kappas, horizons) -> tuple[list, list]:
     """Phase-matrix norm (one per horizon) and its window bound on every (kappa, T) cell.
 
-    The bound is G(kappa) (1 + 8 log2(d) / (kappa T)) over the d eigenvalues of ``gaps``.
+    The bound is G(kappa) (1 + 8 log2(d) / (kappa T)) over the d eigenvalues
+    of ``gaps``.  Also returns the route record of each horizon's norm.
     """
     d = gaps.eigenvalues.size
-    cells = []
+    cells, routes = [], []
     for T in horizons:
-        norm = phase_matrix_norm(gaps, T)
+        norm, route = phase_matrix_norm(gaps, T)
+        routes.append(route)
         for kappa in kappas:
             bound = gaps.window_count(kappa) * window_factor(d, kappa, T)
             cells.append({"horizon": T, "kappa": kappa, "norm": norm, "bound": bound})
-    return cells
+    return cells, routes
 
 
 def expectation_curve_variance(spec: SpectralDecomposition, psi0, B, horizon: float) -> float:

@@ -141,16 +141,21 @@ def _spectral_section(scn: Scenario) -> dict:
     }
 
 
-def _phase_norm_record(scn: Scenario) -> CheckRecord:
-    """Window bound on the phase-average matrix norm, over the (kappa, T) grid."""
+def _phase_norm_record(scn: Scenario) -> tuple[CheckRecord, list]:
+    """Window bound on the phase-average matrix norm, over the (kappa, T) grid.
+
+    Also returns the route record of each horizon's norm for the timings
+    sidecar (none without a gap).
+    """
     cs, seed = scn.contributing, scn.config.seed
     if cs.n_distinct < 2:
         note = {"note": "fewer than two contributing eigenvalues"}
-        return _record("phase_norm_window_bound", 0.0, 0.0, seed, note, vacuous=True)
-    cells = phase_norm_cells(cs.gaps, scn.config.kappas, scn.config.horizons)
+        return _record("phase_norm_window_bound", 0.0, 0.0, seed, note, vacuous=True), []
+    cells, routes = phase_norm_cells(cs.gaps, scn.config.kappas, scn.config.horizons)
     worst = _tightest(cells, lambda c: -c["norm"] / c["bound"])
     ratio = float(worst["norm"] / worst["bound"])
-    return _record("phase_norm_window_bound", 1.0, ratio, seed, {"cells": cells}, passed=ratio <= 1.0 + 1e-9)
+    record = _record("phase_norm_window_bound", 1.0, ratio, seed, {"cells": cells}, passed=ratio <= 1.0 + 1e-9)
+    return record, routes
 
 
 def _variance_records(scn: Scenario) -> tuple[list, dict]:
@@ -394,7 +399,8 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".") -> Report:
     checks = []
     if "spectral" in config.checks:
         t1 = time.perf_counter()
-        checks.append(_phase_norm_record(scn))
+        record, timings["phase_norm"] = _phase_norm_record(scn)
+        checks.append(record)
         timings["spectral"] = time.perf_counter() - t1
     if "variance" in config.checks:
         t1 = time.perf_counter()

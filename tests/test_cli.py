@@ -156,6 +156,39 @@ def test_variance_rejects_large_p_max(tmp_path):
     assert cli.main(["variance", "--rho", str(rho_f), "--A", str(a_f)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sample", "--n", "0", "--seed", "1"], "--n"),
+        (["sample", "--n", "-3", "--seed", "1"], "--n"),
+        (["sample", "--n", "5", "--seed", "-1"], "--seed"),
+        (["variance", "--seed", "-3"], "--seed"),
+        (["variance", "--mc-check", "-4"], "--mc-check"),
+        (["variance", "--mc-check", "1"], "--mc-check"),
+    ],
+    ids=["sample-n-zero", "sample-n-negative", "sample-seed-negative", "variance-seed-negative",
+         "mc-check-negative", "mc-check-one"],
+)
+def test_bad_counts_exit_2_naming_their_flag(tmp_path, capsys, argv, flag):
+    rho_f, a_f = tmp_path / "rho.json", tmp_path / "A.json"
+    save_matrix(rho_f, np.eye(4, dtype=complex) / 4.0)
+    save_matrix(a_f, np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex))
+    files = ["--rho", str(rho_f)] + (["--A", str(a_f)] if argv[0] == "variance" else [])
+    assert cli.main([*argv, *files]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be" in err and "Traceback" not in err
+
+
+def test_the_smallest_good_counts_run(tmp_path):
+    rho_f, a_f, out = tmp_path / "rho.json", tmp_path / "A.json", tmp_path / "out.json"
+    save_matrix(rho_f, np.eye(4, dtype=complex) / 4.0)
+    save_matrix(a_f, np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex))
+    assert cli.main(["sample", "--rho", str(rho_f), "--n", "1", "--seed", "0", "--out", str(out)]) == 0
+    argv = ["variance", "--rho", str(rho_f), "--A", str(a_f), "--seed", "0", "--out", str(out)]
+    assert cli.main([*argv, "--mc-check", "0"]) == 0 and "mc" not in json.loads(out.read_text())
+    assert cli.main([*argv, "--mc-check", "2"]) == 0 and json.loads(out.read_text())["mc"]["n"] == 2
+
+
 def test_evolve_curve_matches_module(tmp_path):
     spec_f = tmp_path / "spec.json"
     psi_f = tmp_path / "psi.json"
@@ -518,6 +551,7 @@ def test_stats_exits_2_naming_a_wrongly_typed_key(tmp_path, capsys):
 
 def test_run_reruns_are_byte_identical(tmp_path):
     config = write_run_config(tmp_path)
+    config.write_text(json.dumps({**json.loads(config.read_text()), "horizons": [4.0, 1e4]}))
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     t_f = tmp_path / "timings.json"
@@ -528,6 +562,14 @@ def test_run_reruns_are_byte_identical(tmp_path):
     assert "build" in timings and "timings" not in out1.read_text()
     rule = timings["variance_rule"]
     assert rule["nodes"] > 0 and 0.0 <= rule["self_check"] <= 1e-13
+    # one route record of the phase-matrix norm per horizon; the report keeps its keys
+    kernel, dense = timings["phase_norm"]
+    assert kernel["horizon"] == 4.0 and kernel["route"] == "kernel" and kernel["pairs"] == 30
+    assert 0 < kernel["nodes"] < 30 and 0.0 < kernel["error"] <= 1e-16
+    # 30 nodes cannot resolve a horizon of 1e4, so R itself is diagonalized
+    assert dense == {"horizon": 1e4, "route": "dense", "nodes": None, "pairs": 30, "error": 0.0}
+    [norm_check] = [c for c in json.loads(out1.read_text())["checks"] if c["name"] == "phase_norm_window_bound"]
+    assert [set(c) for c in norm_check["detail"]["cells"]] == [{"horizon", "kappa", "norm", "bound"}] * 2
 
 
 def test_run_violation_exits_1(tmp_path, monkeypatch):

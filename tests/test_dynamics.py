@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state, simple_spectrum
+from gaplab import dynamics
 from gaplab.dynamics import (
     CONCENTRATION_CONSTANT,
+    PHASE_NORM_ERROR,
     BoundInputs,
     concentration_tail_bound,
     block_overlap_matrix,
@@ -18,7 +20,10 @@ from gaplab.dynamics import (
     expectation_curve_variance_infinite,
     expectation_curve_variance_quadrature,
     gap_phase_matrix,
+    gauss_legendre,
+    gauss_phase_error,
     infinite_time_average,
+    kernel_nodes,
     mixture_curve_deviation,
     mixture_curve_deviation_quadrature,
     mixture_expectation_curve,
@@ -272,8 +277,12 @@ def test_phase_matrix_norm_short_time_is_pair_count():
 
 def test_phase_matrix_norm_sidon_spectrum():
     # All 12 ordered gaps of {0,1,3,7} are distinct, so R tends to the identity.
-    gaps = GapIndex([0.0, 1.0, 3.0, 7.0]).values
-    norm = operator_norm(gap_phase_matrix(gaps, horizon=1e6))
+    gaps = GapIndex([0.0, 1.0, 3.0, 7.0])
+    norm = operator_norm(gap_phase_matrix(gaps.values, horizon=1e6))
+    assert norm == pytest.approx(1.0, abs=1e-3)
+    # a long horizon on few levels would need more nodes than pairs: the dense route
+    norm, route = phase_matrix_norm(gaps, 1e6)
+    assert route == {"horizon": 1e6, "route": "dense", "nodes": None, "pairs": 12, "error": 0.0}
     assert norm == pytest.approx(1.0, abs=1e-3)
 
 
@@ -287,25 +296,100 @@ def test_phase_matrix_norm_arithmetic_degeneracy():
     assert norm == pytest.approx(3.0, abs=1e-3)
 
 
+#: The first 24 terms of the Mian-Chowla sequence less 1: a Sidon set, all gaps distinct.
+MIAN_CHOWLA = [0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 122, 147, 181, 203, 251, 289, 360, 400, 474, 564, 592, 661, 774]
+
+
 @pytest.mark.parametrize(
     "values",
     [
         np.sort(derive_rng(512).standard_normal(24)) * 3.0,
-        [0.0, 1.0, 3.0, 7.0, 12.0, 20.0, 30.0, 44.0],  # Sidon: all gaps distinct
+        MIAN_CHOWLA[:8],  # Sidon: all gaps distinct
         np.arange(12.0),  # arithmetic: maximal gap degeneracy
+        np.sort(derive_rng(512, 8).standard_normal(8)) * 3.0,
+        np.sort(derive_rng(512, 48).standard_normal(48)) * 3.0,
+        0.05 * np.array(MIAN_CHOWLA, dtype=float),
+        0.5 * np.arange(24.0),
     ],
-    ids=["random", "sidon", "arithmetic"],
+    ids=["random", "sidon", "arithmetic", "random-8", "random-48", "sidon-24", "arithmetic-24"],
 )
 def test_phase_matrix_norm_matches_singular_value_oracle(values):
+    """Either route agrees with the largest eigenvalue of the dense R, and the kernel's never falls short of it.
+
+    The kernel adds its error bound, at most 1e-16, so a shortfall beyond
+    rounding would show a bound that does not hold.
+    """
     gaps = GapIndex(values)
+    routes = []
     for horizon in (1e-3, 0.7, 8.0, 32.0):
-        oracle = operator_norm(gap_phase_matrix(gaps.values, horizon))
-        assert phase_matrix_norm(gaps, horizon) == pytest.approx(oracle, rel=1e-13)
+        oracle = float(np.linalg.eigvalsh(gap_phase_matrix(gaps.values, horizon))[-1])
+        norm, route = phase_matrix_norm(gaps, horizon)
+        assert norm == pytest.approx(oracle, rel=1e-13)
+        assert norm >= oracle * (1.0 - 1e-14)
+        routes.append(route["route"])
+    assert "kernel" in routes
+
+
+def test_the_sidon_spectrum_has_distinct_gaps():
+    assert GapIndex(MIAN_CHOWLA).max_degeneracy == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 37, 160])
+def test_gauss_legendre_integrates_polynomials_of_degree_2n_minus_1(n):
+    x, w = gauss_legendre(n)
+    assert np.all(np.diff(x) < 0) and np.all(w > 0)
+    assert x == pytest.approx(np.sort(np.polynomial.legendre.leggauss(n)[0])[::-1], abs=1e-15)
+    for degree in range(0, 2 * n, max(1, n // 4)):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert np.dot(w, x**degree) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("omega", [1e-3, 0.5, 7.0, 60.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40])
+def test_gauss_phase_error_bounds_the_rule_on_its_fastest_phase(n, omega):
+    """The n-node average of exp(i w t) over [0, T] at |w| T = 2 omega misses the exact one by at most the bound."""
+    x, w = gauss_legendre(n)
+    phase = 2.0 * omega  # w T, so that exp(i w t) = exp(i phase (x + 1) / 2)
+    rule = np.dot(0.5 * w, np.exp(0.5j * phase * (x + 1.0)))
+    exact = np.expm1(1j * phase) / (1j * phase)
+    assert abs(rule - exact) <= gauss_phase_error(n, omega) + 1e-15
+
+
+@pytest.mark.parametrize(
+    "omega, pairs",
+    [(1e-9, 56), (3.5e-3, 56), (0.7, 552), (8.0, 2256), (72.0, 552), (300.0, 552), (1500.0, 2256)],
+)
+def test_kernel_nodes_are_the_fewest_that_meet_the_error_target(omega, pairs):
+    n = kernel_nodes(omega, pairs)
+    assert n is not None and omega / 2 <= n < pairs
+    assert gauss_phase_error(n, omega) <= PHASE_NORM_ERROR / pairs
+    if n > 1:
+        assert gauss_phase_error(n - 1, omega) > PHASE_NORM_ERROR / pairs
+
+
+def test_kernel_nodes_give_way_to_the_dense_route():
+    assert kernel_nodes(2.0 * 56, 56) is None  # omega / 2 nodes already reach the pair count
+    assert kernel_nodes(100.0, 56) is None  # so does the error target
+    assert kernel_nodes(math.inf, 56) is None
+    assert kernel_nodes(100.0, 552) is not None
+
+
+def test_kernel_route_never_builds_the_phase_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel route built R")
+
+    gaps = GapIndex(np.sort(derive_rng(512, 48).standard_normal(48)) * 3.0)
+    monkeypatch.setattr(dynamics, "gap_phase_matrix", refuse)
+    norm, route = phase_matrix_norm(gaps, 8.0)
+    assert route["route"] == "kernel" and route["pairs"] == 2256 and route["nodes"] < 2256
+    assert 0.0 < route["error"] <= PHASE_NORM_ERROR
+    assert 1.0 <= norm <= 2256.0
 
 
 def test_window_norm_bound_worked_example():
     spec = simple_spectrum([0.0, 1.0, 2.0])
-    [cell] = phase_norm_cells(spec.gaps, [1.5], [100.0])
+    [cell], [route] = phase_norm_cells(spec.gaps, [1.5], [100.0])
+    assert route["horizon"] == 100.0 and route["pairs"] == 6
     expected = 3.0 * (1.0 + 8.0 * math.log2(3.0) / 150.0)
     assert cell["bound"] == pytest.approx(expected, rel=1e-12)
     assert cell["norm"] <= cell["bound"]
@@ -317,7 +401,8 @@ def test_window_norm_bound_random_sweep():
         d = int(rng.integers(3, 9))
         spec = simple_spectrum(np.sort(rng.standard_normal(d)) * 2.0)
         diameter = spec.values[-1] - spec.values[0]
-        cells = phase_norm_cells(spec.gaps, (0.1 * diameter, 0.7 * diameter), (0.5, 5.0, 50.0))
+        cells, routes = phase_norm_cells(spec.gaps, (0.1 * diameter, 0.7 * diameter), (0.5, 5.0, 50.0))
+        assert [r["horizon"] for r in routes] == [0.5, 5.0, 50.0]
         assert len(cells) == 6
         for cell in cells:
             assert cell["norm"] <= cell["bound"] * (1 + 1e-9)

@@ -7,7 +7,8 @@ Every name a module imports is read in it (``__init__`` only re-exports).
 Every function and method is read somewhere in the package outside
 ``__init__``, unless it is one of the few kept for the tests
 (``TEST_FACING``): code that no command, run path or oracle reaches is
-deleted, not exported.
+deleted, not exported.  An attribute read whose name is a dataclass field
+of the package reads the field, not a function of the same name.
 """
 
 import ast
@@ -109,6 +110,7 @@ TEST_FACING = (
     "gap_variance_exact",
     "k_integral",
     "k_pair_integral",
+    "mixture_curve_deviation",
     "mixture_curve_deviation_quadrature",
     "sample_gap_resampling_oracle",
     "save_matrix",
@@ -117,28 +119,56 @@ TEST_FACING = (
 
 
 def defined_functions(source: str) -> list:
-    """Top-level functions and methods of top-level classes, dunders aside."""
-    names = []
+    """(name, is_method) of the top-level functions and the methods of top-level classes, dunders aside."""
+    found = []
     for node in ast.parse(source).body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        names += [n.name for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+        method = isinstance(node, ast.ClassDef)
+        body = node.body if method else [node]
+        found += [(n.name, method) for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(n, method) for n, method in found if not (n.startswith("__") and n.endswith("__"))]
 
 
-def names_read(source: str) -> set:
-    """Every name a module's source reads, bare or as an attribute."""
+def dataclass_fields(source: str) -> set:
+    """Field names of the classes a module's source declares with ``@dataclass`` or ``@dataclass(...)``."""
+    fields = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            fields.update(n.target.id for n in node.body if isinstance(n, ast.AnnAssign))
+    return fields
+
+
+def names_read(source: str, fields: frozenset = frozenset()) -> set:
+    """Every name a module's source reads, bare or as an attribute, except attributes named in ``fields``."""
     return {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr not in fields)
     }
+
+
+def unread_functions(sources: dict) -> list:
+    """``module:name`` of every function and method that no module but ``__init__`` reads.
+
+    A method is read through any attribute of its name.  A module-level
+    function is read by its bare name or through an attribute, except an
+    attribute named as a dataclass field of the package: that reads the
+    field.
+    """
+    users = [s for name, s in sources.items() if name != "__init__.py"]
+    fields = frozenset().union(*(dataclass_fields(s) for s in sources.values()))
+    read = set().union(*(names_read(s) for s in users))
+    read_as_function = set().union(*(names_read(s, fields) for s in users))
+    return [f"{name}:{fn}" for name, s in sorted(sources.items()) for fn, method in defined_functions(s)
+            if fn not in (read if method else read_as_function)]
 
 
 def test_every_function_is_read_in_the_package():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    read = set().union(*(names_read(s) for name, s in sources.items() if name != "__init__.py"))
-    unread = [f"{name}:{fn}" for name, s in sorted(sources.items()) for fn in defined_functions(s)
-              if fn not in read and fn not in TEST_FACING]
+    unread = [u for u in unread_functions(sources) if u.split(":")[1] not in TEST_FACING]
     assert unread == []
 
 
@@ -147,6 +177,17 @@ def test_unread_functions_are_detected():
         "class A:\n    def __init__(self): pass\n    def used(self): pass\n    def spare(self): pass\n"
         "def helper(): pass\ndef lonely(): pass\nA().used()\nx = helper\n"
     )
-    assert defined_functions(source) == ["used", "spare", "helper", "lonely"]
-    read = names_read(source)
-    assert [fn for fn in defined_functions(source) if fn not in read] == ["spare", "lonely"]
+    assert defined_functions(source) == [("used", True), ("spare", True), ("helper", False), ("lonely", False)]
+    assert unread_functions({"a.py": source, "__init__.py": "from .a import lonely"}) == ["a.py:spare", "a.py:lonely"]
+
+
+def test_a_dataclass_field_does_not_read_a_function_of_its_name():
+    """The attribute ``r.spread`` reads the field, so the function ``spread`` stays unread; the method
+    ``Gaps.total`` is still read through ``g.total``, though a field has its name too."""
+    source = (
+        "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass Record:\n    spread: float\n"
+        "    total: int\nclass Gaps:\n    def total(self): pass\ndef spread(x): pass\n"
+        "r = Record(1.0, 2)\ng = Gaps()\ny = r.spread + g.total()\n"
+    )
+    assert dataclass_fields(source) == {"spread", "total"}
+    assert unread_functions({"a.py": source}) == ["a.py:spread"]
