@@ -8,7 +8,8 @@ Every function and method is read somewhere in the package outside
 ``__init__``, unless it is one of the few kept for the tests
 (``TEST_FACING``): code that no command, run path or oracle reaches is
 deleted, not exported.  An attribute read whose name is a dataclass field
-of the package reads the field, not a function of the same name.
+of the package reads the field, not a module-level function of the same
+name; methods are still read through attributes.
 """
 
 import ast
