@@ -20,15 +20,21 @@ restricted to the eigenvalues that couple to B, so the overlap matrices
 that feed the gap forms are built on it directly.  Pairs, gaps and gap
 clusters come from one ``spectra.GapIndex`` (the cached ``gaps`` of the
 contributing set), which the coefficients, the forms, their dephased limit
-and the norm with its window bound all read.  Only the forms and the dense
-route of the norm build R.  The norm's kernel route never does: on n
-Gauss-Legendre nodes t_k of [0, T], R is approximated by A^H W A with
-A_ka = exp(i G_a t_k), whose nonzero spectrum is that of the real n x n
+and the norm with its window bound all read.  Only the dense routes of the
+forms and of the norm build R.  Both other routes read one Gauss-Legendre
+rule (``gauss_rule``): on its n nodes t_k of [0, T], R is approximated by
+A^H W A with A_ka = exp(i G_a t_k).  A Bernstein-ellipse bound fixes n
+before the evaluation, so that each entry of the approximation misses R
+by at most eps, with eps P at most ``PHASE_NORM_ERROR``.  The norm's
+kernel route takes the nonzero spectrum of A^H W A from the real n x n
 matrix W^(1/2) K W^(1/2), K_jk = |sum_i exp(i e_i (t_j - t_k))|^2 - d over
-the d eigenvalues.  A Bernstein-ellipse bound fixes n before the
-evaluation, and that bound is added to the result, so the norm is never
-understated; when n would reach the pair count P the dense P x P route is
-the cheaper one and is taken instead.
+the d eigenvalues, and adds eps P, so the norm is never understated.  The
+forms' rule route needs no gap coefficients: a state's form c^H R c is the
+average of |f(t) - tr S|^2 over [0, T], which the rule takes from the
+curve f(t_k) = z_k^H (V* B V) z_k, z_k = exp(-i E t_k) V* psi, at each
+node (``rule_phase_forms``).  When n would reach the pair count P, or the
+rule's n m^2 per state (m eigenbasis columns) would not be below the
+dense P^2, the dense route is the cheaper one and is taken instead.
 
 A time-grid oracle (composite Simpson quadrature of the same averages)
 exists solely to cross-check the exact quadratic forms.
@@ -49,7 +55,6 @@ import numbers
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .linalg import as_complex_matrix
 from .spectra import GapIndex, SpectralDecomposition, contributing_set, spectral_counts
@@ -60,6 +65,7 @@ __all__ = [
     "Bounds",
     "expectation_curve",
     "mixture_expectation_curve",
+    "state_amplitudes",
     "block_overlap_matrix",
     "overlap_curve",
     "mixture_block_overlap",
@@ -68,10 +74,13 @@ __all__ = [
     "gap_coefficients",
     "gap_phase_matrix",
     "phase_quadratic_forms",
+    "rule_phase_forms",
+    "phase_forms_route",
     "dephased_power",
     "gauss_legendre",
     "gauss_phase_error",
     "kernel_nodes",
+    "gauss_rule",
     "phase_matrix_norm",
     "window_factor",
     "phase_norm_cells",
@@ -139,6 +148,17 @@ def _block_sums(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows, starts, axis=1)
 
 
+def state_amplitudes(spec: SpectralDecomposition, psi0) -> np.ndarray:
+    """y = V* psi0 over the columns of ``spec.basis_matrix``, shape (..., columns).
+
+    ``psi0`` is one state or a stack of states (n, dim).  Each state takes
+    one matrix-vector product of its own, so a stack rounds like single
+    calls.
+    """
+    psi = _check_state(psi0, spec.dim, stack=True)
+    return (spec.basis_matrix.conj().T @ psi[..., None])[..., 0]
+
+
 def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
     """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over the eigenprojectors of ``spec``.
 
@@ -146,14 +166,12 @@ def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
     matrix per state, shape (n, d, d).  On a contributing set S is the
     contributing submatrix of the full spectrum's S.
     """
-    psi = _check_state(psi0, spec.dim, stack=True)
+    y = state_amplitudes(spec, psi0)
     B = _check_observable(B, spec.dim)
     if spec.n_distinct == 0:  # a contributing set of an observable that couples to nothing
-        return np.zeros(psi.shape[:-1] + (0, 0), dtype=complex)
+        return np.zeros(y.shape[:-1] + (0, 0), dtype=complex)
     V = spec.basis_matrix
     Bt = V.conj().T @ B @ V
-    # one matrix-vector product per state, so a stack rounds like single calls
-    y = (V.conj().T @ psi[..., None])[..., 0]
     yc = np.conj(y)
     # one eigenspace of rows at a time keeps a stack at (n, mult, dim) entries
     ends = spec.block_starts + spec.multiplicities
@@ -262,16 +280,58 @@ def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
 def phase_quadratic_forms(gaps: GapIndex, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
     """<|sum_a c_a exp(i G_a t)|^2>_[0,T] for each row of coefficients over the pairs of ``gaps``.
 
-    Each row is summed on its own in a fixed order, so a row's value does
-    not depend on the rows stacked with it.
+    The dense route of the forms, through the P x P matrix R; where
+    ``phase_forms_route`` finds a cheaper Gauss rule, ``rule_phase_forms``
+    takes them from the curves instead.  Each row is summed on its own in
+    a fixed order, so a row's value does not depend on the rows stacked
+    with it.
     """
     if gaps.count == 0:
         return np.zeros(coeff_rows.shape[0])
     R = gap_phase_matrix(gaps.values, horizon)
     # einsum, not the faster (C @ R) * conj(C): the stored benchmark reports
-    # pin this rounding (ROADMAP item 2)
+    # of the dense route (the ensemble workload) pin this rounding
     forms = np.einsum("sp,pq,sq->s", coeff_rows, R, coeff_rows.conj())
     return np.maximum(forms.real, 0.0)
+
+
+def rule_phase_forms(y, Bt, column_values, centers, times, weights) -> np.ndarray:
+    """Phase forms of a stack of states from their curves on the nodes of a Gauss rule.
+
+    For each state, sum_k weights_k |z_k^H Bt z_k - center|^2 with
+    z_k = exp(-i E t_k) * y, which is the rule's value of the phase
+    quadratic form c^H R c of the state's gap coefficients c: the curve
+    minus its long-run average is sum_a c_a exp(i G_a t).  ``y`` (n, m)
+    holds the states' amplitudes over m eigenbasis columns (see
+    ``state_amplitudes``), ``Bt`` (m, m) the observable on those columns,
+    ``column_values`` (m,) their eigenvalues E (best centred, which only
+    turns z by a global phase), ``centers`` (n,) the long-run averages tr S,
+    and ``times`` and ``weights`` the rule of ``gauss_rule``.  Each state
+    takes one (nodes x m) by (m x m) product and sums its nodes on its own,
+    so its form does not depend on the states stacked with it.
+    """
+    z = np.exp(-1j * np.outer(times, column_values)) * np.asarray(y)[:, None, :]
+    g = ((z.conj() @ Bt) * z).sum(-1) - np.asarray(centers)[:, None]
+    return ((g.real**2 + g.imag**2) * weights).sum(-1)
+
+
+def phase_forms_route(gaps: GapIndex, columns: int, horizon: float) -> tuple[tuple | None, dict]:
+    """How the phase forms over ``gaps`` at ``horizon`` are taken, for states over ``columns`` columns.
+
+    Returns the (times, weights) of ``gauss_rule`` where that rule exists
+    and its n nodes cost less per state than the dense form, n m^2 < P^2
+    (the rule's (n x m) by (m x m) product against c^H R c over the P
+    pairs), else None for the dense ``phase_quadratic_forms``.  Also
+    returns the route record ``{horizon, route, nodes, pairs, error}``,
+    ``error`` being the rule's eps P (0 and no nodes on the dense route).
+    A form's rule value then misses its exact value by at most eps P
+    |S_off|_F^2.
+    """
+    rule = gauss_rule(gaps, horizon)
+    if rule is None or rule[2] * columns**2 >= gaps.count**2:
+        return None, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
+    times, weights, n, error = rule
+    return (times, weights), {"horizon": horizon, "route": "rule", "nodes": n, "pairs": gaps.count, "error": error}
 
 
 def dephased_power(gaps: GapIndex, coeff_rows: np.ndarray) -> np.ndarray:
@@ -363,32 +423,54 @@ def kernel_nodes(omega: float, pairs: int) -> int | None:
     return lo
 
 
+def gauss_rule(gaps: GapIndex, horizon: float) -> tuple[np.ndarray, np.ndarray, int, float] | None:
+    """The Gauss-Legendre rule of the phase averages over ``gaps`` on [0, horizon], or None.
+
+    Returns (times, weights, n, error): the n nodes t_k = (T/2)(1 + x_k)
+    and weights w_k / 2 of ``kernel_nodes(diameter T, P)`` nodes, so that
+    sum_k weights_k g(t_k) averages g over [0, T], and error = eps P, the
+    bound of ``gauss_phase_error`` times the pair count.  Every entry of R
+    is the average of one exp(i (G_a - G_b) t) with |G_a - G_b| T at most
+    twice the diameter times T, so the rule's R_q misses R by at most eps
+    in each entry, and a form c^H R_q c misses c^H R c by at most
+    eps (sum |c_a|)^2 <= eps P |c|^2.  None where the rule would need P
+    nodes or more, or where there is no pair.
+    """
+    e, pairs = gaps.eigenvalues, gaps.count
+    if pairs == 0:
+        return None
+    omega = float(e.max() - e.min()) * horizon
+    n = kernel_nodes(omega, pairs)
+    if n is None:
+        return None
+    x, w = gauss_legendre(n)
+    return 0.5 * horizon * (1.0 + x), 0.5 * w, n, gauss_phase_error(n, omega) * pairs
+
+
 def phase_matrix_norm(gaps: GapIndex, horizon: float) -> tuple[float, dict]:
     """Operator norm of the phase-average matrix R over ``gaps``, with the record of its route.
 
     R is Hermitian PSD, so its norm is its largest eigenvalue.  The kernel
     route (see the module docstring) returns lambda_max(W^(1/2) K W^(1/2))
-    plus the error bound eps P of its n nodes, never less than |R|, since
-    |c^H (R_q - R) c| <= eps (sum |c_a|)^2 <= eps P |c|^2.  Where n would
-    not be below P it takes the dense route, ``eigvalsh`` of R itself.  The
+    on the nodes of ``gauss_rule`` plus its error bound eps P, never less
+    than |R|, since |c^H (R_q - R) c| <= eps P |c|^2.  Where the rule has
+    no n below P it takes the dense route, ``eigvalsh`` of R itself.  The
     record is ``{horizon, route, nodes, pairs, error}``, ``error`` being
     the eps P that was added (0 and no nodes on the dense route).
     """
-    e, pairs = gaps.eigenvalues, gaps.count
-    omega = float(e.max() - e.min()) * horizon
-    n = kernel_nodes(omega, pairs)
-    if n is None:
+    rule = gauss_rule(gaps, horizon)
+    if rule is None:
         norm = float(np.linalg.eigvalsh(gap_phase_matrix(gaps.values, horizon))[-1])
-        return norm, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": pairs, "error": 0.0}
-    x, w = gauss_legendre(n)
-    # centred eigenvalues and times leave |S_jk| as it is and keep the phases small
-    E = np.exp(1j * np.outer(0.5 * horizon * x, e - 0.5 * (e.max() + e.min())))
+        return norm, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
+    times, weights, n, error = rule
+    e = gaps.eigenvalues
+    # centred eigenvalues leave |S_jk| as it is and keep the phases small
+    E = np.exp(1j * np.outer(times, e - 0.5 * (e.max() + e.min())))
     S = E @ E.conj().T
     K = S.real**2 + S.imag**2 - e.size
-    r = np.sqrt(0.5 * w)
-    error = gauss_phase_error(n, omega) * pairs
+    r = np.sqrt(weights)
     norm = float(np.linalg.eigvalsh(r[:, None] * K * r)[-1]) + error
-    return norm, {"horizon": horizon, "route": "kernel", "nodes": n, "pairs": pairs, "error": error}
+    return norm, {"horizon": horizon, "route": "kernel", "nodes": n, "pairs": gaps.count, "error": error}
 
 
 def window_factor(d: int, kappa: float, horizon: float) -> float:
@@ -442,6 +524,8 @@ def _simpson_deviation(curve, center: complex, horizon: float) -> float:
 
     ``curve`` maps a time grid to the curve's values on it.
     """
+    from scipy.integrate import simpson  # the oracle alone needs it; no run path pays its import
+
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     times = np.linspace(0.0, horizon, QUADRATURE_POINTS)

@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .linalg import as_complex_matrix
 from .sampling import DensityMatrix
@@ -92,6 +91,8 @@ def _raw_moment_integral(denominator_ps, k: int) -> float:
     x^k and the substitution weight (1 + x)^2 are paired with the k + 2
     largest q_j so the transformed integrand is bounded on [0, 1].
     """
+    from scipy.integrate import quad  # the oracle alone needs it; no run path pays its import
+
     ps = np.sort(np.asarray(denominator_ps, dtype=float))[::-1]
     if np.any(ps < 0):
         raise ValueError("denominator factors must be nonnegative")

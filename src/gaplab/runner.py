@@ -28,8 +28,11 @@ from .dynamics import (
     gap_coefficients,
     mixture_expectation_curve,
     overlap_curve,
+    phase_forms_route,
     phase_norm_cells,
     phase_quadratic_forms,
+    rule_phase_forms,
+    state_amplitudes,
 )
 from .moments import gap_variance_bound, mc_variance
 from .sampling import DensityMatrix, derive_rng, sample_gap
@@ -184,13 +187,19 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
 
 
-def _ensemble(scn: Scenario, center: complex, deviation_bounds: list):
-    """Long-run averages, gap coefficients and exceedance fractions of the sampled states.
+def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, rules: list | None):
+    """Long-run averages, gap coefficients, rule forms and exceedance fractions of the sampled states.
 
-    Returns (itas, rows, fractions), one entry per state, except that
-    ``rows`` holds one more row, last: the mixture's gap coefficients, so
-    that all phase forms of a horizon come from one phase matrix without a
-    copy of the state rows.  fractions has shape (n_states, horizons), one
+    Returns (itas, rows, forms, fractions), one entry per state, except
+    that ``rows`` and each array of ``forms`` hold one more entry, last:
+    the mixture's.  ``rows`` are the gap coefficients, which the dephased
+    power and the dense forms of a horizon read, so that all dense forms
+    of a horizon come from one phase matrix without a copy of the state
+    rows.  ``rules`` has one entry per horizon, the (times, weights) of its
+    Gauss rule or None for the dense route, and ``forms`` maps the index of
+    each horizon that has a rule to its rule forms.  ``rules`` is None when
+    ``moments`` is not checked; then rows is None and forms empty, since
+    nothing reads them.  fractions has shape (n_states, horizons), one
     column per entry of ``deviation_bounds``: the share of the state's
     uniform times on [0, T] at which its curve deviates from ``center`` by
     more than the bound.  Every overlap matrix is built on the contributing
@@ -199,8 +208,21 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list):
     config, cs = scn.config, scn.contributing
     n, n_times = config.n_states, config.n_times
     itas = np.empty(n, dtype=complex)
-    rows = np.empty((n + 1, cs.gaps.count), dtype=complex)
-    rows[n] = gap_coefficients(scn.mixture_overlap, cs.gaps)
+    rows, forms = None, {}
+    if rules is not None:
+        rows = np.empty((n + 1, cs.gaps.count), dtype=complex)
+        rows[n] = gap_coefficients(scn.mixture_overlap, cs.gaps)
+        forms = {h: np.empty(n + 1) for h, rule in enumerate(rules) if rule is not None}
+    if forms:
+        V = cs.basis_matrix
+        Bt = V.conj().T @ scn.observable @ V
+        # centred eigenvalues turn the curves by a global phase only and keep the phases small
+        mid = 0.5 * (cs.values.max() + cs.values.min())
+        columns = cs.column_values - mid
+        for h, f in forms.items():
+            times, weights = rules[h]
+            deviation = overlap_curve(cs.values - mid, scn.mixture_overlap, times) - center
+            f[n] = ((deviation.real**2 + deviation.imag**2) * weights).sum()
     fractions = np.empty((n, len(deviation_bounds)))
     for lo in range(0, n, CHUNK_STATES):
         hi = min(lo + CHUNK_STATES, n)
@@ -212,14 +234,19 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list):
             u[k] = rng.random(n_times)
         S = block_overlap_matrix(cs, psis, scn.observable)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
-        rows[lo:hi] = gap_coefficients(S, cs.gaps)
+        if rows is not None:
+            rows[lo:hi] = gap_coefficients(S, cs.gaps)
+        if forms:
+            y = state_amplitudes(cs, psis)
+            for h, f in forms.items():
+                f[lo:hi] = rule_phase_forms(y, Bt, columns, itas[lo:hi], *rules[h])
         for h, (T, bound) in enumerate(zip(config.horizons, deviation_bounds)):
             devs = np.abs(overlap_curve(cs.values, S, u * T) - center)
             fractions[lo:hi, h] = (devs > bound).mean(axis=1)
-    return itas, rows, fractions
+    return itas, rows, forms, fractions
 
 
-def verify_equilibration(scn: Scenario) -> list:
+def verify_equilibration(scn: Scenario) -> tuple[list, list]:
     """Second-moment and exceedance checks over sampled projected-ensemble states.
 
     Emits the four moment-bound records, the identity check that the
@@ -227,7 +254,9 @@ def verify_equilibration(scn: Scenario) -> list:
     the finite-horizon exceedance record.  Every bound is read from the
     ``Bounds`` record of its (kappa, T) cell, which is built before any
     state is drawn, so each chunk of states keeps only its exceedance
-    fractions, not its curves.
+    fractions, not its curves.  Also returns the route record of each
+    horizon's phase forms for the timings sidecar (none without
+    ``moments``).
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
@@ -244,15 +273,19 @@ def verify_equilibration(scn: Scenario) -> list:
     deviation_bounds = [min(bounds[k, T].finite_time for k in kappas) for T in config.horizons]
     gaps = cs.gaps
     center = complex(np.trace(scn.mixture_overlap))
-    itas, rows, fractions = _ensemble(scn, center, deviation_bounds)
-    W = rows[:-1]
+    rules, routes = None, []
+    if "moments" in config.checks:
+        columns = cs.basis_matrix.shape[1]
+        routed = [phase_forms_route(gaps, columns, T) for T in config.horizons]
+        rules, routes = [rule for rule, _ in routed], [route for _, route in routed]
+    itas, rows, rule_forms, fractions = _ensemble(scn, center, deviation_bounds, rules)
     records = []
 
     if "moments" in config.checks:
         sq_cap = 4.0 * norm_b**2
         curve_cells, mixture_cells = [], []
-        for T in config.horizons:
-            forms = phase_quadratic_forms(gaps, rows, T)
+        for h, T in enumerate(config.horizons):
+            forms = rule_forms[h] if h in rule_forms else phase_quadratic_forms(gaps, rows, T)
             per_kappa = {str(k): bounds[k, T].expected_time_variance for k in kappas}
             measured, se = _mean_and_se(forms[:-1])
             bound = min(per_kappa.values())
@@ -284,7 +317,7 @@ def verify_equilibration(scn: Scenario) -> list:
                     slack=4 * se, mc_error=se, vacuous=bound > norm_b**2)
         )
 
-        measured, se = _mean_and_se(dephased_power(gaps, W))
+        measured, se = _mean_and_se(dephased_power(gaps, rows[:-1]))
         bound = first.expected_dephasing_variance
         records.append(
             _record("mean_dephasing_variance_bound", bound, measured, seed, {"n_states": n_states},
@@ -338,7 +371,7 @@ def verify_equilibration(scn: Scenario) -> list:
                     mc_error=se_frac, vacuous=not live)
         )
 
-    return records
+    return records, routes
 
 
 def verify_concentration(scn: Scenario) -> list:
@@ -409,7 +442,10 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".") -> Report:
         timings["variance"] = time.perf_counter() - t1
     if "moments" in config.checks or "equilibration" in config.checks:
         t1 = time.perf_counter()
-        checks.extend(verify_equilibration(scn))
+        records, forms_routes = verify_equilibration(scn)
+        checks.extend(records)
+        if forms_routes:
+            timings["forms"] = forms_routes
         timings["equilibration"] = time.perf_counter() - t1
     if "concentration" in config.checks:
         t1 = time.perf_counter()
