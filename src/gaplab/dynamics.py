@@ -328,10 +328,12 @@ def phase_forms_route(gaps: GapIndex, columns: int, horizon: float) -> tuple[tup
     |S_off|_F^2.
     """
     rule = gauss_rule(gaps, horizon)
-    if rule is None or rule[2] * columns**2 >= gaps.count**2:
-        return None, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
-    times, weights, n, error = rule
-    return (times, weights), {"horizon": horizon, "route": "rule", "nodes": n, "pairs": gaps.count, "error": error}
+    if rule is not None:
+        times, weights, n, error = rule
+        if n * columns**2 < gaps.count**2:
+            record = {"horizon": horizon, "route": "rule", "nodes": n, "pairs": gaps.count, "error": error}
+            return (times, weights), record
+    return None, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
 
 
 def dephased_power(gaps: GapIndex, coeff_rows: np.ndarray) -> np.ndarray:

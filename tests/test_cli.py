@@ -572,6 +572,26 @@ def test_run_reruns_are_byte_identical(tmp_path):
     assert [set(c) for c in norm_check["detail"]["cells"]] == [{"horizon", "kappa", "norm", "bound"}] * 2
 
 
+def test_run_timings_name_the_route_of_each_horizons_forms(tmp_path):
+    config = write_run_config(tmp_path)
+    scenario = {**json.loads(config.read_text()), "horizons": [4.0, 1e4], "mc": {"n_states": 20, "n_times": 8}}
+    config.write_text(json.dumps({**scenario, "checks": ["spectral", "moments"]}))
+    out, t_f = tmp_path / "r.json", tmp_path / "timings.json"
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]) == 0
+    timings = json.loads(t_f.read_text())
+    rule, dense = timings["forms"]
+    assert rule["horizon"] == 4.0 and rule["route"] == "rule" and rule["pairs"] == 30
+    # the forms read the rule of the norm: the same nodes and the same eps P
+    kernel = timings["phase_norm"][0]
+    assert (rule["nodes"], rule["error"]) == (kernel["nodes"], kernel["error"]) and 0.0 < rule["error"] <= 1e-16
+    assert dense == {"horizon": 1e4, "route": "dense", "nodes": None, "pairs": 30, "error": 0.0}
+    assert "forms" not in out.read_text()
+    # without moments there are no forms, and no record of them
+    config.write_text(json.dumps({**scenario, "checks": ["equilibration"]}))
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]) == 0
+    assert "forms" not in json.loads(t_f.read_text())
+
+
 def test_run_violation_exits_1(tmp_path, monkeypatch):
     config = write_run_config(tmp_path)
     out = tmp_path / "report.json"

@@ -22,6 +22,7 @@ from gaplab.dynamics import (
     gap_phase_matrix,
     gauss_legendre,
     gauss_phase_error,
+    gauss_rule,
     infinite_time_average,
     kernel_nodes,
     mixture_curve_deviation,
@@ -30,11 +31,14 @@ from gaplab.dynamics import (
     overlap_curve,
     phase_matrix_norm,
     phase_norm_cells,
+    phase_forms_route,
     phase_quadratic_forms,
+    rule_phase_forms,
+    state_amplitudes,
 )
 from gaplab.linalg import operator_norm
 from gaplab.sampling import derive_rng
-from gaplab.scenarios import macro_decomposition, random_density, random_hamiltonian
+from gaplab.scenarios import macro_decomposition, random_density, random_hamiltonian, random_projector
 from gaplab.spectra import GapIndex, contributing_set, spectral_counts
 
 
@@ -384,6 +388,62 @@ def test_kernel_route_never_builds_the_phase_matrix(monkeypatch):
     assert route["route"] == "kernel" and route["pairs"] == 2256 and route["nodes"] < 2256
     assert 0.0 < route["error"] <= PHASE_NORM_ERROR
     assert 1.0 <= norm <= 2256.0
+
+
+@pytest.mark.parametrize(
+    "multiplicities, eigenvalues",
+    [([1] * 48, "gaussian"), ([2] * 24, "arithmetic")],
+    ids=["d48-gaussian", "arithmetic-multiplicity-2"],
+)
+def test_rule_forms_match_the_dense_forms(multiplicities, eigenvalues):
+    """At T = 8 the Gauss rule gives each state's phase form to rel 1e-12 of c^H R c.
+
+    The rule's own error is at most eps P |S_off|_F^2, which is checked to
+    lie below that tolerance, so the rest of the difference is rounding.
+    """
+    rng = derive_rng(531, len(multiplicities))
+    spec = random_hamiltonian(48, multiplicities, rng, eigenvalues=eigenvalues, spacing=0.25)
+    B = random_projector(48, 24, rng)
+    cs = contributing_set(spec, B)
+    psis = np.array([random_state(48, rng) for _ in range(12)])
+    S = block_overlap_matrix(cs, psis, B)
+    rows = gap_coefficients(S, cs.gaps)
+    rule, route = phase_forms_route(cs.gaps, cs.basis_matrix.shape[1], 8.0)
+    assert route["route"] == "rule" and route["pairs"] == cs.gaps.count and 0.0 < route["error"] <= PHASE_NORM_ERROR
+    V = cs.basis_matrix
+    Bt = V.conj().T @ B @ V
+    centred = cs.column_values - 0.5 * (cs.values.max() + cs.values.min())
+    y, centers = state_amplitudes(cs, psis), np.trace(S, axis1=1, axis2=2)
+    forms = rule_phase_forms(y, Bt, centred, centers, *rule)
+    dense = phase_quadratic_forms(cs.gaps, rows, 8.0)
+    assert forms == pytest.approx(dense, rel=1e-12)
+    bound = route["error"] * np.sum(np.abs(rows) ** 2, axis=1)
+    assert np.all(bound <= 1e-12 * dense)
+    # one state alone gives the bits it has in the stack
+    assert rule_phase_forms(y[3:4], Bt, centred, centers[3:4], *rule)[0] == forms[3]
+
+
+def test_degenerate_levels_take_the_dense_forms_route():
+    """8 levels of 16 columns each: a rule exists, but its n m^2 per state exceeds the dense P^2."""
+    spec = random_hamiltonian(128, [16] * 8, derive_rng(532))
+    gaps = spec.gaps
+    assert gaps.count == 56 and gauss_rule(gaps, 8.0) is not None
+    rule, route = phase_forms_route(gaps, 128, 8.0)
+    assert rule is None
+    assert route == {"horizon": 8.0, "route": "dense", "nodes": None, "pairs": 56, "error": 0.0}
+    assert gauss_rule(GapIndex([1.0]), 8.0) is None  # no pair, no rule
+
+
+def test_gauss_rule_averages_over_the_horizon():
+    gaps = GapIndex(np.linspace(0.0, 1.3, 12))
+    times, weights, n, error = gauss_rule(gaps, 5.0)
+    assert times.size == weights.size == n < gaps.count and 0.0 < error <= PHASE_NORM_ERROR
+    assert error == gauss_phase_error(n, 1.3 * 5.0) * gaps.count
+    assert np.all((times > 0.0) & (times < 5.0)) and weights.sum() == pytest.approx(1.0, rel=1e-15)
+    # the fastest phase of R, at twice the diameter, averages to within eps
+    w = 2.0 * 1.3
+    exact = np.expm1(1j * w * 5.0) / (1j * w * 5.0)
+    assert abs(np.dot(weights, np.exp(1j * w * times)) - exact) <= error / gaps.count + 1e-15
 
 
 def test_window_norm_bound_worked_example():

@@ -2,8 +2,9 @@
 
 No module uses another module's ``_``-prefixed names, neither through
 ``from .x import _name`` nor as an attribute ``x._name`` of an imported
-sibling module.  Only ``dynamics`` builds the dense phase-average matrix.
-Every name a module imports is read in it (``__init__`` only re-exports).
+sibling module.  Only ``dynamics`` builds the dense phase-average matrix,
+and no run path builds it at d = 48, T = 8.  Importing the command line
+tool leaves out ``scipy.integrate``, which only the oracles use.  Every name a module imports is read in it (``__init__`` only re-exports).
 Every function and method is read somewhere in the package outside
 ``__init__``, unless it is one of the few kept for the tests
 (``TEST_FACING``): code that no command, run path or oracle reaches is
@@ -13,7 +14,11 @@ name; methods are still read through attributes.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +76,33 @@ def test_only_dynamics_builds_the_phase_matrix():
     callers = {p.name for p in PACKAGE.glob("*.py") if calls_of(p.read_text(), "gap_phase_matrix")}
     assert callers == {"dynamics.py"}
     assert calls_of("R = dynamics.gap_phase_matrix(g, 1.0)\ngap_phase_matrix(g, 2.0)", "gap_phase_matrix") == 2
+
+
+def test_no_run_path_builds_the_phase_matrix_at_d48(monkeypatch, tmp_path):
+    """At d = 48 and T = 8 both the norm and the moments forms take their Gauss rules."""
+    from gaplab import cli, dynamics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run path built the P x P phase matrix")
+
+    monkeypatch.setattr(dynamics, "gap_phase_matrix", refuse)
+    config = tmp_path / "d48.json"
+    config.write_text(json.dumps({
+        "schema": "gaplab-scenario/1", "dimension": 48, "seed": 11, "hamiltonian": {"kind": "random"},
+        "rho": {"kind": "random"}, "observable": {"kind": "random_projector", "rank": 24},
+        "mc": {"n_states": 200, "n_times": 64}, "horizons": [8.0], "kappas": [0.5, 1.5], "epsilon": 0.1,
+        "delta": 0.1, "checks": ["spectral", "variance", "moments", "equilibration", "concentration"],
+    }))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_importing_the_cli_leaves_out_scipy_integrate():
+    """Only the quadrature oracles use scipy.integrate, and they import it when called."""
+    code = "import sys, gaplab.cli; print('scipy.integrate' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def unused_imports(source: str) -> list:

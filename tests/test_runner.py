@@ -92,6 +92,43 @@ def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
     assert len(set(blobs.values())) == 1
 
 
+@pytest.mark.parametrize(
+    "hamiltonian",
+    [{"kind": "random"}, {"kind": "random", "eigenvalues": "arithmetic", "spacing": 0.25, "multiplicities": [2] * 24}],
+    ids=["d48-gaussian", "arithmetic-multiplicity-2"],
+)
+def test_rule_forms_give_the_dense_reports_to_rel_1e12(monkeypatch, hamiltonian):
+    """The moments records on the rule route match those of the dense route, states and mixture alike."""
+    config = make_config(
+        dimension=48, hamiltonian=hamiltonian, observable={"kind": "random_projector", "rank": 24},
+        mc={"n_states": 40, "n_times": 8}, checks=["moments"], concentration=None,
+    )
+    ruled = run_scenario(config)
+    assert [r["route"] for r in ruled.timings["forms"]] == ["rule"]
+
+    def dense_only(gaps, columns, horizon):
+        return None, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
+
+    monkeypatch.setattr(runner, "phase_forms_route", dense_only)
+    dense = run_scenario(config)
+    for name in ("mean_curve_variance_bound", "mixture_curve_deviation_bound"):
+        got, want = record_by_name(ruled, name), record_by_name(dense, name)
+        assert got.measured == pytest.approx(want.measured, rel=1e-12)
+        assert got.detail["cells"][0]["measured"] == pytest.approx(want.detail["cells"][0]["measured"], rel=1e-12)
+        assert got.passed == want.passed and got.vacuous == want.vacuous
+    assert record_by_name(ruled, "mean_curve_variance_bound").mc_error == pytest.approx(
+        record_by_name(dense, "mean_curve_variance_bound").mc_error, rel=1e-12
+    )
+
+
+def test_exceedance_record_does_not_depend_on_the_moments_check():
+    """Without ``moments`` no gap rows or forms are built; the exceedance record keeps its bits."""
+    both = run_scenario(make_config(checks=["moments", "equilibration"], concentration=None))
+    alone = run_scenario(make_config(checks=["equilibration"], concentration=None))
+    assert "forms" in both.timings and "forms" not in alone.timings
+    assert [c.to_dict() for c in alone.checks] == [record_by_name(both, "finite_time_exceedance").to_dict()]
+
+
 def test_report_serialization_excludes_timings(report):
     assert report.timings
     payload = json.loads(report.to_json())
