@@ -22,7 +22,8 @@ clusters come from one ``spectra.GapIndex`` (the cached ``gaps`` of the
 contributing set), which the coefficients, the forms, their dephased limit
 and the norm with its window bound all read.  Only the dense routes of the
 forms and of the norm build R.  Both other routes read one Gauss-Legendre
-rule (``gauss_rule``): on its n nodes t_k of [0, T], R is approximated by
+rule per horizon (``gauss_rule``, which a scenario computes once and hands
+to both): on its n nodes t_k of [0, T], R is approximated by
 A^H W A with A_ka = exp(i G_a t_k).  A Bernstein-ellipse bound fixes n
 before the evaluation, so that each entry of the approximation misses R
 by at most eps, with eps P at most ``PHASE_NORM_ERROR``.  The norm's
@@ -32,9 +33,12 @@ the d eigenvalues, and adds eps P, so the norm is never understated.  The
 forms' rule route needs no gap coefficients: a state's form c^H R c is the
 average of |f(t) - tr S|^2 over [0, T], which the rule takes from the
 curve f(t_k) = z_k^H (V* B V) z_k, z_k = exp(-i E t_k) V* psi, at each
-node (``rule_phase_forms``).  When n would reach the pair count P, or the
-rule's n m^2 per state (m eigenbasis columns) would not be below the
-dense P^2, the dense route is the cheaper one and is taken instead.
+node.  When n would reach the pair count P, or the rule's n m^2 per state
+(m eigenbasis columns) would not be below the dense P^2, the dense route
+is the cheaper one and is taken instead.  One ``PhaseForms`` per horizon
+makes that choice once, holds what its route reads (R, or the rule with
+V* B V) and evaluates the forms of each chunk of states and the mixture's,
+so a caller keeps per-state results and no rows of gap coefficients.
 
 A time-grid oracle (composite Simpson quadrature of the same averages)
 exists solely to cross-check the exact quadratic forms.
@@ -74,8 +78,7 @@ __all__ = [
     "gap_coefficients",
     "gap_phase_matrix",
     "phase_quadratic_forms",
-    "rule_phase_forms",
-    "phase_forms_route",
+    "PhaseForms",
     "dephased_power",
     "gauss_legendre",
     "gauss_phase_error",
@@ -277,70 +280,82 @@ def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
     return R
 
 
-def phase_quadratic_forms(gaps: GapIndex, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
-    """<|sum_a c_a exp(i G_a t)|^2>_[0,T] for each row of coefficients over the pairs of ``gaps``.
-
-    The dense route of the forms, through the P x P matrix R; where
-    ``phase_forms_route`` finds a cheaper Gauss rule, ``rule_phase_forms``
-    takes them from the curves instead.  Each row is summed on its own in
-    a fixed order, so a row's value does not depend on the rows stacked
-    with it.
-    """
-    if gaps.count == 0:
-        return np.zeros(coeff_rows.shape[0])
-    R = gap_phase_matrix(gaps.values, horizon)
+def _dense_forms(R: np.ndarray, coeff_rows: np.ndarray) -> np.ndarray:
+    """c^H R c of each row c of coefficients, summed on its own in a fixed order."""
     # einsum, not the faster (C @ R) * conj(C): the stored benchmark reports
     # of the dense route (the ensemble workload) pin this rounding
     forms = np.einsum("sp,pq,sq->s", coeff_rows, R, coeff_rows.conj())
     return np.maximum(forms.real, 0.0)
 
 
-def rule_phase_forms(y, Bt, column_values, centers, times, weights) -> np.ndarray:
-    """Phase forms of a stack of states from their curves on the nodes of a Gauss rule.
+def phase_quadratic_forms(gaps: GapIndex, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
+    """<|sum_a c_a exp(i G_a t)|^2>_[0,T] for each row of coefficients over the pairs of ``gaps``.
 
-    For each state, sum_k weights_k |z_k^H Bt z_k - center|^2 with
-    z_k = exp(-i E t_k) * y, which is the rule's value of the phase
-    quadratic form c^H R c of the state's gap coefficients c: the curve
-    minus its long-run average is sum_a c_a exp(i G_a t).  ``y`` (n, m)
-    holds the states' amplitudes over m eigenbasis columns (see
-    ``state_amplitudes``), ``Bt`` (m, m) the observable on those columns,
-    ``column_values`` (m,) their eigenvalues E (best centred, which only
-    turns z by a global phase), ``centers`` (n,) the long-run averages tr S,
-    and ``times`` and ``weights`` the rule of ``gauss_rule``.  Each state
-    takes one (nodes x m) by (m x m) product and sums its nodes on its own,
-    so its form does not depend on the states stacked with it.
+    The dense route of the forms, through the P x P matrix R.  Each row is
+    summed on its own in a fixed order, so a row's value does not depend
+    on the rows stacked with it.
     """
-    z = np.exp(-1j * np.outer(times, column_values)) * np.asarray(y)[:, None, :]
-    g = ((z.conj() @ Bt) * z).sum(-1) - np.asarray(centers)[:, None]
-    return ((g.real**2 + g.imag**2) * weights).sum(-1)
+    return _dense_forms(gap_phase_matrix(gaps.values, horizon), coeff_rows)
 
 
-def phase_forms_route(gaps: GapIndex, columns: int, horizon: float) -> tuple[tuple | None, dict]:
-    """How the phase forms over ``gaps`` at ``horizon`` are taken, for states over ``columns`` columns.
+class PhaseForms:
+    """The phase forms c^H R c of one horizon over a contributing set ``cs``, on the cheaper of two routes.
 
-    Returns the (times, weights) of ``gauss_rule`` where that rule exists
-    and its n nodes cost less per state than the dense form, n m^2 < P^2
-    (the rule's (n x m) by (m x m) product against c^H R c over the P
-    pairs), else None for the dense ``phase_quadratic_forms``.  Also
-    returns the route record ``{horizon, route, nodes, pairs, error}``,
-    ``error`` being the rule's eps P (0 and no nodes on the dense route).
-    A form's rule value then misses its exact value by at most eps P
-    |S_off|_F^2.
+    Built once per horizon from ``cs``, the observable ``B``, the horizon
+    and its ``gauss_rule`` (or None).  The rule route is taken where the
+    rule's n nodes cost less per state than the dense form, n m^2 < P^2 (an
+    (n x m) by (m x m) product against c^H R c over the P pairs); otherwise
+    the dense route holds R.  ``record`` is ``{horizon, route, nodes, pairs,
+    error}``, ``error`` being the rule's eps P (0 and no nodes when dense):
+    a rule form misses the exact one by at most eps P |S_off|_F^2.  Each
+    form is summed on its own in a fixed order, so a state's form does not
+    depend on the states evaluated with it.
     """
-    rule = gauss_rule(gaps, horizon)
-    if rule is not None:
-        times, weights, n, error = rule
-        if n * columns**2 < gaps.count**2:
-            record = {"horizon": horizon, "route": "rule", "nodes": n, "pairs": gaps.count, "error": error}
-            return (times, weights), record
-    return None, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
+
+    def __init__(self, cs: SpectralDecomposition, B, horizon: float, rule):
+        self.cs = cs
+        pairs, columns = cs.gaps.count, cs.basis_matrix.shape[1]
+        self.rule = rule if rule is not None and rule[2] * columns**2 < pairs**2 else None
+        if self.rule is None:
+            self.R = gap_phase_matrix(cs.gaps.values, horizon)
+            self.record = {"horizon": horizon, "route": "dense", "nodes": None, "pairs": pairs, "error": 0.0}
+            return
+        V = cs.basis_matrix
+        self.Bt = V.conj().T @ B @ V
+        # centred eigenvalues turn the curves by a global phase only and keep the phases small
+        self.mid = 0.5 * (cs.values.max() + cs.values.min())
+        self.columns = cs.column_values - self.mid
+        self.record = {"horizon": horizon, "route": "rule", "nodes": rule[2], "pairs": pairs, "error": rule[3]}
+
+    def states(self, psis, S) -> np.ndarray:
+        """Forms of states ``psis`` (n, dim) with overlap matrices ``S`` (n, d, d) on ``cs``.
+
+        The rule route sums weights_k |z_k^H (V* B V) z_k - tr S|^2 over the
+        nodes, z_k = exp(-i E t_k) V* psi (see the module docstring).
+        """
+        if self.rule is None:
+            return _dense_forms(self.R, gap_coefficients(S, self.cs.gaps))
+        times, weights = self.rule[:2]
+        y = state_amplitudes(self.cs, psis)
+        z = np.exp(-1j * np.outer(times, self.columns)) * y[:, None, :]
+        g = ((z.conj() @ self.Bt) * z).sum(-1) - np.trace(S, axis1=1, axis2=2)[:, None]
+        return ((g.real**2 + g.imag**2) * weights).sum(-1)
+
+    def mixture(self, W) -> float:
+        """Form of the mixture's overlap matrix ``W`` on ``cs``: the average of |tr(B(t) rho) - tr W|^2."""
+        if self.rule is None:
+            return float(_dense_forms(self.R, gap_coefficients(W, self.cs.gaps)[None])[0])
+        times, weights = self.rule[:2]
+        deviation = overlap_curve(self.cs.values - self.mid, W, times) - complex(np.trace(W))
+        return float(((deviation.real**2 + deviation.imag**2) * weights).sum())
 
 
-def dephased_power(gaps: GapIndex, coeff_rows: np.ndarray) -> np.ndarray:
-    """Infinite-horizon limit: sum the coefficients of each gap cluster, then the squared totals."""
+def dephased_power(gaps: GapIndex, S: np.ndarray) -> np.ndarray:
+    """Infinite-horizon forms of overlap matrices ``S`` (n, d, d): each gap cluster's coefficients summed, squared."""
+    rows = gap_coefficients(S, gaps)
     if gaps.count == 0:
-        return np.zeros(coeff_rows.shape[0])
-    sums = np.add.reduceat(coeff_rows[:, gaps.order], gaps.starts, axis=1)
+        return np.zeros(rows.shape[0])
+    sums = np.add.reduceat(rows[:, gaps.order], gaps.starts, axis=1)
     return np.einsum("sc,sc->s", sums, sums.conj()).real
 
 
@@ -449,18 +464,18 @@ def gauss_rule(gaps: GapIndex, horizon: float) -> tuple[np.ndarray, np.ndarray, 
     return 0.5 * horizon * (1.0 + x), 0.5 * w, n, gauss_phase_error(n, omega) * pairs
 
 
-def phase_matrix_norm(gaps: GapIndex, horizon: float) -> tuple[float, dict]:
+def phase_matrix_norm(gaps: GapIndex, horizon: float, rule) -> tuple[float, dict]:
     """Operator norm of the phase-average matrix R over ``gaps``, with the record of its route.
 
     R is Hermitian PSD, so its norm is its largest eigenvalue.  The kernel
     route (see the module docstring) returns lambda_max(W^(1/2) K W^(1/2))
-    on the nodes of ``gauss_rule`` plus its error bound eps P, never less
-    than |R|, since |c^H (R_q - R) c| <= eps P |c|^2.  Where the rule has
-    no n below P it takes the dense route, ``eigvalsh`` of R itself.  The
-    record is ``{horizon, route, nodes, pairs, error}``, ``error`` being
-    the eps P that was added (0 and no nodes on the dense route).
+    on the nodes of ``rule``, the ``gauss_rule`` of ``gaps`` at ``horizon``,
+    plus its error bound eps P, never less than |R|, since
+    |c^H (R_q - R) c| <= eps P |c|^2.  Where the rule is None (no n below
+    P) it takes the dense route, ``eigvalsh`` of R itself.  The record is
+    ``{horizon, route, nodes, pairs, error}``, ``error`` being the eps P
+    that was added (0 and no nodes on the dense route).
     """
-    rule = gauss_rule(gaps, horizon)
     if rule is None:
         norm = float(np.linalg.eigvalsh(gap_phase_matrix(gaps.values, horizon))[-1])
         return norm, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
@@ -482,16 +497,17 @@ def window_factor(d: int, kappa: float, horizon: float) -> float:
     return 1.0 + 8.0 * math.log2(max(d, 1)) / (kappa * horizon)
 
 
-def phase_norm_cells(gaps: GapIndex, kappas, horizons) -> tuple[list, list]:
+def phase_norm_cells(gaps: GapIndex, kappas, horizons, rules) -> tuple[list, list]:
     """Phase-matrix norm (one per horizon) and its window bound on every (kappa, T) cell.
 
-    The bound is G(kappa) (1 + 8 log2(d) / (kappa T)) over the d eigenvalues
-    of ``gaps``.  Also returns the route record of each horizon's norm.
+    ``rules`` holds the ``gauss_rule`` of each horizon.  The bound is
+    G(kappa) (1 + 8 log2(d) / (kappa T)) over the d eigenvalues of
+    ``gaps``.  Also returns the route record of each horizon's norm.
     """
     d = gaps.eigenvalues.size
     cells, routes = [], []
-    for T in horizons:
-        norm, route = phase_matrix_norm(gaps, T)
+    for T, rule in zip(horizons, rules):
+        norm, route = phase_matrix_norm(gaps, T, rule)
         routes.append(route)
         for kappa in kappas:
             bound = gaps.window_count(kappa) * window_factor(d, kappa, T)
@@ -517,8 +533,7 @@ def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B) ->
     eigenvalues, relative to their diameter.
     """
     cs = contributing_set(spec, B)
-    w = gap_coefficients(block_overlap_matrix(cs, psi0, B), cs.gaps)
-    return float(dephased_power(cs.gaps, w[None, :])[0])
+    return float(dephased_power(cs.gaps, block_overlap_matrix(cs, psi0, B)[None])[0])
 
 
 def _simpson_deviation(curve, center: complex, horizon: float) -> float:

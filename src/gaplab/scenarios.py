@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import mixture_block_overlap
+from .dynamics import gauss_rule, mixture_block_overlap
 from .linalg import as_complex_matrix, operator_norm
 from .sampling import DensityMatrix, derive_rng
 from .spectra import ContributingSet, SpectralDecomposition, contributing_set
@@ -462,6 +462,11 @@ class Scenario:
     def mixture_overlap(self) -> np.ndarray:
         """W[i, j] = tr(P_i B P_j rho) over the contributing set; its trace is the dephased expectation."""
         return mixture_block_overlap(self.contributing, self.rho, self.observable)
+
+    @cached_property
+    def gauss_rules(self) -> list:
+        """The ``gauss_rule`` of the contributing gaps at each horizon, which the phase norm and forms both read."""
+        return [gauss_rule(self.contributing.gaps, T) for T in self.config.horizons]
 
 
 @contextmanager

@@ -11,6 +11,7 @@ from gaplab.dynamics import (
     CONCENTRATION_CONSTANT,
     PHASE_NORM_ERROR,
     BoundInputs,
+    PhaseForms,
     concentration_tail_bound,
     block_overlap_matrix,
     gap_coefficients,
@@ -31,10 +32,7 @@ from gaplab.dynamics import (
     overlap_curve,
     phase_matrix_norm,
     phase_norm_cells,
-    phase_forms_route,
     phase_quadratic_forms,
-    rule_phase_forms,
-    state_amplitudes,
 )
 from gaplab.linalg import operator_norm
 from gaplab.sampling import derive_rng
@@ -285,7 +283,7 @@ def test_phase_matrix_norm_sidon_spectrum():
     norm = operator_norm(gap_phase_matrix(gaps.values, horizon=1e6))
     assert norm == pytest.approx(1.0, abs=1e-3)
     # a long horizon on few levels would need more nodes than pairs: the dense route
-    norm, route = phase_matrix_norm(gaps, 1e6)
+    norm, route = phase_matrix_norm(gaps, 1e6, gauss_rule(gaps, 1e6))
     assert route == {"horizon": 1e6, "route": "dense", "nodes": None, "pairs": 12, "error": 0.0}
     assert norm == pytest.approx(1.0, abs=1e-3)
 
@@ -327,7 +325,7 @@ def test_phase_matrix_norm_matches_singular_value_oracle(values):
     routes = []
     for horizon in (1e-3, 0.7, 8.0, 32.0):
         oracle = float(np.linalg.eigvalsh(gap_phase_matrix(gaps.values, horizon))[-1])
-        norm, route = phase_matrix_norm(gaps, horizon)
+        norm, route = phase_matrix_norm(gaps, horizon, gauss_rule(gaps, horizon))
         assert norm == pytest.approx(oracle, rel=1e-13)
         assert norm >= oracle * (1.0 - 1e-14)
         routes.append(route["route"])
@@ -384,7 +382,7 @@ def test_kernel_route_never_builds_the_phase_matrix(monkeypatch):
 
     gaps = GapIndex(np.sort(derive_rng(512, 48).standard_normal(48)) * 3.0)
     monkeypatch.setattr(dynamics, "gap_phase_matrix", refuse)
-    norm, route = phase_matrix_norm(gaps, 8.0)
+    norm, route = phase_matrix_norm(gaps, 8.0, gauss_rule(gaps, 8.0))
     assert route["route"] == "kernel" and route["pairs"] == 2256 and route["nodes"] < 2256
     assert 0.0 < route["error"] <= PHASE_NORM_ERROR
     assert 1.0 <= norm <= 2256.0
@@ -408,29 +406,29 @@ def test_rule_forms_match_the_dense_forms(multiplicities, eigenvalues):
     psis = np.array([random_state(48, rng) for _ in range(12)])
     S = block_overlap_matrix(cs, psis, B)
     rows = gap_coefficients(S, cs.gaps)
-    rule, route = phase_forms_route(cs.gaps, cs.basis_matrix.shape[1], 8.0)
+    ruled = PhaseForms(cs, B, 8.0, gauss_rule(cs.gaps, 8.0))
+    route = ruled.record
     assert route["route"] == "rule" and route["pairs"] == cs.gaps.count and 0.0 < route["error"] <= PHASE_NORM_ERROR
-    V = cs.basis_matrix
-    Bt = V.conj().T @ B @ V
-    centred = cs.column_values - 0.5 * (cs.values.max() + cs.values.min())
-    y, centers = state_amplitudes(cs, psis), np.trace(S, axis1=1, axis2=2)
-    forms = rule_phase_forms(y, Bt, centred, centers, *rule)
+    forms = ruled.states(psis, S)
     dense = phase_quadratic_forms(cs.gaps, rows, 8.0)
     assert forms == pytest.approx(dense, rel=1e-12)
+    # the evaluator without a rule takes the dense forms, with their bits
+    assert PhaseForms(cs, B, 8.0, None).states(psis, S).tolist() == dense.tolist()
     bound = route["error"] * np.sum(np.abs(rows) ** 2, axis=1)
     assert np.all(bound <= 1e-12 * dense)
     # one state alone gives the bits it has in the stack
-    assert rule_phase_forms(y[3:4], Bt, centred, centers[3:4], *rule)[0] == forms[3]
+    assert ruled.states(psis[3:4], S[3:4])[0] == forms[3]
 
 
 def test_degenerate_levels_take_the_dense_forms_route():
     """8 levels of 16 columns each: a rule exists, but its n m^2 per state exceeds the dense P^2."""
-    spec = random_hamiltonian(128, [16] * 8, derive_rng(532))
+    rng = derive_rng(532)
+    spec = random_hamiltonian(128, [16] * 8, rng)
     gaps = spec.gaps
     assert gaps.count == 56 and gauss_rule(gaps, 8.0) is not None
-    rule, route = phase_forms_route(gaps, 128, 8.0)
-    assert rule is None
-    assert route == {"horizon": 8.0, "route": "dense", "nodes": None, "pairs": 56, "error": 0.0}
+    forms = PhaseForms(spec, random_projector(128, 64, rng), 8.0, gauss_rule(gaps, 8.0))
+    assert forms.rule is None
+    assert forms.record == {"horizon": 8.0, "route": "dense", "nodes": None, "pairs": 56, "error": 0.0}
     assert gauss_rule(GapIndex([1.0]), 8.0) is None  # no pair, no rule
 
 
@@ -448,7 +446,7 @@ def test_gauss_rule_averages_over_the_horizon():
 
 def test_window_norm_bound_worked_example():
     spec = simple_spectrum([0.0, 1.0, 2.0])
-    [cell], [route] = phase_norm_cells(spec.gaps, [1.5], [100.0])
+    [cell], [route] = phase_norm_cells(spec.gaps, [1.5], [100.0], [gauss_rule(spec.gaps, 100.0)])
     assert route["horizon"] == 100.0 and route["pairs"] == 6
     expected = 3.0 * (1.0 + 8.0 * math.log2(3.0) / 150.0)
     assert cell["bound"] == pytest.approx(expected, rel=1e-12)
@@ -461,7 +459,9 @@ def test_window_norm_bound_random_sweep():
         d = int(rng.integers(3, 9))
         spec = simple_spectrum(np.sort(rng.standard_normal(d)) * 2.0)
         diameter = spec.values[-1] - spec.values[0]
-        cells, routes = phase_norm_cells(spec.gaps, (0.1 * diameter, 0.7 * diameter), (0.5, 5.0, 50.0))
+        horizons = (0.5, 5.0, 50.0)
+        rules = [gauss_rule(spec.gaps, T) for T in horizons]
+        cells, routes = phase_norm_cells(spec.gaps, (0.1 * diameter, 0.7 * diameter), horizons, rules)
         assert [r["horizon"] for r in routes] == [0.5, 5.0, 50.0]
         assert len(cells) == 6
         for cell in cells:

@@ -3,7 +3,9 @@
 No module uses another module's ``_``-prefixed names, neither through
 ``from .x import _name`` nor as an attribute ``x._name`` of an imported
 sibling module.  Only ``dynamics`` builds the dense phase-average matrix,
-and no run path builds it at d = 48, T = 8.  Importing the command line
+and no run path builds it at d = 48, T = 8.  The runner takes the phase
+forms through ``dynamics.PhaseForms`` and reads none of the routines
+behind it.  Importing the command line
 tool leaves out ``scipy.integrate``, which only the oracles use.  Every name a module imports is read in it (``__init__`` only re-exports).
 Every function and method is read somewhere in the package outside
 ``__init__``, unless it is one of the few kept for the tests
@@ -76,6 +78,25 @@ def test_only_dynamics_builds_the_phase_matrix():
     callers = {p.name for p in PACKAGE.glob("*.py") if calls_of(p.read_text(), "gap_phase_matrix")}
     assert callers == {"dynamics.py"}
     assert calls_of("R = dynamics.gap_phase_matrix(g, 1.0)\ngap_phase_matrix(g, 2.0)", "gap_phase_matrix") == 2
+
+
+#: The routines behind ``dynamics.PhaseForms``, which pick and evaluate a forms route.
+FORMS_INTERNALS = {
+    "gap_coefficients", "phase_quadratic_forms", "phase_forms_route", "rule_phase_forms", "state_amplitudes",
+}
+
+
+def imported_names(source: str) -> set:
+    """Names that a module's ``from ... import`` statements bind from other modules."""
+    return {a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_runner_leaves_the_forms_route_to_dynamics():
+    source = (PACKAGE / "runner.py").read_text()
+    assert (imported_names(source) | names_read(source)) & FORMS_INTERNALS == set()
+    assert imported_names("from .dynamics import (PhaseForms,\n    gap_coefficients)\nimport os") == {
+        "PhaseForms", "gap_coefficients",
+    }
 
 
 def test_no_run_path_builds_the_phase_matrix_at_d48(monkeypatch, tmp_path):

@@ -1,12 +1,15 @@
 """End-to-end scenario reports: check outcomes, vacuity flags, determinism."""
 
+import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaplab import runner
+from gaplab import cli, runner
+from gaplab.dynamics import PhaseForms
 from gaplab.jsonio import save_matrix
 from gaplab.runner import CheckRecord, Report, run_scenario
 from gaplab.scenarios import ScenarioConfig
@@ -80,16 +83,46 @@ def test_spectral_section_contents(report):
     assert sec["contributing"]["n_distinct"] <= sec["n_distinct"]
 
 
-def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+@pytest.mark.parametrize(
+    "hamiltonian, horizons, routes",
+    [
+        ({"kind": "random"}, [2.0, 8.0], ["rule", "rule"]),
+        ({"kind": "random"}, [8.0, 32.0], ["rule", "dense"]),
+        ({"kind": "random", "multiplicities": [2, 2, 1, 1, 1, 1]}, [1.0, 8.0], ["rule", "dense"]),
+    ],
+    ids=["two-rule-horizons", "long-horizon", "doubly-degenerate-levels"],
+)
+def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch, hamiltonian, horizons, routes):
+    """Neither forms route gives a state a form that depends on the shape of its chunk."""
     config = make_config(
-        horizons=[2.0, 8.0], mc={"n_states": 20, "n_times": 16}, checks=["moments", "equilibration"],
-        concentration=None,
+        hamiltonian=hamiltonian, horizons=horizons, mc={"n_states": 20, "n_times": 16},
+        checks=["moments", "equilibration"], concentration=None,
     )
     blobs = {}
     for chunk in (1, 7, runner.CHUNK_STATES):
         monkeypatch.setattr(runner, "CHUNK_STATES", chunk)
-        blobs[chunk] = run_scenario(config).to_json()
+        report = run_scenario(config)
+        assert [r["route"] for r in report.timings["forms"]] == routes
+        blobs[chunk] = report.to_json()
     assert len(set(blobs.values())) == 1
+
+
+def test_moments_memory_does_not_grow_with_the_state_count():
+    """Each chunk of states is reduced to per-state results, so no n_states x P array is held."""
+    peaks = []
+    for n in (256, 2048):
+        config = make_config(
+            dimension=24, observable={"kind": "random_projector", "rank": 12}, mc={"n_states": n, "n_times": 8},
+            checks=["moments"], concentration=None,
+        )
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # an (n_states + 1) x P array of gap coefficients (P = 552) alone would add 15 MiB
+    assert peaks[1] - peaks[0] < 3 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -106,11 +139,12 @@ def test_rule_forms_give_the_dense_reports_to_rel_1e12(monkeypatch, hamiltonian)
     ruled = run_scenario(config)
     assert [r["route"] for r in ruled.timings["forms"]] == ["rule"]
 
-    def dense_only(gaps, columns, horizon):
-        return None, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
+    def dense_only(cs, B, horizon, rule):
+        return PhaseForms(cs, B, horizon, None)
 
-    monkeypatch.setattr(runner, "phase_forms_route", dense_only)
+    monkeypatch.setattr(runner, "PhaseForms", dense_only)
     dense = run_scenario(config)
+    assert [r["route"] for r in dense.timings["forms"]] == ["dense"]
     for name in ("mean_curve_variance_bound", "mixture_curve_deviation_bound"):
         got, want = record_by_name(ruled, name), record_by_name(dense, name)
         assert got.measured == pytest.approx(want.measured, rel=1e-12)
@@ -122,7 +156,7 @@ def test_rule_forms_give_the_dense_reports_to_rel_1e12(monkeypatch, hamiltonian)
 
 
 def test_exceedance_record_does_not_depend_on_the_moments_check():
-    """Without ``moments`` no gap rows or forms are built; the exceedance record keeps its bits."""
+    """Without ``moments`` no phase forms or dephased powers are built; the exceedance record keeps its bits."""
     both = run_scenario(make_config(checks=["moments", "equilibration"], concentration=None))
     alone = run_scenario(make_config(checks=["equilibration"], concentration=None))
     assert "forms" in both.timings and "forms" not in alone.timings
@@ -209,6 +243,31 @@ def test_single_eigenvalue_spectrum_is_trivially_vacuous():
     assert rec.passed and rec.vacuous
 
 
+def test_observable_without_variance_passes_the_mc_match(tmp_path):
+    """B = I (a rank-D projector) has zero GAP variance; Monte Carlo and exact value are both rounding noise."""
+    config = make_config(seed=3, observable={"kind": "random_projector", "rank": 8})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.raw))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    record = record_by_name(run_scenario(config), "variance_exact_vs_mc")
+    assert record.passed and record.bound < record.measured <= 1e-30
+
+
+def test_variance_mc_match_still_fails_on_a_real_mismatch(monkeypatch):
+    """The rounding allowance of B = I forgives no real difference: an exact variance 1e-3 off fails."""
+    original = runner.gap_variance_bound
+
+    def shifted(rho, B):
+        report = original(rho, B)
+        return dataclasses.replace(report, exact_variance=report.exact_variance + 1e-3)
+
+    monkeypatch.setattr(runner, "gap_variance_bound", shifted)
+    config = make_config(seed=3, observable={"kind": "random_projector", "rank": 8}, checks=["variance"],
+                         concentration=None)
+    record = record_by_name(run_scenario(config), "variance_exact_vs_mc")
+    assert not record.passed and record.measured == pytest.approx(1e-3)
+
+
 def test_checks_subset_controls_records():
     config = make_config(checks=["variance"], concentration=None)
     report = run_scenario(config)
@@ -234,15 +293,18 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
 
     count("contributing_set", "gaplab.spectra")
     count("gap_phase_matrix", "gaplab.dynamics")
+    count("gauss_rule", "gaplab.dynamics")
     count("operator_norm", "gaplab.linalg")
     monkeypatch.setattr(GapIndex, "__init__", counted("GapIndex", GapIndex.__init__))
     for horizons, kappas in (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0])):
-        calls.update(contributing_set=0, gap_phase_matrix=0, operator_norm=0, GapIndex=0)
+        calls.update(contributing_set=0, gap_phase_matrix=0, gauss_rule=0, operator_norm=0, GapIndex=0)
         config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": 300, "n_times": 16})
         report = run_scenario(config)
         assert report.violations == 0
         assert calls["contributing_set"] == 1
         assert calls["gap_phase_matrix"] <= 2 * len(config.horizons)
+        # one rule per horizon, which the phase norm and the moments forms share
+        assert calls["gauss_rule"] == len(config.horizons)
         # one index for the full spectrum, one for the contributing set
         assert calls["GapIndex"] == 2
         # |B| only: the phase-matrix norm is an eigenvalue, not a singular value
