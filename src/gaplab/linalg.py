@@ -44,10 +44,6 @@ class HermitianEigenSystem:
     eigenvalues: np.ndarray
     basis: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
 
 def hermitian_eigendecomposition(M) -> HermitianEigenSystem:
     """Full eigendecomposition of a Hermitian matrix.

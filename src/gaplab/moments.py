@@ -18,8 +18,8 @@ prod_{j=1..k+1} (1 - j p_max)^(-1) and bounds cross terms by absolute
 values; a sharper variant that keeps the quadrature values of K(k) is
 reported alongside.
 
-``k_table`` and ``k_pair_table`` compute K(0), K(1), K(2) and the whole pair
-table from one trapezoid rule in s = log x with step ``RULE_STEP``.  In s
+``k_table`` computes K(0), K(1), K(2) and the whole pair table from one
+trapezoid rule in s = log x with step ``RULE_STEP``.  In s
 every integrand is analytic in the strip |Im s| < pi, so the rule converges
 geometrically (Trefethen & Weideman, SIAM Review 56, 2014).  With node
 weights w_j = h x_j prod_i (1 + x_j p_i)^(-1) and G_jm = (1 + x_j p_m)^(-1),
@@ -31,6 +31,12 @@ s = -RULE_TAIL and s = c + RULE_TAIL leaves tails below exp(-RULE_TAIL)
 against integrals that are all at least 1/3.  The every-other-node sum (step 2h) comes free from
 the same grid; if it differs from the step-h sum by more than
 ``RULE_SELF_CHECK_TOL`` relative, the rule raises ``RuntimeError``.
+
+The bound's trace terms and cross sums are two matrix products over the
+columns p, p^2, p^3 of the spectrum, P = [p, p^2, p^3]: with
+A' = A in the eigenbasis of rho, t = P^T |A'|^2 P holds
+tr(A rho^a A* rho^b) = sum_{n,m} |A'_nm|^2 p_m^a p_n^b at t[b-1, a-1], and
+s = |diag A'|^T P holds the cross-sum factors s_k = sum_n |A'_nn| p_n^k.
 
 ``k_integral`` and ``k_pair_integral`` keep adaptive Gauss-Kronrod
 quadrature (after the compactifying substitution x = u / (1 - u), tolerance
@@ -59,7 +65,6 @@ __all__ = [
     "k_integral",
     "k_pair_integral",
     "k_product_bound",
-    "k_pair_table",
     "k_table",
     "gap_variance_exact",
     "gap_variance_bound",
@@ -229,18 +234,6 @@ def _k_rule(p: np.ndarray, n_moments: int):
     return moments, pair, s.size, self_check
 
 
-def k_pair_table(probabilities) -> np.ndarray:
-    """Symmetric table of all pair integrals K(m, n), from the rule of ``k_table``."""
-    p = _check_probabilities(probabilities)
-    npos = int(np.count_nonzero(p > 0))
-    if npos < 2 and npos < p.size:
-        # K(m, m) of a zero level p_m keeps only the npos positive factors
-        raise ValueError(
-            f"integrand decays too slowly: needs at least 2 positive factors, got {npos}"
-        )
-    return _k_rule(p, 0)[1]
-
-
 @dataclass
 class KIntegralTable:
     """K(0), K(1), K(2) and the pair table, with the rule's node count and self-check."""
@@ -266,12 +259,7 @@ def k_table(probabilities) -> KIntegralTable:
 
 def gap_expectation(rho: DensityMatrix, A) -> complex:
     """Ensemble mean of <psi|A|psi> under the projected ensemble: tr(A rho)."""
-    A = as_complex_matrix(A, name="observable", square=True)
-    if A.shape[0] != rho.dim:
-        raise ValueError(f"observable dimension {A.shape[0]} does not match rho dim {rho.dim}")
-    U = rho.basis
-    diag = np.einsum("in,in->n", U.conj(), A @ U)
-    return complex(np.dot(diag, rho.probabilities))
+    return complex(np.dot(_eigenbasis_observable(rho, A).diagonal(), rho.probabilities))
 
 
 def _eigenbasis_observable(rho: DensityMatrix, A) -> np.ndarray:
@@ -309,7 +297,7 @@ def gap_variance_exact(rho: DensityMatrix, A) -> float:
         raise ValueError("dimension must be at least 4")
     if np.any(p <= 0.0):
         raise ValueError("all probabilities must be strictly positive")
-    return _exact_variance(_eigenbasis_observable(rho, A), p, k_pair_table(p))
+    return _exact_variance(_eigenbasis_observable(rho, A), p, _k_rule(p, 0)[1])
 
 
 @dataclass
@@ -318,7 +306,9 @@ class VarianceReport:
 
     ``bound`` is the closed-form product-bound evaluation; ``quadrature_bound``
     keeps the quadrature values of K(0..2) and is sharper.  ``clamped_terms``
-    counts cancellation residues in [-1e-12, 0) that were clamped to zero.
+    is always 0: every trace term is a sum of nonnegative products, so none
+    can come out negative; the field stays because the stored reports carry
+    the key.
     ``rule_nodes`` and ``rule_self_check`` are the node count and the
     step-h against step-2h difference of the K-integral rule (see ``k_table``).
     """
@@ -356,29 +346,11 @@ def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
     if q > 0.25 + 1e-15:
         raise ValueError(f"p_max = {q!r} exceeds 1/4")
     At = _eigenbasis_observable(rho, A)
-    abs2 = np.abs(At) ** 2
-
-    clamped = 0
-
-    def trace_term(a: int, b: int) -> float:
-        nonlocal clamped
-        val = float(np.einsum("nm,m,n->", abs2, p**a, p**b))
-        if CLAMP_FLOOR <= val < 0.0:
-            clamped += 1
-            return 0.0
-        return val
-
-    t11 = trace_term(1, 1)
-    t21 = trace_term(2, 1)
-    t12 = trace_term(1, 2)
-    t31 = trace_term(3, 1)
-    t22 = trace_term(2, 2)
-    t13 = trace_term(1, 3)
-
-    adiag = np.abs(At.diagonal())
-    s1 = float(np.dot(adiag, p))
-    s2 = float(np.dot(adiag, p**2))
-    s3 = float(np.dot(adiag, p**3))
+    P = p[:, None] ** np.arange(1, 4)
+    t = P.T @ (np.abs(At) ** 2) @ P
+    s1, s2, s3 = (np.abs(At.diagonal()) @ P).tolist()
+    # row a - 1 of t.T holds Tab = tr(A rho^a A* rho^b) at column b - 1
+    (t11, t12, t13), (t21, t22, _), (t31, _, _) = t.T.tolist()
     cross31 = s3 * s1
     cross22 = s2 * s2
     cross13 = s1 * s3
@@ -408,7 +380,6 @@ def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
         bound=bound_with(*(k_product_bound(q, k) for k in (0, 1, 2))),
         quadrature_bound=bound_with(table.k0, table.k1, table.k2),
         term_breakdown=breakdown,
-        clamped_terms=clamped,
         rule_nodes=table.nodes,
         rule_self_check=table.self_check,
     )

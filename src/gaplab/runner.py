@@ -186,7 +186,7 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
 
 
-def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, forms: list):
+def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: list, forms: list):
     """Per-state results of the sampled states, each chunk reduced to them before the next is drawn.
 
     Returns (itas, powers, state_forms, fractions), one entry per state:
@@ -196,15 +196,18 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, forms: lis
     reads it); and the exceedance fractions, of shape (n_states, horizons)
     with one column per entry of ``deviation_bounds``: the share of the
     state's uniform times on [0, T] at which its curve deviates from
-    ``center`` by more than the bound.  Every overlap matrix is built on
-    the contributing set, which is all the curves and averages depend on.
+    ``center`` by more than the bound.  Curves are evaluated only for the
+    live horizons; the column of a horizon flagged in ``vacuous`` (bound
+    above 2 |B|, which no deviation reaches) stays 0.  Every overlap
+    matrix is built on the contributing set, which is all the curves and
+    averages depend on.
     """
     config, cs = scn.config, scn.contributing
     n, n_times = config.n_states, config.n_times
     itas = np.empty(n, dtype=complex)
     powers = np.empty(n) if forms else None
     state_forms = [np.empty(n) for _ in forms]
-    fractions = np.empty((n, len(deviation_bounds)))
+    fractions = np.zeros((n, len(deviation_bounds)))
     for lo in range(0, n, CHUNK_STATES):
         hi = min(lo + CHUNK_STATES, n)
         psis = np.empty((hi - lo, cs.dim), dtype=complex)
@@ -220,6 +223,8 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, forms: lis
         for f, values in zip(forms, state_forms):
             values[lo:hi] = f.states(psis, S)
         for h, (T, bound) in enumerate(zip(config.horizons, deviation_bounds)):
+            if vacuous[h]:
+                continue
             devs = np.abs(overlap_curve(cs.values, S, u * T) - center)
             fractions[lo:hi, h] = (devs > bound).mean(axis=1)
     return itas, powers, state_forms, fractions
@@ -234,8 +239,11 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
     ``Bounds`` record of its (kappa, T) cell, which is built before any
     state is drawn, as is the ``PhaseForms`` of each horizon, so each chunk
     of states keeps only its per-state results, not its curves or gap
-    coefficients.  Also returns the route record of each horizon's phase
-    forms for the timings sidecar (none without ``moments``).
+    coefficients.  Each horizon's vacuity is also decided before then:
+    exceedance curves are evaluated only for the live horizons, whose
+    deviation bound is at most 2 |B|.  Also returns the route record of
+    each horizon's phase forms for the timings sidecar (none without
+    ``moments``).
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
@@ -250,11 +258,13 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
     first = bounds[kappas[0], config.horizons[0]]
     # the finite-time deviation bound of each horizon: the smallest over kappa
     deviation_bounds = [min(bounds[k, T].finite_time for k in kappas) for T in config.horizons]
+    # no deviation from the center exceeds 2 |B|, so a larger bound leaves nothing to measure
+    vacuous = [bound > 2.0 * norm_b for bound in deviation_bounds]
     center = complex(np.trace(scn.mixture_overlap))
     forms = []
     if "moments" in config.checks:
         forms = [PhaseForms(cs, scn.observable, T, rule) for T, rule in zip(config.horizons, scn.gauss_rules)]
-    itas, powers, state_forms, fractions = _ensemble(scn, center, deviation_bounds, forms)
+    itas, powers, state_forms, fractions = _ensemble(scn, center, deviation_bounds, vacuous, forms)
     records = []
 
     if "moments" in config.checks:
@@ -325,7 +335,7 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
                 {
                     "horizon": T,
                     "deviation_bound": bound,
-                    "vacuous": bound > 2.0 * norm_b,
+                    "vacuous": vacuous[h],
                     "exceed_fraction": float((fractions[:, h] > config.delta).mean()),
                     "per_kappa": per_kappa,
                 }

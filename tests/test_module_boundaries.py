@@ -10,17 +10,20 @@ tool leaves out ``scipy.integrate``, which only the oracles use.  Every name a m
 Every function and method is read somewhere in the package outside
 ``__init__``, unless it is one of the few kept for the tests
 (``TEST_FACING``): code that no command, run path or oracle reaches is
-deleted, not exported.  An attribute read whose name is a dataclass field
+deleted, not exported.  Every name in a module's ``__all__`` is bound in
+that module, so deleting a function also deletes its export.  An attribute read whose name is a dataclass field
 of the package reads the field, not a module-level function of the same
 name; methods are still read through attributes.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -245,3 +248,23 @@ def test_a_dataclass_field_does_not_read_a_function_of_its_name():
     )
     assert dataclass_fields(source) == {"spread", "total"}
     assert unread_functions({"a.py": source}) == ["a.py:spread"]
+
+
+def unbound_exports(module) -> list:
+    """Names in a module's ``__all__`` that the module does not bind."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize(
+    "name", ["gaplab"] + [f"gaplab.{p.stem}" for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+)
+def test_every_export_is_bound(name):
+    module = importlib.import_module(name)
+    assert module.__all__ and unbound_exports(module) == []
+
+
+def test_unbound_exports_are_detected():
+    module = types.ModuleType("stale")
+    module.kept = 1
+    module.__all__ = ["kept", "deleted"]
+    assert unbound_exports(module) == ["deleted"]

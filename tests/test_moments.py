@@ -13,7 +13,6 @@ from gaplab.moments import (
     gap_variance_exact,
     k_integral,
     k_pair_integral,
-    k_pair_table,
     k_product_bound,
     k_table,
 )
@@ -45,14 +44,6 @@ def test_k_pair_uniform_d4():
             assert k_pair_integral(UNIFORM4, m, n) == pytest.approx(0.8, abs=1e-8)
 
 
-def test_k_pair_table_symmetric():
-    rng = derive_rng(400)
-    p = random_density(5, rng).probabilities
-    table = k_pair_table(p)
-    assert np.abs(table - table.T).max() == 0.0
-    assert np.all(table > 0)
-
-
 def _oracle_spectra():
     spectra = {
         f"random{d}": random_density(d, derive_rng(413, d), p_max_limit=0.25).probabilities
@@ -74,9 +65,9 @@ def test_k_rule_matches_adaptive_quadrature(name):
     table = k_table(p)
     for k, value in enumerate((table.k0, table.k1, table.k2)):
         assert value == pytest.approx(k_integral(p, k), rel=1e-10)
-    pair = k_pair_table(p)
-    assert np.array_equal(pair, table.pair)
+    pair = table.pair
     assert np.array_equal(pair, pair.T)
+    assert np.all(pair > 0)
     d = p.size
     levels = sorted({0, 1, d // 2, d - 2, d - 1})
     for m in levels:
@@ -101,12 +92,6 @@ def test_k_rule_self_check_rejects_coarse_step(monkeypatch):
     monkeypatch.setattr(moments, "RULE_STEP", 1.0)
     with pytest.raises(RuntimeError, match="did not converge"):
         k_table(ORACLE_SPECTRA["random8"])
-
-
-def test_k_pair_table_rejects_zero_pair_without_decay():
-    with pytest.raises(ValueError, match="needs at least 2 positive factors, got 1"):
-        k_pair_table([1.0, 0.0, 0.0])
-    assert k_pair_table([1.0]) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_product_bound_values_at_quarter():
@@ -277,3 +262,29 @@ def test_breakdown_keys_and_factors():
     assert report.clamped_terms == 0
     total = sum(math.isnan(v) for v in bd.values())
     assert total == 0
+
+
+def test_trace_terms_and_cross_sums_match_their_definitions():
+    """Each Tab against tr(A rho^a A* rho^b) of the dense rho, each Sab against a loop over eigenvectors."""
+    for trial in range(20):
+        rng = derive_rng(414, trial)
+        dim = int(rng.integers(6, 49))
+        rho = random_density(dim, rng, p_max_limit=0.25)
+        A = random_hermitian(dim, rng)
+        if trial % 2:
+            A = A + 1j * random_hermitian(dim, rng)
+        bd = gap_variance_bound(rho, A).term_breakdown
+        R = rho.matrix()
+        powers = {k: np.linalg.matrix_power(R, k) for k in (1, 2, 3)}
+        for a, b in ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)):
+            key = f"tr_a_rho{a if a > 1 else ''}_astar_rho{b if b > 1 else ''}"
+            want = np.trace(A @ powers[a] @ A.conj().T @ powers[b])
+            assert bd[key] == pytest.approx(want.real, rel=1e-12)
+            assert abs(want.imag) <= 1e-12 * abs(want)
+        s = {k: 0.0 for k in (1, 2, 3)}
+        for n, p_n in enumerate(rho.probabilities):
+            u = rho.basis[:, n]
+            for k in s:
+                s[k] += abs(u.conj() @ A @ u) * p_n**k
+        for a, b in ((3, 1), (2, 2), (1, 3)):
+            assert bd[f"cross_sum_{a}{b}"] == pytest.approx(s[a] * s[b], rel=1e-12)

@@ -163,6 +163,43 @@ def test_exceedance_record_does_not_depend_on_the_moments_check():
     assert [c.to_dict() for c in alone.checks] == [record_by_name(both, "finite_time_exceedance").to_dict()]
 
 
+def count_overlap_curves(monkeypatch) -> list:
+    """Patch ``runner.overlap_curve`` to count its calls; the list's one entry is the count."""
+    calls = [0]
+    original = runner.overlap_curve
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "overlap_curve", counted)
+    return calls
+
+
+def test_vacuous_horizons_evaluate_no_exceedance_curve(monkeypatch):
+    """A deviation bound above 2 |B| cannot be exceeded, so no curve of its horizon is evaluated."""
+    calls = count_overlap_curves(monkeypatch)
+    config = make_config(horizons=[2.0, 8.0], mc={"n_states": 20, "n_times": 16},
+                         checks=["moments", "equilibration"], concentration=None)
+    record = record_by_name(run_scenario(config), "finite_time_exceedance")
+    assert record.vacuous and all(c["vacuous"] for c in record.detail["cells"])
+    assert [c["exceed_fraction"] for c in record.detail["cells"]] == [0.0, 0.0]
+    assert calls[0] == 0
+
+
+def test_live_horizon_evaluates_its_exceedance_curves(monkeypatch):
+    calls = count_overlap_curves(monkeypatch)
+    config = make_config(
+        dimension=64, seed=3, rho={"kind": "uniform"}, observable={"kind": "random_projector", "rank": 32},
+        epsilon=0.9, delta=0.9, kappas=[1e-6], horizons=[1e9], mc={"n_states": 20, "n_times": 16},
+        checks=["equilibration"], concentration=None,
+    )
+    record = record_by_name(run_scenario(config), "finite_time_exceedance")
+    (cell,) = record.detail["cells"]
+    assert cell["deviation_bound"] < 2.0 and not cell["vacuous"] and not record.vacuous
+    assert calls[0] == 1
+
+
 def test_report_serialization_excludes_timings(report):
     assert report.timings
     payload = json.loads(report.to_json())
