@@ -44,6 +44,8 @@ from .sampling import (
     derive_rng,
     empirical_density_matrix,
     sample_gap,
+    sample_gap_diagonal,
+    sample_gap_each,
     sample_gap_resampling_oracle,
     sample_gaussian,
 )
@@ -103,6 +105,8 @@ __all__ = [
     "phase_quadratic_forms",
     "run_scenario",
     "sample_gap",
+    "sample_gap_diagonal",
+    "sample_gap_each",
     "sample_gap_resampling_oracle",
     "sample_gaussian",
     "spectral_counts",

@@ -102,6 +102,10 @@ CONCENTRATION_CONSTANT = 1.0 / (288.0 * math.pi**2)
 #: Point count of the Simpson time-grid oracle (odd, as Simpson's rule needs).
 QUADRATURE_POINTS = 10001
 
+#: Bytes of one run's (run, multiplicity, columns) products in
+#: ``block_overlap_matrix``: small enough to stay in a core's cache.
+OVERLAP_RUN_BYTES = 256 * 1024
+
 #: Largest error the kernel route may add to the phase-matrix norm.  The
 #: norm is at least 1 (R has a unit diagonal), so this is below one
 #: rounding unit of it.
@@ -167,7 +171,12 @@ def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
 
     ``psi0`` is one state, or a stack of states (n, dim) that gives one
     matrix per state, shape (n, d, d).  On a contributing set S is the
-    contributing submatrix of the full spectrum's S.
+    contributing submatrix of the full spectrum's S.  A stack is taken in
+    runs of states whose products of one eigenspace of rows,
+    (run, mult, columns) entries, fit in about ``OVERLAP_RUN_BYTES``, in
+    one buffer reused by every run and eigenspace.  Each entry is the
+    same products (conj(y_a) Bt_ab) y_b, summed in the same order, as for
+    a single state, so a stack gives every state's S bit for bit.
     """
     y = state_amplitudes(spec, psi0)
     B = _check_observable(B, spec.dim)
@@ -175,14 +184,22 @@ def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
         return np.zeros(y.shape[:-1] + (0, 0), dtype=complex)
     V = spec.basis_matrix
     Bt = V.conj().T @ B @ V
-    yc = np.conj(y)
-    # one eigenspace of rows at a time keeps a stack at (n, mult, dim) entries
-    ends = spec.block_starts + spec.multiplicities
-    rows = [
-        np.add.reduceat(yc[..., a:b, None] * Bt[a:b] * y[..., None, :], [0], axis=-2)
-        for a, b in zip(spec.block_starts, ends)
-    ]
-    return np.add.reduceat(np.concatenate(rows, axis=-2), spec.block_starts, axis=-1)
+    states = y.reshape(-1, y.shape[-1])  # a single state as a stack of one
+    conj = np.conj(states)
+    (n, m), d, mult = states.shape, spec.n_distinct, int(spec.multiplicities.max())
+    run = max(1, min(n, OVERLAP_RUN_BYTES // (mult * m * states.itemsize)))
+    products = np.empty((run, mult, m), dtype=complex)
+    rows = np.empty((run, d, m), dtype=complex)
+    S = np.empty((n, d, d), dtype=complex)
+    blocks = list(zip(spec.block_starts, spec.block_starts + spec.multiplicities))
+    for lo in range(0, n, run):
+        hi = min(lo + run, n)
+        for i, (a, b) in enumerate(blocks):
+            block = np.multiply(conj[lo:hi, a:b, None], Bt[a:b], out=products[: hi - lo, : b - a])
+            block *= states[lo:hi, None, :]
+            np.add.reduceat(block, [0], axis=-2, out=rows[: hi - lo, i : i + 1])
+        np.add.reduceat(rows[: hi - lo], spec.block_starts, axis=-1, out=S[lo:hi])
+    return S.reshape(y.shape[:-1] + (d, d))
 
 
 def overlap_curve(values, S, times) -> np.ndarray:

@@ -6,10 +6,15 @@ allowance.  The quantities that depend on the scenario alone (contributing
 set and its gap index, V* B V, |B|, mixture overlap, the Gauss rule of each
 horizon) are prepared once on the :class:`Scenario`.  The state ensemble is
 processed in chunks of ``CHUNK_STATES`` states, each reduced to its
-per-state results before the next is drawn; every state still draws from
-its own stream (seed, DOMAIN_STATES, state index), in index order, so the
-report bytes depend only on (config, seed).  Wall-clock timings are kept out of the
-canonical report for the same reason.
+per-state results before the next is drawn.  Every state draws from its
+own stream (seed, DOMAIN_STATES, state index): its state, then its
+uniform times.  The arithmetic on those draws runs once per chunk
+(``sample_gap_each``, ``block_overlap_matrix`` over the stack), and it
+gives each state the bits of a state taken alone: the rotation is one
+matrix-vector product per state, and the overlaps keep each state's
+products and summation order.  So the report bytes depend only on
+(config, seed).  Wall-clock timings are kept out of the canonical report
+for the same reason.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .dynamics import (
     phase_norm_cells,
 )
 from .moments import gap_variance_bound, mc_variance
-from .sampling import DensityMatrix, derive_rng, sample_gap
+from .sampling import derive_rng, sample_gap, sample_gap_diagonal, sample_gap_each
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
 from .spectra import spectral_counts
 
@@ -210,12 +215,11 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
     fractions = np.zeros((n, len(deviation_bounds)))
     for lo in range(0, n, CHUNK_STATES):
         hi = min(lo + CHUNK_STATES, n)
-        psis = np.empty((hi - lo, cs.dim), dtype=complex)
+        rngs = [derive_rng(config.seed, DOMAIN_STATES, i) for i in range(lo, hi)]
+        psis = sample_gap_each(scn.rho, rngs)
         u = np.empty((hi - lo, n_times))
-        for k in range(hi - lo):
-            rng = derive_rng(config.seed, DOMAIN_STATES, lo + k)
-            psis[k] = sample_gap(scn.rho, rng)
-            u[k] = rng.random(n_times)
+        for rng, times in zip(rngs, u):
+            rng.random(out=times)
         S = block_overlap_matrix(cs, psis, scn.observable)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
         if forms:
@@ -388,8 +392,7 @@ def verify_concentration(scn: Scenario) -> list:
     # Variance scaling across uniform mixtures: slope of log Var vs log D near -1.
     dims, variances, tails = section["scaling_dims"], [], []
     for j, d in enumerate(dims):
-        uniform = DensityMatrix(probabilities=np.full(d, 1.0 / d), basis=np.eye(d))
-        states = sample_gap(uniform, derive_rng(seed, DOMAIN_CONCENTRATION, 1 + j), size=n_states)
+        states = sample_gap_diagonal(np.full(d, 1.0 / d), derive_rng(seed, DOMAIN_CONCENTRATION, 1 + j), n_states)
         vals = np.einsum("sd,sd->s", states[:, : d // 2].conj(), states[:, : d // 2]).real
         variances.append(float(np.mean((vals - vals.mean()) ** 2)))
         tails.append({})

@@ -37,6 +37,8 @@ __all__ = [
     "derive_rng",
     "sample_gaussian",
     "sample_gap",
+    "sample_gap_each",
+    "sample_gap_diagonal",
     "sample_gap_resampling_oracle",
     "empirical_density_matrix",
 ]
@@ -49,6 +51,22 @@ UNITARITY_TOL = 1e-10
 
 #: Minimum batch size for the importance-resampling oracle.
 MIN_ORACLE_BATCH = 1000
+
+
+def _checked_probabilities(probabilities) -> np.ndarray:
+    """Finite, nonnegative, nonincreasing probabilities that sum to one within TRACE_TOL, renormalized."""
+    p = np.asarray(probabilities, dtype=float).ravel()
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities contain NaN or Inf")
+    if np.any(p < -TRACE_TOL):
+        raise ValueError("probabilities must be nonnegative")
+    p = np.where(p < 0, 0.0, p)
+    if np.any(np.diff(p) > 0):
+        raise ValueError("probabilities must be nonincreasing")
+    total = p.sum()
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1 within {TRACE_TOL}")
+    return p / total
 
 
 @dataclass
@@ -64,28 +82,18 @@ class DensityMatrix:
     basis: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float).ravel()
+        p = _checked_probabilities(self.probabilities)
         U = as_complex_matrix(self.basis, name="eigenbasis", square=True)
         if p.size != U.shape[0]:
             raise ValueError(
                 f"probability count {p.size} does not match basis dimension {U.shape[0]}"
             )
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities contain NaN or Inf")
-        if np.any(p < -TRACE_TOL):
-            raise ValueError("probabilities must be nonnegative")
-        p = np.where(p < 0, 0.0, p)
-        if np.any(np.diff(p) > 0):
-            raise ValueError("probabilities must be nonincreasing")
-        total = p.sum()
-        if abs(total - 1.0) > TRACE_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within {TRACE_TOL}")
         defect = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
         if defect > UNITARITY_TOL:
             raise ValueError(
                 f"eigenbasis is not unitary: max |U*U - I| = {defect:.3e}"
             )
-        self.probabilities = p / total
+        self.probabilities = p
         self.basis = U
 
     @classmethod
@@ -125,14 +133,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
-def _size_biased_indices(p: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n mixture indices with P(index = k) = p_k by inversion."""
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    u = rng.random(n)
-    return np.searchsorted(cdf, u, side="right")
-
-
 def sample_gaussian(rho: DensityMatrix, rng: np.random.Generator, size=None) -> np.ndarray:
     """Draw from the Gaussian ensemble of ``rho`` (not normalized).
 
@@ -148,6 +148,49 @@ def sample_gaussian(rho: DensityMatrix, rng: np.random.Generator, size=None) -> 
     z *= scale
     psi = z @ rho.basis.T
     return psi[0] if size is None else psi
+
+
+def _gap_draws(rng: np.random.Generator, n: int, dim: int) -> tuple:
+    """The draws of n projected-ensemble states from one generator, in the recipe's order.
+
+    Mixture uniforms, real parts, imaginary parts, standard Gamma(2)
+    radii, phase uniforms: each kind for all n states before the next.
+    """
+    u = rng.random(n)
+    re = rng.standard_normal((n, dim))
+    im = rng.standard_normal((n, dim))
+    g = rng.standard_gamma(2.0, size=n)
+    return u, re, im, g, rng.random(n)
+
+
+def _gap_states(p: np.ndarray, draws: tuple, rotate=None) -> np.ndarray:
+    """Unit states of the mixture recipe from its draws, one state per row.
+
+    ``draws`` = (u, re, im, g, v) as :func:`_gap_draws` lays them out:
+    mixture uniforms (n,), standard normal real and imaginary parts
+    (n, dim), standard Gamma(2) draws (n,) and phase uniforms (n,).
+    ``rotate`` maps the eigenbasis coordinates (n, dim) to the states
+    before they are normalized; None keeps the eigenbasis.  Every step
+    but the rotation acts on each row alone, so a state's bits depend on
+    the other rows only through the rotation.
+    """
+    u, re, im, g, v = draws
+    # mixture index k with probability p_k, by inversion
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, u, side="right")
+    z = re + 1j * im
+    z *= np.sqrt(p / 2.0)
+    # p_n g is Gamma(shape 2, scale p_n), bit for bit as Generator.gamma scales it
+    r2 = p[idx] * g
+    phase = v * (2.0 * np.pi)
+    z[np.arange(u.size), idx] = np.sqrt(r2) * np.exp(1j * phase)
+    psi = z if rotate is None else rotate(z)
+    norms = np.linalg.norm(psi, axis=1)
+    if np.any(norms == 0.0):
+        raise RuntimeError("degenerate zero-norm draw")
+    psi /= norms[:, None]
+    return psi
 
 
 def sample_gap(rho: DensityMatrix, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -166,19 +209,47 @@ def sample_gap(rho: DensityMatrix, rng: np.random.Generator, size=None) -> np.nd
     n = 1 if size is None else int(size)
     if n < 1:
         raise ValueError("size must be at least 1")
-    p = rho.probabilities
-    idx = _size_biased_indices(p, rng, n)
-    z = rng.standard_normal((n, rho.dim)) + 1j * rng.standard_normal((n, rho.dim))
-    z *= np.sqrt(p / 2.0)
-    r2 = rng.gamma(2.0, scale=p[idx])
-    phase = rng.random(n) * (2.0 * np.pi)
-    z[np.arange(n), idx] = np.sqrt(r2) * np.exp(1j * phase)
-    psi = z @ rho.basis.T
-    norms = np.linalg.norm(psi, axis=1)
-    if np.any(norms == 0.0):
-        raise RuntimeError("degenerate zero-norm draw")
-    psi /= norms[:, None]
+    psi = _gap_states(rho.probabilities, _gap_draws(rng, n, rho.dim), lambda z: z @ rho.basis.T)
     return psi[0] if size is None else psi
+
+
+def sample_gap_each(rho: DensityMatrix, rngs) -> np.ndarray:
+    """One projected-ensemble state from each generator of ``rngs``, as rows (len(rngs), dim).
+
+    Row k equals ``sample_gap(rho, rngs[k])`` bit for bit and leaves
+    ``rngs[k]`` where that call leaves it: each generator makes the draws
+    of one state in the order of :func:`sample_gap`, and the recipe then
+    runs once over all rows.  Its rotation is one matrix-vector product
+    per row, the product a single state takes, where a matrix product
+    over the rows would round differently.
+    """
+    n, dim = len(rngs), rho.dim
+    if n < 1:
+        raise ValueError("at least one generator is needed")
+    u, re, im, g, v = np.empty(n), np.empty((n, dim)), np.empty((n, dim)), np.empty(n), np.empty(n)
+    for k, rng in enumerate(rngs):
+        u[k] = rng.random()
+        rng.standard_normal(out=re[k])
+        rng.standard_normal(out=im[k])
+        g[k] = rng.standard_gamma(2.0)
+        v[k] = rng.random()
+    return _gap_states(rho.probabilities, (u, re, im, g, v), lambda z: (z[:, None, :] @ rho.basis.T)[:, 0, :])
+
+
+def sample_gap_diagonal(probabilities, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` projected-ensemble states of diag(``probabilities``), as rows.
+
+    These are the states of any density matrix with that spectrum written
+    in its own eigenbasis, with the draws of :func:`sample_gap` and no
+    rotation, so no eigenbasis is built or checked.  For
+    ``rho.basis = I`` they equal ``sample_gap(rho, rng, size)`` bit for
+    bit, since z @ I == z.
+    """
+    p = _checked_probabilities(probabilities)
+    n = int(size)
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    return _gap_states(p, _gap_draws(rng, n, p.size))
 
 
 def sample_gap_resampling_oracle(

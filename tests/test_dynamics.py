@@ -88,9 +88,34 @@ def test_block_overlap_matrix_stack_matches_single_states():
     stacked = block_overlap_matrix(spec, psis, B)
     assert stacked.shape == (5, 4, 4)
     for psi, S in zip(psis, stacked):
-        assert np.abs(S - block_overlap_matrix(spec, psi, B)).max() <= 1e-13
+        assert np.array_equal(S, block_overlap_matrix(spec, psi, B))
     with pytest.raises(ValueError):
         block_overlap_matrix(spec, psis * 1.1, B)
+
+
+def _overlaps_written_out(spec, psi, B) -> np.ndarray:
+    """One state's S: the products (conj(y_a) Bt_ab) y_b, each eigenspace's rows summed, then its columns."""
+    V = spec.basis_matrix
+    y = V.conj().T @ psi
+    Bt = V.conj().T @ B @ V
+    ends = spec.block_starts + spec.multiplicities
+    rows = [np.add.reduceat(y.conj()[a:b, None] * Bt[a:b] * y[None, :], [0], axis=0)
+            for a, b in zip(spec.block_starts, ends)]
+    return np.add.reduceat(np.concatenate(rows), spec.block_starts, axis=1)
+
+
+def test_block_overlap_runs_match_single_states():
+    rng = derive_rng(520)
+    spec = random_hamiltonian(40, [12, 1, 7, 12, 3, 5], rng)
+    B = random_hermitian(40, rng)
+    run = dynamics.OVERLAP_RUN_BYTES // (12 * 40 * 16)
+    n = 2 * run + 3  # three runs, the last one short
+    psis = np.array([random_state(40, rng) for _ in range(n)])
+    stacked = block_overlap_matrix(spec, psis, B)
+    assert stacked.shape == (n, 6, 6)
+    for psi, S in zip(psis, stacked):
+        assert np.array_equal(S, _overlaps_written_out(spec, psi, B))
+        assert np.array_equal(S, block_overlap_matrix(spec, psi, B))
 
 
 def test_gap_coefficients_follow_gap_pairs():

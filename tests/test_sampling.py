@@ -10,6 +10,8 @@ from gaplab.sampling import (
     derive_rng,
     empirical_density_matrix,
     sample_gap,
+    sample_gap_diagonal,
+    sample_gap_each,
     sample_gap_resampling_oracle,
     sample_gaussian,
 )
@@ -89,6 +91,76 @@ def test_stream_determinism_and_independence():
     c = sample_gap(rho, derive_rng(308, 0, 5), size=8)
     assert np.array_equal(a, b)
     assert np.abs(a - c).max() > 1e-3
+
+
+def _bits(states: np.ndarray) -> np.ndarray:
+    return states.view(float)
+
+
+def _recipe_written_out(rho: DensityMatrix, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The mixture recipe step by step, with the radii scaled by Generator.gamma itself."""
+    p = rho.probabilities
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.random(n), side="right")
+    z = rng.standard_normal((n, rho.dim)) + 1j * rng.standard_normal((n, rho.dim))
+    z *= np.sqrt(p / 2.0)
+    r2 = rng.gamma(2.0, scale=p[idx])
+    phase = rng.random(n) * (2.0 * np.pi)
+    z[np.arange(n), idx] = np.sqrt(r2) * np.exp(1j * phase)
+    psi = z @ rho.basis.T
+    return psi / np.linalg.norm(psi, axis=1)[:, None]
+
+
+def _ensemble_rho(kind: str) -> DensityMatrix:
+    """A random rho, one with zero probabilities, and a degenerate one, each in a random basis."""
+    rng = derive_rng(316)
+    if kind == "random":
+        return random_density(24, rng)
+    p = {"zeros": [0.4, 0.3, 0.2, 0.1] + [0.0] * 8, "degenerate": [0.25] * 2 + [0.05] * 10}[kind]
+    return DensityMatrix(probabilities=np.array(p), basis=haar_unitary(len(p), rng))
+
+
+@pytest.mark.parametrize("kind", ["random", "zeros", "degenerate"])
+def test_sample_gap_matches_the_recipe_written_out(kind):
+    rho = _ensemble_rho(kind)
+    assert np.array_equal(_bits(sample_gap(rho, derive_rng(317), size=40)),
+                          _bits(_recipe_written_out(rho, derive_rng(317), 40)))
+    assert np.array_equal(_bits(sample_gap(rho, derive_rng(318))), _bits(_recipe_written_out(rho, derive_rng(318), 1)[0]))
+
+
+@pytest.mark.parametrize("kind", ["random", "zeros", "degenerate"])
+def test_sample_gap_each_matches_one_call_per_generator(kind):
+    rho = _ensemble_rho(kind)
+    each = [derive_rng(319, k) for k in range(300)]
+    alone = [derive_rng(319, k) for k in range(300)]
+    states = sample_gap_each(rho, each)
+    assert states.shape == (300, rho.dim)
+    assert np.array_equal(_bits(states), _bits(np.array([sample_gap(rho, rng) for rng in alone])))
+    # each generator is left where its own call leaves it
+    assert all(np.array_equal(a.random(64), b.random(64)) for a, b in zip(each, alone))
+    if kind == "zeros":
+        assert np.abs(states @ rho.basis.conj()[:, 4:]).max() <= 1e-14
+
+
+def test_sample_gap_each_needs_a_generator():
+    with pytest.raises(ValueError):
+        sample_gap_each(diagonal_density([0.5, 0.5]), [])
+
+
+@pytest.mark.parametrize("p", [np.full(64, 1.0 / 64), [0.5, 0.3, 0.2, 0.0]])
+def test_sample_gap_diagonal_is_sample_gap_in_the_identity_basis(p):
+    rho = diagonal_density(p)
+    assert np.array_equal(_bits(sample_gap_diagonal(p, derive_rng(320), 500)),
+                          _bits(sample_gap(rho, derive_rng(320), size=500)))
+
+
+def test_sample_gap_diagonal_checks_its_probabilities():
+    for p in ([0.6, 0.6], [0.2, 0.8], [1.0, np.nan], [1.5, -0.5]):
+        with pytest.raises(ValueError):
+            sample_gap_diagonal(p, derive_rng(321), 4)
+    with pytest.raises(ValueError):
+        sample_gap_diagonal([0.5, 0.5], derive_rng(321), 0)
 
 
 def test_haar_fourth_moment_at_uniform_rho():
