@@ -14,6 +14,7 @@ from .dynamics import (
     concentration_tail_bound,
     dephased_power,
     diagonal_ensemble_expectation,
+    eigenbasis_observable,
     equilibration_bounds,
     expectation_curve,
     expectation_curve_variance,
@@ -81,6 +82,7 @@ __all__ = [
     "dephased_power",
     "derive_rng",
     "diagonal_ensemble_expectation",
+    "eigenbasis_observable",
     "empirical_density_matrix",
     "equilibration_bounds",
     "expectation_curve",

@@ -25,6 +25,7 @@ from .dynamics import (
     expectation_curve,
     mixture_expectation_curve,
 )
+from .linalg import quadratic_forms
 from .moments import gap_expectation, gap_variance_bound, mc_variance
 from .sampling import derive_rng, empirical_density_matrix, sample_gap
 from .scenarios import ConfigError, load_scenario
@@ -113,7 +114,7 @@ def _cmd_variance(args) -> int:
     if args.mc_check:
         rng = derive_rng(args.seed)
         psis = sample_gap(rho, rng, size=args.mc_check)
-        variance, se = mc_variance(np.einsum("sd,de,se->s", psis.conj(), A, psis))
+        variance, se = mc_variance(quadratic_forms(psis, A))
         record["mc"] = {"n": args.mc_check, "seed": args.seed, "variance": variance, "se": se}
     _emit(record, args.out)
     return 0

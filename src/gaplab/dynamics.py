@@ -17,7 +17,9 @@ G(kappa) (1 + 8 log2(d) / (kappa T)) for every window width kappa > 0
 
 The contributing set of the observable is itself a spectrum, the full one
 restricted to the eigenvalues that couple to B, so the overlap matrices
-that feed the gap forms are built on it directly.  Pairs, gaps and gap
+that feed the gap forms are built on it directly, from V* B V on its
+columns (``eigenbasis_observable``, the one place where B is checked and
+changes basis; a scenario keeps the contributing one).  Pairs, gaps and gap
 clusters come from one ``spectra.GapIndex`` (the cached ``gaps`` of the
 contributing set), which the coefficients, the forms, their dephased limit
 and the norm with its window bound all read.  Only the dense routes of the
@@ -60,13 +62,14 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .linalg import as_complex_matrix
-from .spectra import GapIndex, SpectralDecomposition, contributing_set, spectral_counts
+from .linalg import as_complex_matrix, quadratic_forms
+from .spectra import GapIndex, SpectralDecomposition, contributing_set
 
 __all__ = [
     "CONCENTRATION_CONSTANT",
     "BoundInputs",
     "Bounds",
+    "eigenbasis_observable",
     "expectation_curve",
     "mixture_expectation_curve",
     "state_amplitudes",
@@ -128,26 +131,25 @@ def _check_state(psi0, dim: int, stack: bool = False) -> np.ndarray:
     return psi
 
 
-def _check_observable(B, dim: int) -> np.ndarray:
+def eigenbasis_observable(spec: SpectralDecomposition, B) -> np.ndarray:
+    """Bt = V* B V over the columns V of ``spec.basis_matrix``, for a finite square B of dimension ``spec.dim``."""
     B = as_complex_matrix(B, name="observable", square=True)
-    if B.shape[0] != dim:
-        raise ValueError(f"observable dimension {B.shape[0]} does not match spectrum dim {dim}")
-    return B
+    if B.shape[0] != spec.dim:
+        raise ValueError(f"observable dimension {B.shape[0]} does not match spectrum dim {spec.dim}")
+    V = spec.basis_matrix
+    return V.conj().T @ B @ V
 
 
 def expectation_curve(spec: SpectralDecomposition, psi0, B, times) -> np.ndarray:
     """<psi_t|B|psi_t> on a grid of times (complex for non-Hermitian B)."""
     psi = _check_state(psi0, spec.dim)
-    B = _check_observable(B, spec.dim)
+    Bt = eigenbasis_observable(spec, B)
     ts = np.asarray(times, dtype=float).ravel()
     if ts.size == 0:
         raise ValueError("empty time grid")
-    V = spec.basis_matrix
-    c = V.conj().T @ psi
-    Bt = V.conj().T @ B @ V
+    c = spec.basis_matrix.conj().T @ psi
     phases = np.exp(-1j * np.outer(ts, spec.column_values))
-    amp = phases * c
-    return np.einsum("ti,ij,tj->t", amp.conj(), Bt, amp)
+    return quadratic_forms(phases * c, Bt)
 
 
 def _block_sums(M: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -166,8 +168,8 @@ def state_amplitudes(spec: SpectralDecomposition, psi0) -> np.ndarray:
     return (spec.basis_matrix.conj().T @ psi[..., None])[..., 0]
 
 
-def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
-    """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over the eigenprojectors of ``spec``.
+def block_overlap_matrix(spec: SpectralDecomposition, psi0, Bt) -> np.ndarray:
+    """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over the eigenprojectors of ``spec``, from ``Bt`` = V* B V.
 
     ``psi0`` is one state, or a stack of states (n, dim) that gives one
     matrix per state, shape (n, d, d).  On a contributing set S is the
@@ -179,11 +181,8 @@ def block_overlap_matrix(spec: SpectralDecomposition, psi0, B) -> np.ndarray:
     a single state, so a stack gives every state's S bit for bit.
     """
     y = state_amplitudes(spec, psi0)
-    B = _check_observable(B, spec.dim)
     if spec.n_distinct == 0:  # a contributing set of an observable that couples to nothing
         return np.zeros(y.shape[:-1] + (0, 0), dtype=complex)
-    V = spec.basis_matrix
-    Bt = V.conj().T @ B @ V
     states = y.reshape(-1, y.shape[-1])  # a single state as a stack of one
     conj = np.conj(states)
     (n, m), d, mult = states.shape, spec.n_distinct, int(spec.multiplicities.max())
@@ -222,14 +221,12 @@ def overlap_curve(values, S, times) -> np.ndarray:
     return diagonal.sum(-1)[..., None] + b.sum(-1)
 
 
-def mixture_block_overlap(spec: SpectralDecomposition, rho, B) -> np.ndarray:
-    """Matrix W with W[i, j] = tr(P_i B P_j rho) over the eigenprojectors of ``spec``."""
-    B = _check_observable(B, spec.dim)
+def mixture_block_overlap(spec: SpectralDecomposition, rho, Bt) -> np.ndarray:
+    """Matrix W with W[i, j] = tr(P_i B P_j rho) over the eigenprojectors of ``spec``, from ``Bt`` = V* B V."""
     rho_dense = rho.matrix() if hasattr(rho, "matrix") else as_complex_matrix(rho, square=True)
     if rho_dense.shape[0] != spec.dim:
         raise ValueError("density matrix dimension does not match spectrum")
     V = spec.basis_matrix
-    Bt = V.conj().T @ B @ V
     rt = V.conj().T @ rho_dense @ V
     return _block_sums(Bt * rt.T, spec.block_starts)
 
@@ -239,14 +236,14 @@ def mixture_expectation_curve(spec: SpectralDecomposition, rho, B, times) -> np.
     ts = np.asarray(times, dtype=float).ravel()
     if ts.size == 0:
         raise ValueError("empty time grid")
-    W = mixture_block_overlap(spec, rho, B)
+    W = mixture_block_overlap(spec, rho, eigenbasis_observable(spec, B))
     phases = np.exp(1j * np.outer(ts, spec.values))
-    return np.einsum("te,ef,tf->t", phases, W, phases.conj())
+    return quadratic_forms(phases.conj(), W)
 
 
 def infinite_time_average(spec: SpectralDecomposition, psi0, B) -> complex:
     """Long-run time average of <psi_t|B|psi_t>: the dephased diagonal sum."""
-    S = block_overlap_matrix(spec, psi0, B)
+    S = block_overlap_matrix(spec, psi0, eigenbasis_observable(spec, B))
     return complex(np.trace(S))
 
 
@@ -256,7 +253,7 @@ def diagonal_ensemble_expectation(spec: SpectralDecomposition, rho, B) -> comple
     Eigenvalues outside the contributing set add exactly zero, so the sum
     over all blocks equals the sum over contributing blocks.
     """
-    W = mixture_block_overlap(spec, rho, B)
+    W = mixture_block_overlap(spec, rho, eigenbasis_observable(spec, B))
     return complex(np.trace(W))
 
 
@@ -299,10 +296,8 @@ def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
 
 def _dense_forms(R: np.ndarray, coeff_rows: np.ndarray) -> np.ndarray:
     """c^H R c of each row c of coefficients, summed on its own in a fixed order."""
-    # einsum, not the faster (C @ R) * conj(C): the stored benchmark reports
-    # of the dense route (the ensemble workload) pin this rounding
-    forms = np.einsum("sp,pq,sq->s", coeff_rows, R, coeff_rows.conj())
-    return np.maximum(forms.real, 0.0)
+    # the forms of the rows' conjugates, whose conjugate is c again, bit for bit
+    return np.maximum(quadratic_forms(coeff_rows.conj(), R).real, 0.0)
 
 
 def phase_quadratic_forms(gaps: GapIndex, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
@@ -318,18 +313,18 @@ def phase_quadratic_forms(gaps: GapIndex, coeff_rows: np.ndarray, horizon: float
 class PhaseForms:
     """The phase forms c^H R c of one horizon over a contributing set ``cs``, on the cheaper of two routes.
 
-    Built once per horizon from ``cs``, the observable ``B``, the horizon
-    and its ``gauss_rule`` (or None).  The rule route is taken where the
-    rule's n nodes cost less per state than the dense form, n m^2 < P^2 (an
-    (n x m) by (m x m) product against c^H R c over the P pairs); otherwise
-    the dense route holds R.  ``record`` is ``{horizon, route, nodes, pairs,
-    error}``, ``error`` being the rule's eps P (0 and no nodes when dense):
-    a rule form misses the exact one by at most eps P |S_off|_F^2.  Each
-    form is summed on its own in a fixed order, so a state's form does not
-    depend on the states evaluated with it.
+    Built once per horizon from ``cs``, ``Bt = eigenbasis_observable(cs, B)``,
+    the horizon and its ``gauss_rule`` (or None).  The rule route is taken
+    where the rule's n nodes cost less per state than the dense form,
+    n m^2 < P^2 (an (n x m) by (m x m) product against c^H R c over the P
+    pairs); otherwise the dense route holds R.  ``record`` is
+    ``{horizon, route, nodes, pairs, error}``, ``error`` being the rule's
+    eps P (0 and no nodes when dense): a rule form misses the exact one by
+    at most eps P |S_off|_F^2.  Each form is summed on its own in a fixed
+    order, so a state's form does not depend on the states evaluated with it.
     """
 
-    def __init__(self, cs: SpectralDecomposition, B, horizon: float, rule):
+    def __init__(self, cs: SpectralDecomposition, Bt, horizon: float, rule):
         self.cs = cs
         pairs, columns = cs.gaps.count, cs.basis_matrix.shape[1]
         self.rule = rule if rule is not None and rule[2] * columns**2 < pairs**2 else None
@@ -337,8 +332,7 @@ class PhaseForms:
             self.R = gap_phase_matrix(cs.gaps.values, horizon)
             self.record = {"horizon": horizon, "route": "dense", "nodes": None, "pairs": pairs, "error": 0.0}
             return
-        V = cs.basis_matrix
-        self.Bt = V.conj().T @ B @ V
+        self.Bt = Bt
         # centred eigenvalues turn the curves by a global phase only and keep the phases small
         self.mid = 0.5 * (cs.values.max() + cs.values.min())
         self.columns = cs.column_values - self.mid
@@ -539,7 +533,7 @@ def expectation_curve_variance(spec: SpectralDecomposition, psi0, B, horizon: fl
     no time discretization is involved.
     """
     cs = contributing_set(spec, B)
-    w = gap_coefficients(block_overlap_matrix(cs, psi0, B), cs.gaps)
+    w = gap_coefficients(block_overlap_matrix(cs, psi0, eigenbasis_observable(cs, B)), cs.gaps)
     return float(phase_quadratic_forms(cs.gaps, w[None, :], horizon)[0])
 
 
@@ -550,7 +544,7 @@ def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B) ->
     eigenvalues, relative to their diameter.
     """
     cs = contributing_set(spec, B)
-    return float(dephased_power(cs.gaps, block_overlap_matrix(cs, psi0, B)[None])[0])
+    return float(dephased_power(cs.gaps, block_overlap_matrix(cs, psi0, eigenbasis_observable(cs, B))[None])[0])
 
 
 def _simpson_deviation(curve, center: complex, horizon: float) -> float:
@@ -580,7 +574,7 @@ def mixture_curve_deviation(spec: SpectralDecomposition, rho, B, horizon: float)
     phase quadratic form, now with mixture overlap coefficients.
     """
     cs = contributing_set(spec, B)
-    u = gap_coefficients(mixture_block_overlap(cs, rho, B), cs.gaps)
+    u = gap_coefficients(mixture_block_overlap(cs, rho, eigenbasis_observable(cs, B)), cs.gaps)
     return float(phase_quadratic_forms(cs.gaps, u[None, :], horizon)[0])
 
 
@@ -644,11 +638,8 @@ class BoundInputs:
                 raise ValueError(f"{name} must be a nonnegative integer")
 
     @classmethod
-    def from_contributing(
-        cls, cs, norm_b: float, norm_rho: float, epsilon: float, delta: float, kappa: float, horizon: float
-    ) -> "BoundInputs":
-        """Inputs from the counts of the contributing set ``cs`` of the observable and its norm."""
-        counts = spectral_counts(cs, [kappa])
+    def from_counts(cls, counts: dict, norm_b, norm_rho, epsilon, delta, kappa, horizon) -> "BoundInputs":
+        """Inputs from the ``spectral_counts`` of the contributing set (``kappa`` among its widths) and the norms."""
         return cls(
             epsilon=epsilon,
             delta=delta,

@@ -3,8 +3,9 @@
 Each enabled inequality becomes one check record holding the bound, the
 measurement, the margin, a vacuousness flag, and the Monte Carlo error
 allowance.  The quantities that depend on the scenario alone (contributing
-set and its gap index, V* B V, |B|, mixture overlap, the Gauss rule of each
-horizon) are prepared once on the :class:`Scenario`.  The state ensemble is
+set with its gap index, counts and V* B V, |B|, mixture overlap, the Gauss
+rule of each horizon) are prepared once on the :class:`Scenario`, and every
+chunk and every (kappa, T) cell reads that one copy.  The state ensemble is
 processed in chunks of ``CHUNK_STATES`` states, each reduced to its
 per-state results before the next is drawn.  Every state draws from its
 own stream (seed, DOMAIN_STATES, state index): its state, then its
@@ -31,11 +32,13 @@ from .dynamics import (
     block_overlap_matrix,
     concentration_tail_bound,
     dephased_power,
+    eigenbasis_observable,
     equilibration_bounds,
     mixture_expectation_curve,
     overlap_curve,
     phase_norm_cells,
 )
+from .linalg import quadratic_forms
 from .moments import gap_variance_bound, mc_variance
 from .sampling import derive_rng, sample_gap, sample_gap_diagonal, sample_gap_each
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
@@ -142,7 +145,7 @@ def _spectral_section(scn: Scenario) -> dict:
         "diameter": scn.spec.diameter,
         "norm_b": scn.norm_b,
         "norm_rho": scn.rho.p_max,
-        "contributing": spectral_counts(scn.contributing, kappas),
+        "contributing": scn.contributing_counts,
     }
 
 
@@ -183,7 +186,7 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     dominance = _record("variance_bound_dominance", report.bound, exact, seed, detail, passed=passed)
     n = max(config.n_states * 10, 2000)
     psis = sample_gap(rho, derive_rng(seed, DOMAIN_VARIANCE), size=n)
-    mc_var, se = mc_variance(np.einsum("sd,de,se->s", psis.conj(), B, psis))
+    mc_var, se = mc_variance(quadratic_forms(psis, B))
     detail = {"n_samples": n, "mc_variance": mc_var, "exact_variance": exact}
     # a variance that is zero (B = I on the support of rho) still carries rounding noise of order |B|^2
     mc = _record("variance_exact_vs_mc", 4.0 * se, abs(mc_var - exact), seed, detail,
@@ -220,7 +223,7 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
         u = np.empty((hi - lo, n_times))
         for rng, times in zip(rngs, u):
             rng.random(out=times)
-        S = block_overlap_matrix(cs, psis, scn.observable)
+        S = block_overlap_matrix(cs, psis, scn.contributing_observable)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
         if forms:
             powers[lo:hi] = dephased_power(cs.gaps, S)
@@ -251,10 +254,10 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
-    cs, norm_b = scn.contributing, scn.norm_b
+    cs, norm_b, counts = scn.contributing, scn.norm_b, scn.contributing_counts
     bounds = {
         (k, T): equilibration_bounds(
-            BoundInputs.from_contributing(cs, norm_b, scn.rho.p_max, config.epsilon, config.delta, k, T)
+            BoundInputs.from_counts(counts, norm_b, scn.rho.p_max, config.epsilon, config.delta, k, T)
         )
         for T in config.horizons
         for k in kappas
@@ -267,7 +270,8 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
     center = complex(np.trace(scn.mixture_overlap))
     forms = []
     if "moments" in config.checks:
-        forms = [PhaseForms(cs, scn.observable, T, rule) for T, rule in zip(config.horizons, scn.gauss_rules)]
+        Bt = scn.contributing_observable
+        forms = [PhaseForms(cs, Bt, T, rule) for T, rule in zip(config.horizons, scn.gauss_rules)]
     itas, powers, state_forms, fractions = _ensemble(scn, center, deviation_bounds, vacuous, forms)
     records = []
 
@@ -371,10 +375,10 @@ def verify_concentration(scn: Scenario) -> list:
 
     # Scenario tail at one time: f(psi) = <psi_t|B|psi_t> vs its ensemble mean.
     M = spec.basis_matrix * np.exp(1j * spec.column_values * t)
-    B_t = M @ scn.observable_eigenbasis @ M.conj().T
+    B_t = M @ eigenbasis_observable(spec, scn.observable) @ M.conj().T
     reference = complex(mixture_expectation_curve(spec, rho, scn.observable, [t])[0])
     psis = sample_gap(rho, derive_rng(seed, DOMAIN_CONCENTRATION, 0), size=n_states)
-    dev = np.abs(np.einsum("sd,de,se->s", psis.conj(), B_t, psis) - reference)
+    dev = np.abs(quadratic_forms(psis, B_t) - reference)
     cells = []
     for eps in grid:
         bound = concentration_tail_bound(eps, 2.0 * scn.norm_b, rho.p_max)

@@ -18,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import gauss_rule, mixture_block_overlap
+from .dynamics import eigenbasis_observable, gauss_rule, mixture_block_overlap
 from .linalg import as_complex_matrix, operator_norm
 from .sampling import DensityMatrix, derive_rng
-from .spectra import ContributingSet, SpectralDecomposition, contributing_set
+from .spectra import ContributingSet, SpectralDecomposition, contributing_set, spectral_counts
 from . import jsonio
 
 __all__ = [
@@ -221,13 +221,14 @@ def macro_decomposition(
 def canonical_density(spec: SpectralDecomposition, beta: float) -> DensityMatrix:
     """Canonical ensemble exp(-beta H) / Z in the eigenbasis of H.
 
-    Weights are computed with the minimum energy shifted out, so large
-    beta cannot overflow.  beta = 0 gives the uniform density.
+    Weights are computed with the most weighted energy shifted out (the
+    minimum for beta >= 0, the maximum for beta < 0), so no weight exceeds
+    1 and no |beta| can overflow.  beta = 0 gives the uniform density.
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
     energies = spec.column_values
-    w = np.exp(-beta * (energies - energies.min()))
+    w = np.exp(-beta * (energies - (energies.min() if beta >= 0 else energies.max())))
     p = w / w.sum()
     order = np.argsort(-p, kind="stable")
     return DensityMatrix(probabilities=p[order], basis=spec.basis_matrix[:, order])
@@ -453,15 +454,19 @@ class Scenario:
         return contributing_set(self.spec, self.observable)
 
     @cached_property
-    def observable_eigenbasis(self) -> np.ndarray:
-        """V* B V over the columns of ``spec.basis_matrix``."""
-        V = self.spec.basis_matrix
-        return V.conj().T @ self.observable @ V
+    def contributing_observable(self) -> np.ndarray:
+        """V* B V over the contributing set's columns, which the overlaps and phase forms read."""
+        return eigenbasis_observable(self.contributing, self.observable)
+
+    @cached_property
+    def contributing_counts(self) -> dict:
+        """The ``spectral_counts`` of the contributing set at the config's kappas, which every bound reads."""
+        return spectral_counts(self.contributing, self.config.kappas)
 
     @cached_property
     def mixture_overlap(self) -> np.ndarray:
         """W[i, j] = tr(P_i B P_j rho) over the contributing set; its trace is the dephased expectation."""
-        return mixture_block_overlap(self.contributing, self.rho, self.observable)
+        return mixture_block_overlap(self.contributing, self.rho, self.contributing_observable)
 
     @cached_property
     def gauss_rules(self) -> list:

@@ -517,6 +517,20 @@ def test_run_refuses_an_observable_whose_fourth_power_overflows(tmp_path, capsys
     assert "bad observable section" in err and "overflows" in err
 
 
+@pytest.mark.parametrize(
+    "checks, rc", [(["spectral", "concentration"], 0), (["variance"], 2)], ids=["no-p_max-limit", "variance"]
+)
+def test_run_with_a_canonical_rho_at_large_negative_beta(tmp_path, capsys, checks, rc):
+    """At beta = -1000 the highest level takes all the weight, p_max = 1, which only the variance
+    and equilibration checks refuse."""
+    path = write_run_config(tmp_path)
+    config = {**json.loads(path.read_text()), "rho": {"kind": "canonical", "beta": -1000.0}, "checks": checks}
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")]) == rc
+    err = capsys.readouterr().err
+    assert ("p_max = 1.0 must be < 1/4" in err) == (rc == 2) and "NaN" not in err
+
+
 def test_run_takes_an_observable_just_below_the_cut(tmp_path):
     save_matrix(tmp_path / "B.json", 1.1e76 * np.diag(np.arange(6.0)))
     path = write_run_config(tmp_path)

@@ -14,6 +14,7 @@ from gaplab.dynamics import (
     PhaseForms,
     concentration_tail_bound,
     block_overlap_matrix,
+    eigenbasis_observable,
     gap_coefficients,
     equilibration_bounds,
     expectation_curve,
@@ -74,7 +75,7 @@ def test_block_overlap_matrix_structure():
     spec = random_hamiltonian(6, [2, 2, 2], rng)
     psi = random_state(6, rng)
     B = random_hermitian(6, rng)
-    S = block_overlap_matrix(spec, psi, B)
+    S = block_overlap_matrix(spec, psi, eigenbasis_observable(spec, B))
     assert np.abs(S - S.conj().T).max() <= 1e-12
     total = (psi.conj() @ B @ psi).real
     assert S.sum().real == pytest.approx(total, abs=1e-10)
@@ -83,14 +84,14 @@ def test_block_overlap_matrix_structure():
 def test_block_overlap_matrix_stack_matches_single_states():
     rng = derive_rng(504)
     spec = random_hamiltonian(9, [2, 3, 1, 3], rng)
-    B = random_hermitian(9, rng)
+    Bt = eigenbasis_observable(spec, random_hermitian(9, rng))
     psis = np.array([random_state(9, rng) for _ in range(5)])
-    stacked = block_overlap_matrix(spec, psis, B)
+    stacked = block_overlap_matrix(spec, psis, Bt)
     assert stacked.shape == (5, 4, 4)
     for psi, S in zip(psis, stacked):
-        assert np.array_equal(S, block_overlap_matrix(spec, psi, B))
+        assert np.array_equal(S, block_overlap_matrix(spec, psi, Bt))
     with pytest.raises(ValueError):
-        block_overlap_matrix(spec, psis * 1.1, B)
+        block_overlap_matrix(spec, psis * 1.1, Bt)
 
 
 def _overlaps_written_out(spec, psi, B) -> np.ndarray:
@@ -111,11 +112,12 @@ def test_block_overlap_runs_match_single_states():
     run = dynamics.OVERLAP_RUN_BYTES // (12 * 40 * 16)
     n = 2 * run + 3  # three runs, the last one short
     psis = np.array([random_state(40, rng) for _ in range(n)])
-    stacked = block_overlap_matrix(spec, psis, B)
+    Bt = eigenbasis_observable(spec, B)
+    stacked = block_overlap_matrix(spec, psis, Bt)
     assert stacked.shape == (n, 6, 6)
     for psi, S in zip(psis, stacked):
         assert np.array_equal(S, _overlaps_written_out(spec, psi, B))
-        assert np.array_equal(S, block_overlap_matrix(spec, psi, B))
+        assert np.array_equal(S, block_overlap_matrix(spec, psi, Bt))
 
 
 def test_gap_coefficients_follow_gap_pairs():
@@ -126,7 +128,8 @@ def test_gap_coefficients_follow_gap_pairs():
     B = spec.basis_matrix @ B @ spec.basis_matrix.conj().T
     cs = contributing_set(spec, B)
     gi = cs.gaps
-    stack = block_overlap_matrix(cs, np.array([random_state(8, rng) for _ in range(3)]), B)
+    psis = np.array([random_state(8, rng) for _ in range(3)])
+    stack = block_overlap_matrix(cs, psis, eigenbasis_observable(cs, B))
     rows = gap_coefficients(stack, gi)
     assert rows.shape == (3, gi.count)
     for S, row in zip(stack, rows):
@@ -147,8 +150,8 @@ def _uncoupled_levels_case():
 def test_restricted_overlaps_are_the_contributing_submatrix():
     spec, cs, B, psi = _uncoupled_levels_case()
     assert np.array_equal(cs.values, spec.values[:3]) and cs.dim == spec.dim
-    full = block_overlap_matrix(spec, psi, B)
-    assert np.abs(block_overlap_matrix(cs, psi, B) - full[:3, :3]).max() <= 1e-13
+    full = block_overlap_matrix(spec, psi, eigenbasis_observable(spec, B))
+    assert np.abs(block_overlap_matrix(cs, psi, eigenbasis_observable(cs, B)) - full[:3, :3]).max() <= 1e-13
     assert np.abs(full[3:]).max() <= 1e-13 and np.abs(full[:, 3:]).max() <= 1e-13
 
 
@@ -174,7 +177,7 @@ def test_overlap_curve_matches_expectation_curve(values, multiplicities):
     B = random_hermitian(dim, rng)
     psis = np.array([random_state(dim, rng) for _ in range(3)])
     times = rng.random((3, 40)) * 25.0
-    curves = overlap_curve(spec.values, block_overlap_matrix(spec, psis, B), times)
+    curves = overlap_curve(spec.values, block_overlap_matrix(spec, psis, eigenbasis_observable(spec, B)), times)
     for psi, t, curve in zip(psis, times, curves):
         oracle = expectation_curve(spec, psi, B, t)
         assert np.abs(curve - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
@@ -224,7 +227,7 @@ def test_infinite_horizon_variance_by_dephasing_oracle():
         psi = random_state(dim, rng)
         B = random_hermitian(dim, rng)
         cs = contributing_set(spec, B)
-        S = block_overlap_matrix(cs, psi, B)
+        S = block_overlap_matrix(cs, psi, eigenbasis_observable(cs, B))
         gi = cs.gaps
         coeffs = S[~np.eye(cs.n_distinct, dtype=bool)]
         clusters = {}
@@ -246,7 +249,8 @@ def test_dephasing_clusters_with_contributing_tolerance():
     psi = np.full(4, 0.5)
     cs = contributing_set(spec, B)
     assert cs.n_distinct == 3 and cs.gaps.max_degeneracy == 1
-    power = float(np.sum(np.abs(gap_coefficients(block_overlap_matrix(cs, psi, B), cs.gaps)) ** 2))
+    S = block_overlap_matrix(cs, psi, eigenbasis_observable(cs, B))
+    power = float(np.sum(np.abs(gap_coefficients(S, cs.gaps)) ** 2))
     assert power == pytest.approx(1.0 / 24.0, rel=1e-12)
     infinite = expectation_curve_variance_infinite(spec, psi, B)
     assert infinite == pytest.approx(power, rel=1e-12)
@@ -429,16 +433,21 @@ def test_rule_forms_match_the_dense_forms(multiplicities, eigenvalues):
     B = random_projector(48, 24, rng)
     cs = contributing_set(spec, B)
     psis = np.array([random_state(48, rng) for _ in range(12)])
-    S = block_overlap_matrix(cs, psis, B)
+    Bt = eigenbasis_observable(cs, B)
+    S = block_overlap_matrix(cs, psis, Bt)
+    # S is that of B itself: its entries sum to <psi|B|psi>, the curve at t = 0
+    assert S.sum(axis=(1, 2)) == pytest.approx(np.einsum("sd,de,se->s", psis.conj(), B, psis), rel=1e-12)
     rows = gap_coefficients(S, cs.gaps)
-    ruled = PhaseForms(cs, B, 8.0, gauss_rule(cs.gaps, 8.0))
+    ruled = PhaseForms(cs, Bt, 8.0, gauss_rule(cs.gaps, 8.0))
     route = ruled.record
     assert route["route"] == "rule" and route["pairs"] == cs.gaps.count and 0.0 < route["error"] <= PHASE_NORM_ERROR
     forms = ruled.states(psis, S)
     dense = phase_quadratic_forms(cs.gaps, rows, 8.0)
     assert forms == pytest.approx(dense, rel=1e-12)
     # the evaluator without a rule takes the dense forms, with their bits
-    assert PhaseForms(cs, B, 8.0, None).states(psis, S).tolist() == dense.tolist()
+    assert PhaseForms(cs, Bt, 8.0, None).states(psis, S).tolist() == dense.tolist()
+    # and so is the rule's: a state's form is its own curve's deviation, from B in the original basis
+    assert forms[0] == pytest.approx(expectation_curve_variance(spec, psis[0], B, 8.0), rel=1e-12)
     bound = route["error"] * np.sum(np.abs(rows) ** 2, axis=1)
     assert np.all(bound <= 1e-12 * dense)
     # one state alone gives the bits it has in the stack
@@ -451,9 +460,14 @@ def test_degenerate_levels_take_the_dense_forms_route():
     spec = random_hamiltonian(128, [16] * 8, rng)
     gaps = spec.gaps
     assert gaps.count == 56 and gauss_rule(gaps, 8.0) is not None
-    forms = PhaseForms(spec, random_projector(128, 64, rng), 8.0, gauss_rule(gaps, 8.0))
+    B = random_projector(128, 64, rng)
+    forms = PhaseForms(spec, eigenbasis_observable(spec, B), 8.0, gauss_rule(gaps, 8.0))
     assert forms.rule is None
     assert forms.record == {"horizon": 8.0, "route": "dense", "nodes": None, "pairs": 56, "error": 0.0}
+    # the dense forms read the state's S, which must be that of B in the original basis
+    psi = random_state(128, rng)
+    form = forms.states(psi[None], block_overlap_matrix(spec, psi[None], eigenbasis_observable(spec, B)))[0]
+    assert form == pytest.approx(expectation_curve_variance_quadrature(spec, psi, B, 8.0), rel=1e-6)
     assert gauss_rule(GapIndex([1.0]), 8.0) is None  # no pair, no rule
 
 
@@ -497,10 +511,10 @@ def test_bound_inputs_builder_matches_contributing_set():
     rng = derive_rng(510)
     spec = random_hamiltonian(8, [2, 2, 2, 2], rng)
     B = random_hermitian(8, rng)
-    inp = BoundInputs.from_contributing(
-        contributing_set(spec, B), operator_norm(B), norm_rho=0.2, epsilon=0.1, delta=0.1, kappa=1.0, horizon=10.0
+    counts = spectral_counts(contributing_set(spec, B), [0.5, 1.0])
+    inp = BoundInputs.from_counts(
+        counts, operator_norm(B), norm_rho=0.2, epsilon=0.1, delta=0.1, kappa=1.0, horizon=10.0
     )
-    counts = spectral_counts(contributing_set(spec, B), [1.0])
     assert inp.n_contributing == counts["n_distinct"]
     assert inp.max_degeneracy == counts["max_degeneracy"]
     assert inp.max_gap_degeneracy == counts["max_gap_degeneracy"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from gaplab.linalg import hermitian_eigendecomposition, operator_norm
+from gaplab.linalg import hermitian_eigendecomposition, operator_norm, quadratic_forms
 from gaplab.sampling import derive_rng
 
 
@@ -53,3 +53,22 @@ def test_norm_inequalities():
         assert operator_norm(A) <= fro + 1e-10
         assert fro <= np.linalg.norm(A, "nuc") + 1e-10
         assert abs(np.trace(A @ B)) <= operator_norm(A) * np.linalg.norm(B, "nuc") + 1e-9
+
+
+@pytest.mark.parametrize(
+    "rows, dim",
+    [(2000, 8), (1000, 48), (256, 56), (64, 128), (10001, 6), (32, 552)],
+    ids=["variance-mc", "concentration", "dense-forms-ensemble", "curve-m128", "mixture-csv", "dense-forms-d24"],
+)
+def test_quadratic_forms_equal_the_einsums_they_replace(rows, dim):
+    """Bit for bit the einsum of each caller: states and curve amplitudes, and mixture phases and gap
+    coefficients, whose callers pass their conjugates."""
+    rng = derive_rng(101, rows, dim)
+    X = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    forms = quadratic_forms(X, A).view(float)
+    assert np.array_equal(forms, np.einsum("sd,de,se->s", X.conj(), A, X).view(float))
+    assert np.array_equal(forms, np.einsum("ti,ij,tj->t", X.conj(), A, X).view(float))
+    conjugates = quadratic_forms(X.conj(), A).view(float)
+    assert np.array_equal(conjugates, np.einsum("te,ef,tf->t", X, A, X.conj()).view(float))
+    assert np.array_equal(conjugates, np.einsum("sp,pq,sq->s", X, A, X.conj()).view(float))

@@ -1,6 +1,7 @@
 """End-to-end scenario reports: check outcomes, vacuity flags, determinism."""
 
 import dataclasses
+import itertools
 import json
 import sys
 import tracemalloc
@@ -139,8 +140,8 @@ def test_rule_forms_give_the_dense_reports_to_rel_1e12(monkeypatch, hamiltonian)
     ruled = run_scenario(config)
     assert [r["route"] for r in ruled.timings["forms"]] == ["rule"]
 
-    def dense_only(cs, B, horizon, rule):
-        return PhaseForms(cs, B, horizon, None)
+    def dense_only(cs, Bt, horizon, rule):
+        return PhaseForms(cs, Bt, horizon, None)
 
     monkeypatch.setattr(runner, "PhaseForms", dense_only)
     dense = run_scenario(config)
@@ -332,12 +333,23 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
     count("gap_phase_matrix", "gaplab.dynamics")
     count("gauss_rule", "gaplab.dynamics")
     count("operator_norm", "gaplab.linalg")
+    count("eigenbasis_observable", "gaplab.dynamics")
+    count("spectral_counts", "gaplab.spectra")
     monkeypatch.setattr(GapIndex, "__init__", counted("GapIndex", GapIndex.__init__))
-    for horizons, kappas in (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0])):
-        calls.update(contributing_set=0, gap_phase_matrix=0, gauss_rule=0, operator_norm=0, GapIndex=0)
-        config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": 300, "n_times": 16})
+    grids = (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0]))
+    # one chunk of states and three
+    for (horizons, kappas), n_states in itertools.product(grids, (256, 768)):
+        calls.update(dict.fromkeys(
+            ["contributing_set", "gap_phase_matrix", "gauss_rule", "operator_norm", "GapIndex",
+             "eigenbasis_observable", "spectral_counts"], 0))
+        config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": n_states, "n_times": 16})
         report = run_scenario(config)
         assert report.violations == 0
+        # V* B V once on the contributing set, which every chunk reads, whatever the chunk count;
+        # the concentration check builds the full spectrum's twice, for B(t) and for the mixture curve
+        assert calls["eigenbasis_observable"] == 3
+        # the full spectrum's counts and the contributing set's, which every (kappa, T) cell reads
+        assert calls["spectral_counts"] == 2
         assert calls["contributing_set"] == 1
         assert calls["gap_phase_matrix"] <= 2 * len(config.horizons)
         # one rule per horizon, which the phase norm and the moments forms share

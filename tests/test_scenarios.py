@@ -103,6 +103,16 @@ def test_canonical_density_matches_boltzmann_weights():
     assert np.abs(flat.probabilities - 0.2).max() <= 1e-12
 
 
+@pytest.mark.parametrize("beta", [1000.0, -1000.0])
+def test_canonical_density_at_large_beta_of_either_sign(beta):
+    """The weight of the lowest (beta > 0) or highest (beta < 0) level is 1; the others underflow to 0."""
+    spec = random_hamiltonian(5, [1] * 5, derive_rng(706))
+    rho = canonical_density(spec, beta=beta)
+    assert np.all(np.isfinite(rho.probabilities)) and rho.p_max == 1.0
+    top = spec.blocks[0 if beta > 0 else -1][:, 0]
+    assert np.array_equal(rho.basis[:, 0], top)
+
+
 def test_microcanonical_density_on_block():
     rng = derive_rng(707)
     spec = random_hamiltonian(8, [1] * 8, rng)
