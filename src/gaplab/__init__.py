@@ -48,6 +48,7 @@ from .sampling import (
     sample_gap_diagonal,
     sample_gap_each,
     sample_gap_resampling_oracle,
+    sample_gap_weights,
     sample_gaussian,
 )
 from .scenarios import ConfigError, Scenario, ScenarioConfig, build_scenario, load_scenario
@@ -110,6 +111,7 @@ __all__ = [
     "sample_gap_diagonal",
     "sample_gap_each",
     "sample_gap_resampling_oracle",
+    "sample_gap_weights",
     "sample_gaussian",
     "spectral_counts",
     "verify_concentration",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .dynamics import (
     BoundInputs,
     equilibration_bounds,
     expectation_curve,
-    mixture_expectation_curve,
+    mixture_curve,
 )
 from .linalg import quadratic_forms
 from .moments import gap_expectation, gap_variance_bound, mc_variance
@@ -176,7 +177,7 @@ def _cmd_run(args) -> int:
         scn = report.scenario
         for T in config.horizons:
             times = np.linspace(0.0, T, CSV_CURVE_POINTS)
-            curve = mixture_expectation_curve(scn.spec, scn.rho, scn.observable, times)
+            curve = mixture_curve(scn.spec.values, scn.spectrum_mixture_overlap, times)
             path = os.path.join(args.csv, f"mixture_T{T:g}.csv")
             jsonio.write_curve_csv(path, times, curve)
     if args.timings:
@@ -190,7 +191,9 @@ def _cmd_run(args) -> int:
     return 0 if report.violations == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (``parse_args`` leaves it unchanged)."""
     parser = argparse.ArgumentParser(prog="gaplab")
     sub = parser.add_subparsers(dest="command", required=True)
 

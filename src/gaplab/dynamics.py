@@ -71,6 +71,7 @@ __all__ = [
     "Bounds",
     "eigenbasis_observable",
     "expectation_curve",
+    "mixture_curve",
     "mixture_expectation_curve",
     "state_amplitudes",
     "block_overlap_matrix",
@@ -231,14 +232,18 @@ def mixture_block_overlap(spec: SpectralDecomposition, rho, Bt) -> np.ndarray:
     return _block_sums(Bt * rt.T, spec.block_starts)
 
 
-def mixture_expectation_curve(spec: SpectralDecomposition, rho, B, times) -> np.ndarray:
-    """tr(B(t) rho) on a grid of times, with B(t) the Heisenberg-evolved observable."""
+def mixture_curve(values, W, times) -> np.ndarray:
+    """tr(B(t) rho) on a grid of times from the mixture overlap ``W`` over the eigenvalues ``values``."""
     ts = np.asarray(times, dtype=float).ravel()
     if ts.size == 0:
         raise ValueError("empty time grid")
-    W = mixture_block_overlap(spec, rho, eigenbasis_observable(spec, B))
-    phases = np.exp(1j * np.outer(ts, spec.values))
+    phases = np.exp(1j * np.outer(ts, values))
     return quadratic_forms(phases.conj(), W)
+
+
+def mixture_expectation_curve(spec: SpectralDecomposition, rho, B, times) -> np.ndarray:
+    """tr(B(t) rho) on a grid of times, with B(t) the Heisenberg-evolved observable."""
+    return mixture_curve(spec.values, mixture_block_overlap(spec, rho, eigenbasis_observable(spec, B)), times)
 
 
 def infinite_time_average(spec: SpectralDecomposition, psi0, B) -> complex:
@@ -729,4 +734,8 @@ def concentration_tail_bound(
         raise ValueError("lipschitz must be positive")
     if not 0.0 < norm_rho <= 1.0:
         raise ValueError("norm_rho must lie in (0, 1]")
-    return 12.0 * math.exp(-CONCENTRATION_CONSTANT * deviation**2 / (2.0 * lipschitz**2 * norm_rho))
+    try:
+        return 12.0 * math.exp(-CONCENTRATION_CONSTANT * deviation**2 / (2.0 * lipschitz**2 * norm_rho))
+    except (OverflowError, ZeroDivisionError):
+        # dev^2 overflows, or L^2 |rho| underflows to 0: the exponent tends to -inf, the bound to 0
+        return 0.0 if deviation > 0 else 12.0

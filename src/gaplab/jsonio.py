@@ -174,10 +174,10 @@ def write_curve_csv(path, times, values) -> None:
     vs = np.asarray(values, dtype=np.complex128).ravel()
     if ts.size != vs.size:
         raise ValueError("times and values must have equal length")
+    rows = zip(ts.tolist(), vs.real.tolist(), vs.imag.tolist())
+    text = "".join(f"{t:.17g},{re:.17g},{im:.17g}\n" for t, re, im in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,re_expectation,im_expectation\n")
-        for t, v in zip(ts, vs):
-            fh.write(f"{t:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        fh.write("t,re_expectation,im_expectation\n" + text)
 
 
 def sanitize(obj, path: str = ""):

@@ -13,7 +13,11 @@ uniform times.  The arithmetic on those draws runs once per chunk
 (``sample_gap_each``, ``block_overlap_matrix`` over the stack), and it
 gives each state the bits of a state taken alone: the rotation is one
 matrix-vector product per state, and the overlaps keep each state's
-products and summation order.  So the report bytes depend only on
+products and summation order.  The concentration scaling check reads
+only each uniform mixture state's weight on its first half of the
+coordinates, which ``sample_gap_weights`` gives bit for bit as
+``sample_gap_diagonal``'s states would, in cache-sized blocks of rows,
+without building the states.  So the report bytes depend only on
 (config, seed).  Wall-clock timings are kept out of the canonical report
 for the same reason.
 """
@@ -21,7 +25,7 @@ for the same reason.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,15 +36,14 @@ from .dynamics import (
     block_overlap_matrix,
     concentration_tail_bound,
     dephased_power,
-    eigenbasis_observable,
     equilibration_bounds,
-    mixture_expectation_curve,
+    mixture_curve,
     overlap_curve,
     phase_norm_cells,
 )
 from .linalg import quadratic_forms
 from .moments import gap_variance_bound, mc_variance
-from .sampling import derive_rng, sample_gap, sample_gap_diagonal, sample_gap_each
+from .sampling import derive_rng, sample_gap, sample_gap_each, sample_gap_weights, weight_block_rows
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
 from .spectra import spectral_counts
 
@@ -76,7 +79,8 @@ class CheckRecord:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # a shallow copy: ``jsonio.sanitize`` copies the nested detail anyway
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -367,16 +371,14 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
     return records, [f.record for f in forms]
 
 
-def verify_concentration(scn: Scenario) -> list:
-    """Concentration checks: tail bound on the scenario and 1/D variance scaling."""
+def _concentration_tail(scn: Scenario) -> CheckRecord:
+    """Tail bound on the scenario at one time: f(psi) = <psi_t|B|psi_t> against its ensemble mean."""
     spec, rho, seed = scn.spec, scn.rho, scn.config.seed
     section = scn.config.concentration
     t, grid, n_states = section["time"], section["epsilon_grid"], section["n_states"]
-
-    # Scenario tail at one time: f(psi) = <psi_t|B|psi_t> vs its ensemble mean.
     M = spec.basis_matrix * np.exp(1j * spec.column_values * t)
-    B_t = M @ eigenbasis_observable(spec, scn.observable) @ M.conj().T
-    reference = complex(mixture_expectation_curve(spec, rho, scn.observable, [t])[0])
+    B_t = M @ scn.spectrum_observable @ M.conj().T
+    reference = complex(mixture_curve(spec.values, scn.spectrum_mixture_overlap, [t])[0])
     psis = sample_gap(rho, derive_rng(seed, DOMAIN_CONCENTRATION, 0), size=n_states)
     dev = np.abs(quadratic_forms(psis, B_t) - reference)
     cells = []
@@ -391,13 +393,21 @@ def verify_concentration(scn: Scenario) -> list:
     worst = _tightest(live, lambda c: c["bound"] - c["tail"])
     excess = max(0.0, worst["tail"] - worst["bound"]) if worst else 0.0
     detail = {"time": t, "n_states": n_states, "cells": cells}
-    records = [_record("concentration_tail", 1.0, excess, seed, detail, passed=passed, vacuous=not live)]
+    return _record("concentration_tail", 1.0, excess, seed, detail, passed=passed, vacuous=not live)
 
-    # Variance scaling across uniform mixtures: slope of log Var vs log D near -1.
+
+def _concentration_scaling(config: ScenarioConfig) -> CheckRecord:
+    """Variance scaling across uniform mixtures: slope of log Var vs log D near -1.
+
+    A state's value is its weight on the first half of the coordinates.
+    The check reads only the seed and the ``concentration`` section, not
+    the scenario's H, rho or B.
+    """
+    seed, section = config.seed, config.concentration
+    grid, n_states = section["epsilon_grid"], section["n_states"]
     dims, variances, tails = section["scaling_dims"], [], []
     for j, d in enumerate(dims):
-        states = sample_gap_diagonal(np.full(d, 1.0 / d), derive_rng(seed, DOMAIN_CONCENTRATION, 1 + j), n_states)
-        vals = np.einsum("sd,sd->s", states[:, : d // 2].conj(), states[:, : d // 2]).real
+        vals = sample_gap_weights(np.full(d, 1.0 / d), derive_rng(seed, DOMAIN_CONCENTRATION, 1 + j), n_states, d // 2)
         variances.append(float(np.mean((vals - vals.mean()) ** 2)))
         tails.append({})
         for eps in grid:
@@ -411,8 +421,25 @@ def verify_concentration(scn: Scenario) -> list:
     measured = abs(slope + 1.0)
     detail = {"slope": slope, "dims": dims, "variances": variances, "n_states": n_states, "tails": tails}
     passed = measured <= 0.2 and not tail_fail
-    records.append(_record("concentration_scaling", 0.2, measured, seed, detail, passed=passed))
-    return records
+    return _record("concentration_scaling", 0.2, measured, seed, detail, passed=passed)
+
+
+def verify_concentration(scn: Scenario) -> tuple[list, dict]:
+    """Concentration checks: tail bound on the scenario and 1/D variance scaling.
+
+    Also returns the timings sidecar's entries: the seconds of each check
+    (``concentration_tail``, ``concentration_scaling``) and the rows per
+    block of each scaling dimension (``scaling_blocks``, ``{dim, rows}``).
+    """
+    t0 = time.perf_counter()
+    tail = _concentration_tail(scn)
+    t1 = time.perf_counter()
+    scaling = _concentration_scaling(scn.config)
+    t2 = time.perf_counter()
+    n_states = scn.config.concentration["n_states"]
+    blocks = [{"dim": d, "rows": weight_block_rows(d, n_states)} for d in scn.config.concentration["scaling_dims"]]
+    sidecar = {"concentration_tail": t1 - t0, "concentration_scaling": t2 - t1, "scaling_blocks": blocks}
+    return [tail, scaling], sidecar
 
 
 def run_scenario(config: ScenarioConfig, base_dir: str = ".") -> Report:
@@ -440,9 +467,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".") -> Report:
             timings["forms"] = forms_routes
         timings["equilibration"] = time.perf_counter() - t1
     if "concentration" in config.checks:
-        t1 = time.perf_counter()
-        checks.extend(verify_concentration(scn))
-        timings["concentration"] = time.perf_counter() - t1
+        records, sidecar = verify_concentration(scn)
+        checks.extend(records)
+        timings.update(sidecar)
     timings["total"] = time.perf_counter() - t0
     return Report(
         config=config.raw,

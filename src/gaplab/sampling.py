@@ -20,6 +20,13 @@ projected ensemble exactly, with no acceptance step.  An importance
 resampling oracle over plain Gaussian batches is kept as an independent
 cross-check of that recipe.
 
+The recipe is written once (``_gap_coordinates`` and ``_normalized``),
+and every sampler runs it on each row alone.  So a block of rows gives
+the bits of the whole: :func:`sample_gap_weights` makes the draws of
+:func:`sample_gap_diagonal` and runs the recipe over cache-sized blocks of
+rows in one reused buffer, keeping each state's weight on its first
+coordinates bit for bit, without building the states.
+
 Zero eigenvalues are carried as exact zeros: the Gaussian scale vanishes
 and the mixture index never selects them.
 """
@@ -39,6 +46,8 @@ __all__ = [
     "sample_gap",
     "sample_gap_each",
     "sample_gap_diagonal",
+    "sample_gap_weights",
+    "weight_block_rows",
     "sample_gap_resampling_oracle",
     "empirical_density_matrix",
 ]
@@ -51,6 +60,10 @@ UNITARITY_TOL = 1e-10
 
 #: Minimum batch size for the importance-resampling oracle.
 MIN_ORACLE_BATCH = 1000
+
+#: Bytes of one block of complex coordinate rows in ``sample_gap_weights``:
+#: small enough to stay in a core's cache.
+WEIGHT_BLOCK_BYTES = 256 * 1024
 
 
 def _checked_probabilities(probabilities) -> np.ndarray:
@@ -163,34 +176,51 @@ def _gap_draws(rng: np.random.Generator, n: int, dim: int) -> tuple:
     return u, re, im, g, rng.random(n)
 
 
-def _gap_states(p: np.ndarray, draws: tuple, rotate=None) -> np.ndarray:
-    """Unit states of the mixture recipe from its draws, one state per row.
+def _gap_coordinates(p: np.ndarray, draws: tuple, out: np.ndarray) -> np.ndarray:
+    """Eigenbasis coordinates of the mixture recipe from its draws, written into ``out`` (n, dim).
 
     ``draws`` = (u, re, im, g, v) as :func:`_gap_draws` lays them out:
     mixture uniforms (n,), standard normal real and imaginary parts
     (n, dim), standard Gamma(2) draws (n,) and phase uniforms (n,).
-    ``rotate`` maps the eigenbasis coordinates (n, dim) to the states
-    before they are normalized; None keeps the eigenbasis.  Every step
-    but the rotation acts on each row alone, so a state's bits depend on
-    the other rows only through the rotation.
+    Every step acts on each row alone, so a row's bits do not depend on
+    the other rows, and a block of rows gives the bits of the whole.
     """
     u, re, im, g, v = draws
     # mixture index k with probability p_k, by inversion
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, u, side="right")
-    z = re + 1j * im
-    z *= np.sqrt(p / 2.0)
+    out.real[...] = re
+    out.imag[...] = im
+    out *= np.sqrt(p / 2.0)
     # p_n g is Gamma(shape 2, scale p_n), bit for bit as Generator.gamma scales it
     r2 = p[idx] * g
     phase = v * (2.0 * np.pi)
-    z[np.arange(u.size), idx] = np.sqrt(r2) * np.exp(1j * phase)
-    psi = z if rotate is None else rotate(z)
+    out[np.arange(u.size), idx] = np.sqrt(r2) * np.exp(1j * phase)
+    return out
+
+
+def _normalized(psi: np.ndarray, cut=None) -> np.ndarray:
+    """The first ``cut`` columns (all for None) of the rows of ``psi`` divided by the full rows' norms, in place."""
     norms = np.linalg.norm(psi, axis=1)
     if np.any(norms == 0.0):
         raise RuntimeError("degenerate zero-norm draw")
-    psi /= norms[:, None]
-    return psi
+    head = psi[:, :cut]
+    head /= norms[:, None]
+    return head
+
+
+def _gap_states(p: np.ndarray, draws: tuple, rotate=None) -> np.ndarray:
+    """Unit states of the mixture recipe from its draws, one state per row.
+
+    ``rotate`` maps the eigenbasis coordinates (n, dim) of
+    :func:`_gap_coordinates` to the states before they are normalized;
+    None keeps the eigenbasis.  Every step but the rotation acts on each
+    row alone, so a state's bits depend on the other rows only through
+    the rotation.
+    """
+    z = _gap_coordinates(p, draws, np.empty(draws[1].shape, dtype=complex))
+    return _normalized(z if rotate is None else rotate(z))
 
 
 def sample_gap(rho: DensityMatrix, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -250,6 +280,43 @@ def sample_gap_diagonal(probabilities, rng: np.random.Generator, size: int) -> n
     if n < 1:
         raise ValueError("size must be at least 1")
     return _gap_states(p, _gap_draws(rng, n, p.size))
+
+
+def weight_block_rows(dim: int, size: int) -> int:
+    """Rows per block of ``sample_gap_weights`` for ``size`` states of dimension ``dim``.
+
+    As many complex rows as fit in ``WEIGHT_BLOCK_BYTES``, at least one and
+    at most ``size``.
+    """
+    return min(int(size), max(1, WEIGHT_BLOCK_BYTES // (16 * int(dim))))
+
+
+def sample_gap_weights(probabilities, rng: np.random.Generator, size: int, cut: int) -> np.ndarray:
+    """Weights sum_{k < cut} |psi_k|^2 of ``size`` projected-ensemble states of diag(``probabilities``).
+
+    Equal bit for bit to the weights of the rows of
+    :func:`sample_gap_diagonal` with the same generator, taken as
+    ``einsum("sd,sd->s", x.conj(), x).real`` over their first ``cut``
+    columns x, and the generator is left where that call leaves it.  The
+    draws are made as there, all at once; the recipe then runs in blocks
+    of ``weight_block_rows`` rows through one reused buffer, each row with
+    its full norm, and only the first ``cut`` columns are divided by it.
+    So no (size, dim) array of states is built.
+    """
+    p = _checked_probabilities(probabilities)
+    n = int(size)
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    draws = _gap_draws(rng, n, p.size)
+    rows = weight_block_rows(p.size, n)
+    z = np.empty((rows, p.size), dtype=complex)
+    weights = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = _gap_coordinates(p, tuple(x[lo:hi] for x in draws), z[: hi - lo])
+        head = _normalized(block, cut)
+        weights[lo:hi] = np.einsum("sd,sd->s", head.conj(), head).real
+    return weights
 
 
 def sample_gap_resampling_oracle(

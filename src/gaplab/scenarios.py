@@ -459,6 +459,16 @@ class Scenario:
         return eigenbasis_observable(self.contributing, self.observable)
 
     @cached_property
+    def spectrum_observable(self) -> np.ndarray:
+        """V* B V over every column of the full spectrum, from which the concentration tail builds B(t)."""
+        return eigenbasis_observable(self.spec, self.observable)
+
+    @cached_property
+    def spectrum_mixture_overlap(self) -> np.ndarray:
+        """W over the full spectrum, which the concentration reference and the ``--csv`` curves read."""
+        return mixture_block_overlap(self.spec, self.rho, self.spectrum_observable)
+
+    @cached_property
     def contributing_counts(self) -> dict:
         """The ``spectral_counts`` of the contributing set at the config's kappas, which every bound reads."""
         return spectral_counts(self.contributing, self.config.kappas)

@@ -144,14 +144,16 @@ class GapIndex:
         """Maximal number of gaps in a half-open window of width kappa.
 
         Windows are anchored at the cluster representatives; the window
-        [a, a + kappa) includes its left edge only.
+        [a, a + kappa) includes its left edge only, so it holds at least
+        its anchor cluster, also where a + kappa rounds to a.
         """
         if not kappa > 0:
             raise ValueError(f"kappa must be positive, got {kappa!r}")
         if self.count == 0:
             return 0
         cum = np.concatenate(([0], np.cumsum(self.counts)))
-        hi = np.searchsorted(self.representatives, self.representatives + kappa, side="left")
+        reps = self.representatives
+        hi = np.maximum(np.searchsorted(reps, reps + kappa, side="left"), np.arange(1, reps.size + 1))
         return int((cum[hi] - cum[:-1]).max())
 
 

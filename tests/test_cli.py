@@ -531,6 +531,60 @@ def test_run_with_a_canonical_rho_at_large_negative_beta(tmp_path, capsys, check
     assert ("p_max = 1.0 must be < 1/4" in err) == (rc == 2) and "NaN" not in err
 
 
+def test_run_csv_curves_read_the_scenarios_full_spectrum_overlap(tmp_path, monkeypatch):
+    """The concentration tail and every horizon's CSV read one full-spectrum V* B V and W."""
+    from gaplab import scenarios
+
+    calls = {"eigenbasis_observable": 0, "mixture_block_overlap": 0}
+
+    def counted(name):
+        original = getattr(scenarios, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(scenarios, name, wrapper)
+
+    counted("eigenbasis_observable")
+    counted("mixture_block_overlap")
+    path = write_run_config(tmp_path)
+    config = {**json.loads(path.read_text()), "horizons": [2.0, 4.0, 8.0], "checks": ["concentration"]}
+    path.write_text(json.dumps(config))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "curves")]
+    assert cli.main(argv) == 0
+    assert calls == {"eigenbasis_observable": 1, "mixture_block_overlap": 1}
+    assert len(list((tmp_path / "curves").glob("mixture_T*.csv"))) == 3
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"kappas": [1e-300]},
+        {"kappas": [1e-300], "checks": ["spectral"]},
+        {"hamiltonian": {"kind": "random", "eigenvalues": "arithmetic", "spacing": 1e300}},
+        {"hamiltonian": {"kind": "random", "eigenvalues": "arithmetic", "spacing": 1e300}, "checks": ["spectral"]},
+        {"concentration": {"epsilon_grid": [1e200], "n_states": 50}, "checks": ["concentration"]},
+        {"concentration": {"epsilon_grid": [0.1, 1e300], "n_states": 50}, "checks": ["concentration"]},
+    ],
+    ids=["kappa-1e-300", "kappa-1e-300-spectral", "spacing-1e300", "spacing-1e300-spectral",
+         "epsilon-1e200", "epsilon-1e300"],
+)
+def test_run_at_extreme_widths_spacings_and_deviations_ends_cleanly(tmp_path, capsys, patch):
+    """A window narrower than the float spacing of its gaps still counts its anchor cluster, and a
+    deviation whose square overflows has tail bound 0; neither ends in a traceback."""
+    path = write_run_config(tmp_path)
+    config = {**json.loads(path.read_text()), "rho": {"kind": "random"}, "mc": {"n_states": 20, "n_times": 8},
+              "checks": ["spectral", "variance", "moments", "equilibration", "concentration"], **patch}
+    path.write_text(json.dumps(config))
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")])
+    assert rc in (0, 2) and "Traceback" not in capsys.readouterr().err
+    if rc == 0 and "concentration" in patch:
+        report = json.loads((tmp_path / "report.json").read_text())
+        [tail] = [c for c in report["checks"] if c["name"] == "concentration_tail"]
+        assert tail["detail"]["cells"][-1]["bound"] == 0.0 and tail["passed"]
+
+
 def test_run_takes_an_observable_just_below_the_cut(tmp_path):
     save_matrix(tmp_path / "B.json", 1.1e76 * np.diag(np.arange(6.0)))
     path = write_run_config(tmp_path)
@@ -604,6 +658,21 @@ def test_run_timings_name_the_route_of_each_horizons_forms(tmp_path):
     config.write_text(json.dumps({**scenario, "checks": ["equilibration"]}))
     assert cli.main(["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]) == 0
     assert "forms" not in json.loads(t_f.read_text())
+
+
+def test_run_timings_split_the_concentration_checks(tmp_path):
+    config = write_run_config(tmp_path)
+    scenario = {**json.loads(config.read_text()), "checks": ["concentration"],
+                "concentration": {"n_states": 300, "scaling_dims": [4, 2048]}}
+    config.write_text(json.dumps(scenario))
+    out, t_f = tmp_path / "r.json", tmp_path / "timings.json"
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]) == 0
+    timings = json.loads(t_f.read_text())
+    assert set(timings) == {"build", "concentration_tail", "concentration_scaling", "scaling_blocks", "total"}
+    assert timings["concentration_tail"] > 0.0 and timings["concentration_scaling"] > 0.0
+    # 256 KiB of complex rows: all 300 states at d = 4, 8 rows at d = 2048
+    assert timings["scaling_blocks"] == [{"dim": 4, "rows": 300}, {"dim": 2048, "rows": 8}]
+    assert "scaling_blocks" not in out.read_text() and "timings" not in out.read_text()
 
 
 def test_run_violation_exits_1(tmp_path, monkeypatch):

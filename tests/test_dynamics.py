@@ -612,6 +612,15 @@ def test_concentration_tail_values():
     assert 0.94 < val < 0.96
 
 
+def test_concentration_tail_takes_its_limit_where_the_exponent_overflows():
+    # deviation^2 overflows above ~1.3e154; L^2 |rho| underflows to 0 at L = 1e-170
+    assert concentration_tail_bound(1e200, 2.0, 0.5) == 0.0
+    assert concentration_tail_bound(1.0, 1e-170, 0.5) == 0.0
+    assert concentration_tail_bound(0.0, 1e-170, 0.5) == 12.0
+    # below the overflow, exp itself underflows to the same 0
+    assert concentration_tail_bound(1e150, 2.0, 0.5) == 0.0
+
+
 def test_concentration_tail_monotonicity():
     lo = concentration_tail_bound(1.0, 2.0, 0.1)
     hi = concentration_tail_bound(2.0, 2.0, 0.1)

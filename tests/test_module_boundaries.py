@@ -189,6 +189,7 @@ TEST_FACING = (
     "k_pair_integral",
     "mixture_curve_deviation",
     "mixture_curve_deviation_quadrature",
+    "sample_gap_diagonal",
     "sample_gap_resampling_oracle",
     "save_matrix",
     "save_spectrum",

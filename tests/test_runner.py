@@ -335,19 +335,21 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
     count("operator_norm", "gaplab.linalg")
     count("eigenbasis_observable", "gaplab.dynamics")
     count("spectral_counts", "gaplab.spectra")
+    count("mixture_block_overlap", "gaplab.dynamics")
     monkeypatch.setattr(GapIndex, "__init__", counted("GapIndex", GapIndex.__init__))
     grids = (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0]))
     # one chunk of states and three
     for (horizons, kappas), n_states in itertools.product(grids, (256, 768)):
         calls.update(dict.fromkeys(
             ["contributing_set", "gap_phase_matrix", "gauss_rule", "operator_norm", "GapIndex",
-             "eigenbasis_observable", "spectral_counts"], 0))
+             "eigenbasis_observable", "spectral_counts", "mixture_block_overlap"], 0))
         config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": n_states, "n_times": 16})
         report = run_scenario(config)
         assert report.violations == 0
-        # V* B V once on the contributing set, which every chunk reads, whatever the chunk count;
-        # the concentration check builds the full spectrum's twice, for B(t) and for the mixture curve
-        assert calls["eigenbasis_observable"] == 3
+        # V* B V once on the contributing set, which every chunk reads, whatever the chunk count, and
+        # once on the full spectrum, which B(t) and the mixture reference of the concentration tail read
+        assert calls["eigenbasis_observable"] == 2
+        assert calls["mixture_block_overlap"] == 2
         # the full spectrum's counts and the contributing set's, which every (kappa, T) cell reads
         assert calls["spectral_counts"] == 2
         assert calls["contributing_set"] == 1

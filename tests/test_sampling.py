@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from conftest import diagonal_density
+from gaplab import sampling
 from gaplab.sampling import (
     DensityMatrix,
     derive_rng,
@@ -13,7 +14,9 @@ from gaplab.sampling import (
     sample_gap_diagonal,
     sample_gap_each,
     sample_gap_resampling_oracle,
+    sample_gap_weights,
     sample_gaussian,
+    weight_block_rows,
 )
 from gaplab.scenarios import haar_unitary, random_density
 
@@ -161,6 +164,41 @@ def test_sample_gap_diagonal_checks_its_probabilities():
             sample_gap_diagonal(p, derive_rng(321), 4)
     with pytest.raises(ValueError):
         sample_gap_diagonal([0.5, 0.5], derive_rng(321), 0)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, None])
+@pytest.mark.parametrize("d", [2, 3, 17, 64, 255])
+def test_sample_gap_weights_are_the_diagonal_states_weights_bit_for_bit(monkeypatch, d, rows):
+    if rows is not None:  # blocks of that many rows; None keeps the default budget
+        monkeypatch.setattr(sampling, "WEIGHT_BLOCK_BYTES", rows * 16 * d)
+    p = np.full(d, 1.0 / d)
+    for seed, n in ((330, 1), (331, 130), (332, 200)):
+        if rows is not None:
+            assert weight_block_rows(d, n) == min(n, rows)
+        alone, blocked = derive_rng(seed), derive_rng(seed)
+        states = sample_gap_diagonal(p, alone, n)
+        head = states[:, : d // 2]
+        expected = np.einsum("sd,sd->s", head.conj(), head).real
+        assert np.array_equal(_bits(sample_gap_weights(p, blocked, n, d // 2)), _bits(expected))
+        # the generator is left where the states leave it
+        assert np.array_equal(alone.random(8), blocked.random(8))
+
+
+def test_sample_gap_weights_take_any_cut_and_check_their_inputs():
+    p = [0.4, 0.3, 0.2, 0.1, 0.0]
+    states = sample_gap_diagonal(p, derive_rng(333), 50)
+    for cut in (0, 1, 4, 5):
+        head = states[:, :cut]
+        expected = np.einsum("sd,sd->s", head.conj(), head).real
+        assert np.array_equal(_bits(sample_gap_weights(p, derive_rng(333), 50, cut)), _bits(expected))
+    # the whole row of a unit state weighs 1
+    assert np.abs(sample_gap_weights(p, derive_rng(333), 50, 5) - 1.0).max() <= 1e-15
+    with pytest.raises(ValueError):
+        sample_gap_weights([0.6, 0.6], derive_rng(334), 4, 1)
+    with pytest.raises(ValueError):
+        sample_gap_weights([0.5, 0.5], derive_rng(334), 0, 1)
+    assert weight_block_rows(4, 10_000) == sampling.WEIGHT_BLOCK_BYTES // 64
+    assert weight_block_rows(10**9, 5) == 1
 
 
 def test_haar_fourth_moment_at_uniform_rho():

@@ -91,6 +91,17 @@ def test_window_count_limits_and_monotonicity():
         assert all(c >= gaps.max_degeneracy for c in counts)
 
 
+def test_a_window_below_the_float_spacing_holds_its_anchor_cluster():
+    # gaps +-1, +-1.5 (twice), +-2.5, +-3, +-4: the two 1.5 gaps make the largest cluster
+    gi = GapIndex([0.0, 1.0, 2.5, 4.0])
+    assert gi.max_degeneracy == 2
+    # 4 + 1e-17 == 4 and 1.5 + 1e-300 == 1.5, yet [a, a + kappa) still holds the cluster at a
+    assert [gi.window_count(k) for k in (1e-300, 1e-17, 1e-15, 0.4)] == [2, 2, 2, 2]
+    # every representative of a spacing of 1e300 swallows kappa = 1
+    huge = GapIndex(1e300 * np.arange(4.0))
+    assert huge.window_count(1.0) == huge.max_degeneracy == 3
+
+
 def test_contributing_single_projector():
     spec = simple_spectrum([0.0, 1.0, 2.0])
     P0 = spec.blocks[1] @ spec.blocks[1].conj().T
