@@ -167,9 +167,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _check_count("--workers", args.workers, 1)
     config = load_scenario(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    report = run_scenario(config, base_dir=base_dir)
+    report = run_scenario(config, base_dir=base_dir, workers=args.workers)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     if args.csv:
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="accepted for compatibility and ignored: runs have no worker pool",
+        help="threads for the state ensemble, at most the cores and its chunks; the report is the same for any value",
     )
     p.add_argument("--timings", default=None, help="sidecar file for wall-clock timings")
     p.set_defaults(fn=_cmd_run)

@@ -7,24 +7,30 @@ set with its gap index, counts and V* B V, |B|, mixture overlap, the Gauss
 rule of each horizon) are prepared once on the :class:`Scenario`, and every
 chunk and every (kappa, T) cell reads that one copy.  The state ensemble is
 processed in chunks of ``CHUNK_STATES`` states, each reduced to its
-per-state results before the next is drawn.  Every state draws from its
-own stream (seed, DOMAIN_STATES, state index): its state, then its
-uniform times.  The arithmetic on those draws runs once per chunk
-(``sample_gap_each``, ``block_overlap_matrix`` over the stack), and it
-gives each state the bits of a state taken alone: the rotation is one
-matrix-vector product per state, and the overlaps keep each state's
-products and summation order.  The concentration scaling check reads
-only each uniform mixture state's weight on its first half of the
-coordinates, which ``sample_gap_weights`` gives bit for bit as
-``sample_gap_diagonal``'s states would, in cache-sized blocks of rows,
-without building the states.  So the report bytes depend only on
-(config, seed).  Wall-clock timings are kept out of the canonical report
-for the same reason.
+per-state results before the next is drawn.  With ``workers`` above 1
+the chunks are spread over lanes, one on the calling thread and the
+others on a thread pool (:func:`ensemble_lanes` sets their number and
+the chunk size); each chunk writes only its own rows of the per-state
+results.  Every state draws from its own stream (seed, DOMAIN_STATES,
+state index): its state, then its uniform times.  The arithmetic on
+those draws runs once per chunk (``sample_gap_each``,
+``block_overlap_matrix`` over the stack), and it gives each state the
+bits of a state taken alone: the rotation is one matrix-vector product
+per state, and the overlaps keep each state's products and summation
+order.  The concentration scaling check reads only each uniform mixture
+state's weight on its first half of the coordinates, which
+``sample_gap_weights`` gives bit for bit as ``sample_gap_diagonal``'s
+states would, in cache-sized blocks of rows, without building the
+states.  So the report bytes depend only on (config, seed), whatever
+the number of lanes.  Wall-clock timings are kept out of the canonical
+report for the same reason.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,6 +56,7 @@ from .spectra import spectral_counts
 __all__ = [
     "CheckRecord",
     "Report",
+    "ensemble_lanes",
     "verify_equilibration",
     "verify_concentration",
     "run_scenario",
@@ -60,7 +67,7 @@ REPORT_SCHEMA = "gaplab-report/1"
 #: Stream domain for the variance Monte Carlo (domains 0..5 live in scenarios).
 DOMAIN_VARIANCE = 6
 
-#: States per chunk of the equilibration ensemble.
+#: States per chunk of the equilibration ensemble, summed over the lanes that run at once.
 CHUNK_STATES = 256
 
 
@@ -198,36 +205,61 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
 
 
-def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: list, forms: list):
+def ensemble_lanes(workers: int, n_states: int) -> tuple[int, int]:
+    """(lanes, states per chunk) of an ensemble of ``n_states`` states at ``workers``.
+
+    A chunk holds ``CHUNK_STATES`` // min(workers, cores) states (at least
+    one), so the lanes that run at once hold about ``CHUNK_STATES`` states
+    together.  The lane count is min(workers, cores, chunks): ``workers``
+    of any size starts no more threads than the machine has cores or the
+    ensemble has chunks.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    lanes = min(workers, os.cpu_count() or 1)
+    size = max(1, CHUNK_STATES // lanes)
+    return min(lanes, -(-n_states // size)), size
+
+
+def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: list, forms: list, workers: int):
     """Per-state results of the sampled states, each chunk reduced to them before the next is drawn.
 
-    Returns (itas, powers, state_forms, fractions), one entry per state:
-    the long-run averages; the dephased powers; one array of phase forms
-    for each ``PhaseForms`` of ``forms`` (one per horizon, or none when
-    ``moments`` is not checked, and then ``powers`` is None, since nothing
-    reads it); and the exceedance fractions, of shape (n_states, horizons)
-    with one column per entry of ``deviation_bounds``: the share of the
-    state's uniform times on [0, T] at which its curve deviates from
-    ``center`` by more than the bound.  Curves are evaluated only for the
-    live horizons; the column of a horizon flagged in ``vacuous`` (bound
-    above 2 |B|, which no deviation reaches) stays 0.  Every overlap
-    matrix is built on the contributing set, which is all the curves and
-    averages depend on.
+    Returns (itas, powers, state_forms, fractions, lanes), one entry per
+    state: the long-run averages; the dephased powers; one array of phase
+    forms for each ``PhaseForms`` of ``forms`` (one per horizon, or none
+    when ``moments`` is not checked, and then ``powers`` is None, since
+    nothing reads it); and the exceedance fractions, of shape
+    (n_states, horizons) with one column per entry of ``deviation_bounds``:
+    the share of the state's uniform times on [0, T] at which its curve
+    deviates from ``center`` by more than the bound.  Curves are evaluated
+    only for the live horizons; the column of a horizon flagged in
+    ``vacuous`` (bound above 2 |B|, which no deviation reaches) stays 0.
+    Every overlap matrix is built on the contributing set, which is all
+    the curves and averages depend on.  ``lanes`` is the timings sidecar's
+    ``{threads, chunk_states, chunks}``: lane k runs chunks k, k + threads,
+    ..., lane 0 on the calling thread, and a single lane submits nothing.
     """
     config, cs = scn.config, scn.contributing
     n, n_times = config.n_states, config.n_times
+    threads, size = ensemble_lanes(workers, n)
+    Bt = scn.contributing_observable
+    # a cached_property is built once per thread that asks before it is stored (Python >= 3.12), so the
+    # lanes find every value they read already built
+    for name in ("basis_matrix", "multiplicities", "block_starts", "gaps"):
+        getattr(cs, name)
     itas = np.empty(n, dtype=complex)
     powers = np.empty(n) if forms else None
     state_forms = [np.empty(n) for _ in forms]
     fractions = np.zeros((n, len(deviation_bounds)))
-    for lo in range(0, n, CHUNK_STATES):
-        hi = min(lo + CHUNK_STATES, n)
+
+    def chunk(lo: int) -> None:
+        hi = min(lo + size, n)
         rngs = [derive_rng(config.seed, DOMAIN_STATES, i) for i in range(lo, hi)]
         psis = sample_gap_each(scn.rho, rngs)
         u = np.empty((hi - lo, n_times))
         for rng, times in zip(rngs, u):
             rng.random(out=times)
-        S = block_overlap_matrix(cs, psis, scn.contributing_observable)
+        S = block_overlap_matrix(cs, psis, Bt)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
         if forms:
             powers[lo:hi] = dephased_power(cs.gaps, S)
@@ -238,10 +270,22 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
                 continue
             devs = np.abs(overlap_curve(cs.values, S, u * T) - center)
             fractions[lo:hi, h] = (devs > bound).mean(axis=1)
-    return itas, powers, state_forms, fractions
+
+    def lane(k: int) -> None:
+        for lo in range(k * size, n, threads * size):
+            chunk(lo)
+
+    # the pool starts its threads on submit only; leaving the block joins them, also after an error
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        futures = [pool.submit(lane, k) for k in range(1, threads)]
+        lane(0)
+        for future in futures:
+            future.result()
+    lanes = {"threads": threads, "chunk_states": size, "chunks": -(-n // size)}
+    return itas, powers, state_forms, fractions, lanes
 
 
-def verify_equilibration(scn: Scenario) -> tuple[list, list]:
+def verify_equilibration(scn: Scenario, workers: int = 1) -> tuple[list, dict]:
     """Second-moment and exceedance checks over sampled projected-ensemble states.
 
     Emits the four moment-bound records, the identity check that the
@@ -252,9 +296,12 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
     of states keeps only its per-state results, not its curves or gap
     coefficients.  Each horizon's vacuity is also decided before then:
     exceedance curves are evaluated only for the live horizons, whose
-    deviation bound is at most 2 |B|.  Also returns the route record of
-    each horizon's phase forms for the timings sidecar (none without
-    ``moments``).
+    deviation bound is at most 2 |B|.  The chunks of states run on
+    ``workers`` lanes (see :func:`ensemble_lanes`); the records do not
+    depend on their number.  Also returns the timings sidecar's entries:
+    the route record of each horizon's phase forms (``forms``, only with
+    ``moments``) and the lanes of the ensemble (``ensemble``,
+    ``{threads, chunk_states, chunks}``).
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
@@ -276,7 +323,7 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
     if "moments" in config.checks:
         Bt = scn.contributing_observable
         forms = [PhaseForms(cs, Bt, T, rule) for T, rule in zip(config.horizons, scn.gauss_rules)]
-    itas, powers, state_forms, fractions = _ensemble(scn, center, deviation_bounds, vacuous, forms)
+    itas, powers, state_forms, fractions, lanes = _ensemble(scn, center, deviation_bounds, vacuous, forms, workers)
     records = []
 
     if "moments" in config.checks:
@@ -368,7 +415,10 @@ def verify_equilibration(scn: Scenario) -> tuple[list, list]:
                     mc_error=se_frac, vacuous=not live)
         )
 
-    return records, [f.record for f in forms]
+    sidecar = {"ensemble": lanes}
+    if forms:
+        sidecar["forms"] = [f.record for f in forms]
+    return records, sidecar
 
 
 def _concentration_tail(scn: Scenario) -> CheckRecord:
@@ -442,8 +492,12 @@ def verify_concentration(scn: Scenario) -> tuple[list, dict]:
     return [tail, scaling], sidecar
 
 
-def run_scenario(config: ScenarioConfig, base_dir: str = ".") -> Report:
-    """Materialize a scenario, run every enabled check, and assemble the report."""
+def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) -> Report:
+    """Materialize a scenario, run every enabled check, and assemble the report.
+
+    The state ensemble runs on ``workers`` lanes (see :func:`ensemble_lanes`);
+    the report bytes are the same for any number.
+    """
     t0 = time.perf_counter()
     scn = build_scenario(config, base_dir)
     timings = {"build": time.perf_counter() - t0}
@@ -461,10 +515,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".") -> Report:
         timings["variance"] = time.perf_counter() - t1
     if "moments" in config.checks or "equilibration" in config.checks:
         t1 = time.perf_counter()
-        records, forms_routes = verify_equilibration(scn)
+        records, sidecar = verify_equilibration(scn, workers)
         checks.extend(records)
-        if forms_routes:
-            timings["forms"] = forms_routes
+        timings.update(sidecar)
         timings["equilibration"] = time.perf_counter() - t1
     if "concentration" in config.checks:
         records, sidecar = verify_concentration(scn)

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -675,6 +676,65 @@ def test_run_timings_split_the_concentration_checks(tmp_path):
     assert "scaling_blocks" not in out.read_text() and "timings" not in out.read_text()
 
 
+def write_ensemble_config(tmp_path, n_states=600):
+    """A run config whose state ensemble spans several chunks (moments and equilibration)."""
+    config = write_run_config(tmp_path)
+    scenario = {**json.loads(config.read_text()), "checks": ["moments", "equilibration"],
+                "mc": {"n_states": n_states, "n_times": 8}}
+    config.write_text(json.dumps(scenario))
+    return config
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "-100000"])
+def test_run_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    config = write_ensemble_config(tmp_path)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert f"--workers must be at least 1, got {workers}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_timings_record_the_ensemble_lanes(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    config = write_ensemble_config(tmp_path)
+    out, t_f = tmp_path / "r.json", tmp_path / "timings.json"
+    before = threading.active_count()
+    argv = ["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]
+    assert cli.main([*argv, "--workers", "100000"]) == 0
+    assert threading.active_count() == before
+    # two lanes of 128-state chunks hold 256 states at once, as one lane of 256-state chunks does
+    assert json.loads(t_f.read_text())["ensemble"] == {"threads": 2, "chunk_states": 128, "chunks": 5}
+    assert "ensemble" not in out.read_text()
+    assert cli.main(argv) == 0
+    assert json.loads(t_f.read_text())["ensemble"] == {"threads": 1, "chunk_states": 256, "chunks": 3}
+
+
+@pytest.mark.parametrize("lane", ["calling", "pool"])
+def test_run_error_in_a_lane_exits_2_and_leaves_no_thread(tmp_path, capsys, monkeypatch, lane):
+    """A lane's exception reaches the caller as a serial run's would, and the pool's threads are joined.
+
+    The 600 states run in 5 chunks of 128 on two lanes: the calling thread takes chunks 0, 2 and 4,
+    the pool's thread chunks 1 and 3, so the pool's lane fails on the second chunk.
+    """
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    original = runner.sample_gap_each
+
+    def fails_in_one_lane(rho, rngs):
+        on_pool = threading.current_thread() is not threading.main_thread()
+        if on_pool == (lane == "pool"):
+            raise ValueError(f"synthetic sampler failure in the {lane} lane")
+        return original(rho, rngs)
+
+    monkeypatch.setattr(runner, "sample_gap_each", fails_in_one_lane)
+    config = write_ensemble_config(tmp_path)
+    before = threading.active_count()
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "r.json"), "--workers", "2"]) == 2
+    assert threading.active_count() == before
+    err = capsys.readouterr().err
+    assert f"error: synthetic sampler failure in the {lane} lane" in err and "Traceback" not in err
+
+
 def test_run_violation_exits_1(tmp_path, monkeypatch):
     config = write_run_config(tmp_path)
     out = tmp_path / "report.json"
@@ -684,7 +744,7 @@ def test_run_violation_exits_1(tmp_path, monkeypatch):
     )
     fake = Report(config={}, seed=0, spectral={}, checks=[failing])
 
-    def fake_run(config, base_dir="."):
+    def fake_run(config, base_dir=".", workers=1):
         return fake
 
     monkeypatch.setattr(cli, "run_scenario", fake_run)

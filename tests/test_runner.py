@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -84,27 +86,54 @@ def test_spectral_section_contents(report):
     assert sec["contributing"]["n_distinct"] <= sec["n_distinct"]
 
 
-@pytest.mark.parametrize(
-    "hamiltonian, horizons, routes",
-    [
-        ({"kind": "random"}, [2.0, 8.0], ["rule", "rule"]),
-        ({"kind": "random"}, [8.0, 32.0], ["rule", "dense"]),
-        ({"kind": "random", "multiplicities": [2, 2, 1, 1, 1, 1]}, [1.0, 8.0], ["rule", "dense"]),
-    ],
-    ids=["two-rule-horizons", "long-horizon", "doubly-degenerate-levels"],
+#: A D = 64 equilibration scenario whose one horizon has a deviation bound below 2 |B|, so it is live.
+LIVE_EXCEEDANCE = dict(
+    dimension=64, seed=3, rho={"kind": "uniform"}, observable={"kind": "random_projector", "rank": 32},
+    epsilon=0.9, delta=0.9, kappas=[1e-6], horizons=[1e9], checks=["equilibration"],
 )
-def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch, hamiltonian, horizons, routes):
-    """Neither forms route gives a state a form that depends on the shape of its chunk."""
+
+
+def with_cores(monkeypatch, cores: int) -> None:
+    """Let ``ensemble_lanes`` see ``cores`` cores, so a test runs the same lanes on any machine."""
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cores)
+
+
+@pytest.mark.parametrize(
+    "overrides, routes",
+    [
+        (dict(hamiltonian={"kind": "random"}, horizons=[2.0, 8.0]), ["rule", "rule"]),
+        (dict(hamiltonian={"kind": "random"}, horizons=[8.0, 32.0]), ["rule", "dense"]),
+        (dict(hamiltonian={"kind": "random", "multiplicities": [2, 2, 1, 1, 1, 1]}, horizons=[1.0, 8.0]),
+         ["rule", "dense"]),
+        (LIVE_EXCEEDANCE, None),
+    ],
+    ids=["two-rule-horizons", "long-horizon", "doubly-degenerate-levels", "live-exceedance-horizon"],
+)
+def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch, overrides, routes):
+    """Neither forms route gives a state a form that depends on the shape of its chunk or on the lanes.
+
+    The 20 states span 3 chunks of 7 states on one lane, 7 chunks of 3 on two and 10 chunks of 2 on
+    three; a chunk size of 1 gives every lane many chunks.
+    """
+    with_cores(monkeypatch, 3)
+    calls = count_overlap_curves(monkeypatch)
     config = make_config(
-        hamiltonian=hamiltonian, horizons=horizons, mc={"n_states": 20, "n_times": 16},
-        checks=["moments", "equilibration"], concentration=None,
+        **{"checks": ["moments", "equilibration"], **overrides}, mc={"n_states": 20, "n_times": 16},
+        concentration=None,
     )
     blobs = {}
-    for chunk in (1, 7, runner.CHUNK_STATES):
+    for chunk, workers in itertools.product((1, 7, runner.CHUNK_STATES), (1, 2, 3)):
         monkeypatch.setattr(runner, "CHUNK_STATES", chunk)
-        report = run_scenario(config)
-        assert [r["route"] for r in report.timings["forms"]] == routes
-        blobs[chunk] = report.to_json()
+        calls[0] = 0
+        report = run_scenario(config, workers=workers)
+        assert [r["route"] for r in report.timings.get("forms", [])] == (routes or [])
+        lanes = report.timings["ensemble"]
+        assert lanes["chunk_states"] == max(1, chunk // workers) and lanes["threads"] == min(workers, lanes["chunks"])
+        if routes is None:
+            # the live horizon's curves run in every chunk, on every lane
+            assert not record_by_name(report, "finite_time_exceedance").vacuous
+            assert calls[0] == lanes["chunks"]
+        blobs[chunk, workers] = report.to_json()
     assert len(set(blobs.values())) == 1
 
 
@@ -124,6 +153,98 @@ def test_moments_memory_does_not_grow_with_the_state_count():
             tracemalloc.stop()
     # an (n_states + 1) x P array of gap coefficients (P = 552) alone would add 15 MiB
     assert peaks[1] - peaks[0] < 3 * 2**20
+
+
+def test_moments_memory_does_not_grow_with_the_lanes(monkeypatch):
+    """Two lanes run chunks of half the states, so the states in flight, and the peak, stay put."""
+    with_cores(monkeypatch, 2)
+    config = make_config(
+        dimension=24, observable={"kind": "random_projector", "rank": 12}, mc={"n_states": 2048, "n_times": 8},
+        checks=["moments"], concentration=None,
+    )
+    peaks = []
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            report = run_scenario(config, workers=workers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.timings["ensemble"]["threads"] == workers
+    # two half-size chunks at their peaks at once hold what one full chunk does; lanes out of step hold less
+    assert peaks[1] <= peaks[0] + 2**20
+
+
+def test_many_lanes_switching_often_give_the_serial_report(monkeypatch):
+    """Eight lanes of one-state chunks, switched every microsecond, write every row as one lane does."""
+    config = make_config(mc={"n_states": 40, "n_times": 16}, checks=["moments", "equilibration"],
+                         concentration=None)
+    serial = run_scenario(config).to_json()
+    with_cores(monkeypatch, 8)
+    monkeypatch.setattr(runner, "CHUNK_STATES", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_scenario(config, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.timings["ensemble"] == {"threads": 8, "chunk_states": 1, "chunks": 40}
+    assert report.to_json() == serial
+
+
+@pytest.mark.parametrize(
+    "workers, cores, n_states, lanes",
+    [
+        (1, 2, 6000, (1, 256)),
+        (2, 2, 6000, (2, 128)),
+        (100_000, 2, 6000, (2, 128)),
+        (100_000, None, 6000, (1, 256)),
+        (2**62, 4096, 10**9, (4096, 1)),
+        (8, 8, 100, (4, 32)),
+        (3, 3, 2, (1, 85)),
+    ],
+    ids=["serial", "two-cores", "huge-workers", "unknown-cores", "more-cores-than-chunk-states",
+         "fewer-chunks-than-cores", "fewer-states-than-a-chunk"],
+)
+def test_ensemble_lanes_are_capped_by_cores_and_chunks(monkeypatch, workers, cores, n_states, lanes):
+    with_cores(monkeypatch, cores)
+    assert runner.ensemble_lanes(workers, n_states) == lanes
+
+
+@pytest.mark.parametrize("workers", [0, -1, -(2**62)])
+def test_ensemble_lanes_refuse_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        runner.ensemble_lanes(workers, 100)
+
+
+def test_a_huge_worker_count_asks_the_pool_for_the_cores_only(monkeypatch):
+    """The pool is asked for cores - 1 threads, whatever ``workers`` says; this one runs its lanes inline."""
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    config = make_config(mc={"n_states": 1000, "n_times": 16}, checks=["moments", "equilibration"],
+                         concentration=None)
+    serial = run_scenario(config).to_json()
+    with_cores(monkeypatch, 4)
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", InlinePool)
+    report = run_scenario(config, workers=100_000)
+    assert asked == [3]
+    assert report.timings["ensemble"] == {"threads": 4, "chunk_states": 64, "chunks": 16}
+    assert report.to_json() == serial
 
 
 @pytest.mark.parametrize(
@@ -165,12 +286,14 @@ def test_exceedance_record_does_not_depend_on_the_moments_check():
 
 
 def count_overlap_curves(monkeypatch) -> list:
-    """Patch ``runner.overlap_curve`` to count its calls; the list's one entry is the count."""
+    """Patch ``runner.overlap_curve`` to count its calls, from any lane; the list's one entry is the count."""
     calls = [0]
     original = runner.overlap_curve
+    lock = threading.Lock()
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        with lock:
+            calls[0] += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(runner, "overlap_curve", counted)
@@ -190,11 +313,7 @@ def test_vacuous_horizons_evaluate_no_exceedance_curve(monkeypatch):
 
 def test_live_horizon_evaluates_its_exceedance_curves(monkeypatch):
     calls = count_overlap_curves(monkeypatch)
-    config = make_config(
-        dimension=64, seed=3, rho={"kind": "uniform"}, observable={"kind": "random_projector", "rank": 32},
-        epsilon=0.9, delta=0.9, kappas=[1e-6], horizons=[1e9], mc={"n_states": 20, "n_times": 16},
-        checks=["equilibration"], concentration=None,
-    )
+    config = make_config(**LIVE_EXCEEDANCE, mc={"n_states": 20, "n_times": 16}, concentration=None)
     record = record_by_name(run_scenario(config), "finite_time_exceedance")
     (cell,) = record.detail["cells"]
     assert cell["deviation_bound"] < 2.0 and not cell["vacuous"] and not record.vacuous
@@ -315,10 +434,12 @@ def test_checks_subset_controls_records():
 
 def test_scenario_quantities_are_computed_once(monkeypatch):
     calls = {}
+    lock = threading.Lock()  # a lane's call must not be lost to a racing count
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
@@ -337,14 +458,16 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
     count("spectral_counts", "gaplab.spectra")
     count("mixture_block_overlap", "gaplab.dynamics")
     monkeypatch.setattr(GapIndex, "__init__", counted("GapIndex", GapIndex.__init__))
+    with_cores(monkeypatch, 2)
     grids = (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0]))
-    # one chunk of states and three
-    for (horizons, kappas), n_states in itertools.product(grids, (256, 768)):
+    # one chunk of states and three, on one lane and on two
+    for (horizons, kappas), n_states, workers in itertools.product(grids, (256, 768), (1, 2)):
         calls.update(dict.fromkeys(
             ["contributing_set", "gap_phase_matrix", "gauss_rule", "operator_norm", "GapIndex",
              "eigenbasis_observable", "spectral_counts", "mixture_block_overlap"], 0))
         config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": n_states, "n_times": 16})
-        report = run_scenario(config)
+        report = run_scenario(config, workers=workers)
+        assert report.timings["ensemble"]["threads"] == workers
         assert report.violations == 0
         # V* B V once on the contributing set, which every chunk reads, whatever the chunk count, and
         # once on the full spectrum, which B(t) and the mixture reference of the concentration tail read
