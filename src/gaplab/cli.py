@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="threads for the state ensemble, at most the cores and its chunks; the report is the same for any value",
+        help="processes for the state ensemble, at most the usable cores and its chunks; "
+        "the report is the same for any value",
     )
     p.add_argument("--timings", default=None, help="sidecar file for wall-clock timings")
     p.set_defaults(fn=_cmd_run)

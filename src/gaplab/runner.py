@@ -8,17 +8,22 @@ rule of each horizon) are prepared once on the :class:`Scenario`, and every
 chunk and every (kappa, T) cell reads that one copy.  The state ensemble is
 processed in chunks of ``CHUNK_STATES`` states, each reduced to its
 per-state results before the next is drawn.  With ``workers`` above 1
-the chunks are spread over lanes, one on the calling thread and the
-others on a thread pool (:func:`ensemble_lanes` sets their number and
-the chunk size); each chunk writes only its own rows of the per-state
-results.  Every state draws from its own stream (seed, DOMAIN_STATES,
-state index): its state, then its uniform times.  The arithmetic on
-those draws runs once per chunk (``sample_gap_each``,
-``block_overlap_matrix`` over the stack), and it gives each state the
-bits of a state taken alone: the rotation is one matrix-vector product
-per state, and the overlaps keep each state's products and summation
-order.  The concentration scaling check reads only each uniform mixture
-state's weight on its first half of the coordinates, which
+the chunks are spread over lanes (:func:`ensemble_lanes` sets their
+number and the chunk size): lane 0 runs in the calling process and each
+other lane in a child made by ``os.fork``, which writes its rows of the
+per-state results into one anonymous mapping shared with the parent.
+The children are forked only after every scenario quantity and phase
+form the chunks read is built, so each child inherits those values
+instead of building them again and losing them when it ends.  Every
+state draws from its own stream (seed, DOMAIN_STATES, state index): its
+state, then its uniform times, which are drawn only when a horizon is
+live.  The arithmetic on those draws runs once per chunk
+(``sample_gap_each``, ``block_overlap_matrix`` over the stack), and it
+gives each state the bits of a state taken alone: the rotation is one
+matrix-vector product per state, and the overlaps keep each state's
+products and summation order.  The concentration scaling check reads
+only each uniform mixture state's weight on its first half of the
+coordinates, which
 ``sample_gap_weights`` gives bit for bit as ``sample_gap_diagonal``'s
 states would, in cache-sized blocks of rows, without building the
 states.  So the report bytes depend only on (config, seed), whatever
@@ -28,9 +33,9 @@ report for the same reason.
 
 from __future__ import annotations
 
+import mmap
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -205,20 +210,35 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ensemble_lanes(workers: int, n_states: int) -> tuple[int, int]:
     """(lanes, states per chunk) of an ensemble of ``n_states`` states at ``workers``.
 
     A chunk holds ``CHUNK_STATES`` // min(workers, cores) states (at least
     one), so the lanes that run at once hold about ``CHUNK_STATES`` states
-    together.  The lane count is min(workers, cores, chunks): ``workers``
-    of any size starts no more threads than the machine has cores or the
-    ensemble has chunks.
+    together.  The lane count is min(workers, cores, chunks), cores being
+    the CPUs the process may run on: ``workers`` of any size starts no
+    more processes than that or than the ensemble has chunks.  Without
+    ``os.fork`` there is one lane.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    lanes = min(workers, os.cpu_count() or 1)
+    lanes = min(workers, _usable_cores()) if hasattr(os, "fork") else 1
     size = max(1, CHUNK_STATES // lanes)
     return min(lanes, -(-n_states // size)), size
+
+
+def _run_lane(chunk, starts, poll) -> None:
+    """One lane of the ensemble, in the process that runs it: ``chunk(lo)`` then ``poll()`` for each chunk start."""
+    for lo in starts:
+        chunk(lo)
+        poll()
 
 
 def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: list, forms: list, workers: int):
@@ -231,34 +251,49 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
     nothing reads it); and the exceedance fractions, of shape
     (n_states, horizons) with one column per entry of ``deviation_bounds``:
     the share of the state's uniform times on [0, T] at which its curve
-    deviates from ``center`` by more than the bound.  Curves are evaluated
-    only for the live horizons; the column of a horizon flagged in
-    ``vacuous`` (bound above 2 |B|, which no deviation reaches) stays 0.
-    Every overlap matrix is built on the contributing set, which is all
-    the curves and averages depend on.  ``lanes`` is the timings sidecar's
-    ``{threads, chunk_states, chunks}``: lane k runs chunks k, k + threads,
-    ..., lane 0 on the calling thread, and a single lane submits nothing.
+    deviates from ``center`` by more than the bound.  Curves are evaluated,
+    and a state's times drawn, only for the live horizons; the column of a
+    horizon flagged in ``vacuous`` (bound above 2 |B|, which no deviation
+    reaches) stays 0.  Every overlap matrix is built on the contributing
+    set, which is all the curves and averages depend on.
+
+    Lane k runs chunks k, k + lanes, ...: lane 0 in this process, every
+    other lane in a forked child (see :func:`lanes.run_forked`), which is
+    reaped before this function returns or raises.  The children are
+    forked after every value they read is built (the contributing set's
+    cached arrays here, V* B V, the mixture overlap and every
+    ``PhaseForms`` before the call): a value a child built would be built
+    again in each child and lost when it ends.  The per-state results live
+    in one anonymous shared mapping, into whose rows each chunk writes.
+    ``lanes`` is the timings sidecar's ``{lanes, chunk_states, chunks,
+    child_peak_rss_mb}``, the last the peak RSS of the largest child this
+    process has reaped (None when no child ran).
     """
     config, cs = scn.config, scn.contributing
     n, n_times = config.n_states, config.n_times
-    threads, size = ensemble_lanes(workers, n)
+    lanes, size = ensemble_lanes(workers, n)
     Bt = scn.contributing_observable
-    # a cached_property is built once per thread that asks before it is stored (Python >= 3.12), so the
-    # lanes find every value they read already built
     for name in ("basis_matrix", "multiplicities", "block_starts", "gaps"):
         getattr(cs, name)
-    itas = np.empty(n, dtype=complex)
-    powers = np.empty(n) if forms else None
-    state_forms = [np.empty(n) for _ in forms]
-    fractions = np.zeros((n, len(deviation_bounds)))
+    live = not all(vacuous)
+    horizons = len(deviation_bounds)
+    # each result a contiguous block, as np.empty would give it; the mapping starts zeroed
+    cells = np.frombuffer(mmap.mmap(-1, 8 * n * (2 + horizons + len(forms) + bool(forms))))
+    itas = cells[: 2 * n].view(complex)
+    fractions = cells[2 * n : (2 + horizons) * n].reshape(n, horizons)
+    blocks = cells.reshape(-1, n)
+    state_forms = list(blocks[2 + horizons : 2 + horizons + len(forms)])
+    powers = blocks[-1] if forms else None
 
     def chunk(lo: int) -> None:
         hi = min(lo + size, n)
         rngs = [derive_rng(config.seed, DOMAIN_STATES, i) for i in range(lo, hi)]
         psis = sample_gap_each(scn.rho, rngs)
-        u = np.empty((hi - lo, n_times))
-        for rng, times in zip(rngs, u):
-            rng.random(out=times)
+        if live:
+            # a state's times come after its state on its own stream, so skipping them moves no other draw
+            u = np.empty((hi - lo, n_times))
+            for rng, times in zip(rngs, u):
+                rng.random(out=times)
         S = block_overlap_matrix(cs, psis, Bt)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
         if forms:
@@ -271,18 +306,19 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
             devs = np.abs(overlap_curve(cs.values, S, u * T) - center)
             fractions[lo:hi, h] = (devs > bound).mean(axis=1)
 
-    def lane(k: int) -> None:
-        for lo in range(k * size, n, threads * size):
-            chunk(lo)
+    def lane(k: int, poll) -> None:
+        _run_lane(chunk, range(k * size, n, lanes * size), poll)
 
-    # the pool starts its threads on submit only; leaving the block joins them, also after an error
-    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
-        futures = [pool.submit(lane, k) for k in range(1, threads)]
-        lane(0)
-        for future in futures:
-            future.result()
-    lanes = {"threads": threads, "chunk_states": size, "chunks": -(-n // size)}
-    return itas, powers, state_forms, fractions, lanes
+    child_peak = None
+    if lanes == 1:
+        lane(0, lambda: None)
+    else:
+        # imported here, so that a run on one lane, as on a platform without os.fork, never loads it
+        from .lanes import run_forked
+
+        child_peak = run_forked(lanes, lane)
+    sidecar = {"lanes": lanes, "chunk_states": size, "chunks": -(-n // size), "child_peak_rss_mb": child_peak}
+    return itas, powers, state_forms, fractions, sidecar
 
 
 def verify_equilibration(scn: Scenario, workers: int = 1) -> tuple[list, dict]:
@@ -301,7 +337,7 @@ def verify_equilibration(scn: Scenario, workers: int = 1) -> tuple[list, dict]:
     depend on their number.  Also returns the timings sidecar's entries:
     the route record of each horizon's phase forms (``forms``, only with
     ``moments``) and the lanes of the ensemble (``ensemble``,
-    ``{threads, chunk_states, chunks}``).
+    ``{lanes, chunk_states, chunks, child_peak_rss_mb}``).
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas

@@ -4,7 +4,10 @@ Everything random is seeded through gaplab.derive_rng so reruns are
 bit-identical; helpers here only save repetition, they carry no state.
 """
 
+import os
+
 import numpy as np
+import pytest
 
 from gaplab.sampling import DensityMatrix
 from gaplab.spectra import SpectralDecomposition
@@ -30,3 +33,21 @@ def simple_spectrum(values) -> SpectralDecomposition:
     values = np.asarray(values, dtype=float)
     eye = np.eye(values.size)
     return SpectralDecomposition(values=values, blocks=[eye[:, [i]] for i in range(values.size)])
+
+
+def with_cores(monkeypatch, cores) -> None:
+    """Let ``runner.ensemble_lanes`` see ``cores`` usable CPUs, so a test runs the same lanes on any machine.
+
+    ``None`` stands for a platform that knows neither the affinity mask nor the CPU count.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def assert_no_child_left() -> None:
+    """Every forked ensemble lane has been reaped: this process has no child at all."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import pathlib
-import threading
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import simple_spectrum
+from conftest import assert_no_child_left, simple_spectrum, with_cores
 from gaplab import cli, runner
 from gaplab.dynamics import (
     CONCENTRATION_CONSTANT,
@@ -696,43 +699,79 @@ def test_run_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
 
 
 def test_run_timings_record_the_ensemble_lanes(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    with_cores(monkeypatch, 2)
     config = write_ensemble_config(tmp_path)
     out, t_f = tmp_path / "r.json", tmp_path / "timings.json"
-    before = threading.active_count()
     argv = ["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]
     assert cli.main([*argv, "--workers", "100000"]) == 0
-    assert threading.active_count() == before
+    assert_no_child_left()
     # two lanes of 128-state chunks hold 256 states at once, as one lane of 256-state chunks does
-    assert json.loads(t_f.read_text())["ensemble"] == {"threads": 2, "chunk_states": 128, "chunks": 5}
+    lanes = json.loads(t_f.read_text())["ensemble"]
+    assert lanes.pop("child_peak_rss_mb") > 0
+    assert lanes == {"lanes": 2, "chunk_states": 128, "chunks": 5}
     assert "ensemble" not in out.read_text()
     assert cli.main(argv) == 0
-    assert json.loads(t_f.read_text())["ensemble"] == {"threads": 1, "chunk_states": 256, "chunks": 3}
+    assert json.loads(t_f.read_text())["ensemble"] == {
+        "lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None
+    }
 
 
-@pytest.mark.parametrize("lane", ["calling", "pool"])
+@pytest.mark.parametrize("lane", ["calling", "pool", "killed"])
 def test_run_error_in_a_lane_exits_2_and_leaves_no_thread(tmp_path, capsys, monkeypatch, lane):
-    """A lane's exception reaches the caller as a serial run's would, and the pool's threads are joined.
+    """A lane's failure reaches the caller as a serial run's would, and every forked lane is reaped.
 
-    The 600 states run in 5 chunks of 128 on two lanes: the calling thread takes chunks 0, 2 and 4,
-    the pool's thread chunks 1 and 3, so the pool's lane fails on the second chunk.
+    The 600 states run in 5 chunks of 128 on two lanes: the calling process takes chunks 0, 2 and 4,
+    a forked child chunks 1 and 3.  The sampler raises in the calling process's first chunk
+    (``calling``), raises in the child's second chunk (``pool``), or kills the child there (``killed``).
     """
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    with_cores(monkeypatch, 2)
     original = runner.sample_gap_each
+    parent, calls = os.getpid(), []
 
     def fails_in_one_lane(rho, rngs):
-        on_pool = threading.current_thread() is not threading.main_thread()
-        if on_pool == (lane == "pool"):
-            raise ValueError(f"synthetic sampler failure in the {lane} lane")
+        calls.append(1)  # each process counts its own chunks
+        in_child = os.getpid() != parent
+        if lane == "calling" and not in_child:
+            raise ValueError("synthetic sampler failure in the calling lane")
+        if in_child and len(calls) == 2:
+            if lane == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif lane == "pool":
+                raise ValueError("synthetic sampler failure in the pool lane")
         return original(rho, rngs)
 
     monkeypatch.setattr(runner, "sample_gap_each", fails_in_one_lane)
     config = write_ensemble_config(tmp_path)
-    before = threading.active_count()
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "r.json"), "--workers", "2"]) == 2
-    assert threading.active_count() == before
+    assert_no_child_left()
     err = capsys.readouterr().err
-    assert f"error: synthetic sampler failure in the {lane} lane" in err and "Traceback" not in err
+    message = {
+        "calling": "synthetic sampler failure in the calling lane",
+        "pool": "synthetic sampler failure in the pool lane",
+        "killed": "ensemble lane 1 was ended by signal SIGKILL",
+    }[lane]
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+def test_run_two_lanes_under_the_default_blas_threads_give_the_serial_report(tmp_path):
+    """A child forked after BLAS has run on its default thread count finishes, and the bytes hold."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "schema": "gaplab-scenario/1", "dimension": 128, "seed": 5,
+        "hamiltonian": {"kind": "random", "multiplicities": [16] * 8}, "rho": {"kind": "random"},
+        "observable": {"kind": "random_projector", "rank": 64}, "horizons": [8.0, 32.0], "kappas": [1.0],
+        "checks": ["moments", "equilibration"], "mc": {"n_states": 600, "n_times": 16},
+    }))
+    serial, forked, t_f = tmp_path / "serial.json", tmp_path / "forked.json", tmp_path / "timings.json"
+    assert cli.main(["run", "--config", str(config), "--out", str(serial)]) == 0
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["run", "--config", str(config), "--out", str(forked), "--timings", str(t_f), "--workers", "2"]
+    subprocess.run([sys.executable, "-m", "gaplab.cli", *argv], env=env, check=True, capture_output=True, timeout=120)
+    assert forked.read_bytes() == serial.read_bytes()
+    assert json.loads(t_f.read_text())["ensemble"]["lanes"] == runner.ensemble_lanes(2, 600)[0]
 
 
 def test_run_violation_exits_1(tmp_path, monkeypatch):

@@ -149,6 +149,22 @@ def test_importing_the_cli_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_a_one_lane_run_leaves_out_the_forked_lanes(tmp_path):
+    """``gaplab.lanes`` is imported only by an ensemble that forks, so a one-lane run never compiles it."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "schema": "gaplab-scenario/1", "dimension": 6, "seed": 7, "hamiltonian": {"kind": "random"},
+        "rho": {"kind": "uniform"}, "observable": {"kind": "random_projector"}, "horizons": [4.0],
+        "kappas": [1.0], "checks": ["moments", "equilibration"], "mc": {"n_states": 600, "n_times": 8},
+    }))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "report.json")]
+    code = f"import sys, gaplab.cli; gaplab.cli.main({argv!r}); print('gaplab.lanes' in sys.modules, file=sys.stderr)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stderr.strip() == "False"
+
+
 def unused_imports(source: str) -> list:
     """Names that a module's imports bind but its code never reads (``__future__`` aside)."""
     tree = ast.parse(source)

@@ -3,14 +3,16 @@
 import dataclasses
 import itertools
 import json
+import mmap
+import multiprocessing
+import os
 import sys
-import threading
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left, with_cores
 from gaplab import cli, runner
 from gaplab.dynamics import PhaseForms
 from gaplab.jsonio import save_matrix
@@ -93,9 +95,29 @@ LIVE_EXCEEDANCE = dict(
 )
 
 
-def with_cores(monkeypatch, cores: int) -> None:
-    """Let ``ensemble_lanes`` see ``cores`` cores, so a test runs the same lanes on any machine."""
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: cores)
+class SharedCounts:
+    """Call counts to which the forked lanes of an ensemble add as the calling process does."""
+
+    def __init__(self, names):
+        self.names = list(names)
+        self.array = multiprocessing.Array("q", len(self.names))  # its lock is shared across fork
+
+    def __getitem__(self, name) -> int:
+        return self.array[self.names.index(name)]
+
+    def reset(self) -> None:
+        with self.array.get_lock():
+            self.array[:] = [0] * len(self.names)
+
+    def wrap(self, name, fn):
+        i = self.names.index(name)
+
+        def counted(*args, **kwargs):
+            with self.array.get_lock():
+                self.array[i] += 1
+            return fn(*args, **kwargs)
+
+        return counted
 
 
 @pytest.mark.parametrize(
@@ -124,15 +146,16 @@ def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch, overrides, ro
     blobs = {}
     for chunk, workers in itertools.product((1, 7, runner.CHUNK_STATES), (1, 2, 3)):
         monkeypatch.setattr(runner, "CHUNK_STATES", chunk)
-        calls[0] = 0
+        calls.reset()
         report = run_scenario(config, workers=workers)
+        assert_no_child_left()
         assert [r["route"] for r in report.timings.get("forms", [])] == (routes or [])
         lanes = report.timings["ensemble"]
-        assert lanes["chunk_states"] == max(1, chunk // workers) and lanes["threads"] == min(workers, lanes["chunks"])
+        assert lanes["chunk_states"] == max(1, chunk // workers) and lanes["lanes"] == min(workers, lanes["chunks"])
         if routes is None:
             # the live horizon's curves run in every chunk, on every lane
             assert not record_by_name(report, "finite_time_exceedance").vacuous
-            assert calls[0] == lanes["chunks"]
+            assert calls["overlap_curve"] == lanes["chunks"]
         blobs[chunk, workers] = report.to_json()
     assert len(set(blobs.values())) == 1
 
@@ -156,39 +179,53 @@ def test_moments_memory_does_not_grow_with_the_state_count():
 
 
 def test_moments_memory_does_not_grow_with_the_lanes(monkeypatch):
-    """Two lanes run chunks of half the states, so the states in flight, and the peak, stay put."""
+    """Two lanes run chunks of half the states, so the states in flight, summed over the lanes, stay put.
+
+    Each lane's growth is its ``tracemalloc`` peak over the memory it starts with, taken in the
+    process that runs it (a forked child keeps tracing) and written to memory shared with the parent.
+    """
     with_cores(monkeypatch, 2)
     config = make_config(
         dimension=24, observable={"kind": "random_projector", "rank": 12}, mc={"n_states": 2048, "n_times": 8},
         checks=["moments"], concentration=None,
     )
-    peaks = []
+    growth = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    parent, run_lane = os.getpid(), runner._run_lane
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run_lane(*args)
+        growth[int(os.getpid() != parent)] = tracemalloc.get_traced_memory()[1] - start
+
+    monkeypatch.setattr(runner, "_run_lane", measured)
+    totals = []
     for workers in (1, 2):
+        growth[:] = 0
         tracemalloc.start()
         try:
             report = run_scenario(config, workers=workers)
-            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert report.timings["ensemble"]["threads"] == workers
-    # two half-size chunks at their peaks at once hold what one full chunk does; lanes out of step hold less
-    assert peaks[1] <= peaks[0] + 2**20
+        assert report.timings["ensemble"]["lanes"] == workers
+        assert (growth > 0).sum() == workers
+        totals.append(int(growth.sum()))
+    # two half-size chunks at their peaks at once hold what one full chunk does
+    assert totals[1] <= totals[0] + 2**20
 
 
 def test_many_lanes_switching_often_give_the_serial_report(monkeypatch):
-    """Eight lanes of one-state chunks, switched every microsecond, write every row as one lane does."""
+    """Eight lanes of one-state chunks, more lanes than cores, write every row as one lane does."""
     config = make_config(mc={"n_states": 40, "n_times": 16}, checks=["moments", "equilibration"],
                          concentration=None)
     serial = run_scenario(config).to_json()
     with_cores(monkeypatch, 8)
     monkeypatch.setattr(runner, "CHUNK_STATES", 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        report = run_scenario(config, workers=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert report.timings["ensemble"] == {"threads": 8, "chunk_states": 1, "chunks": 40}
+    report = run_scenario(config, workers=8)
+    assert_no_child_left()
+    lanes = report.timings["ensemble"]
+    assert lanes.pop("child_peak_rss_mb") > 0
+    assert lanes == {"lanes": 8, "chunk_states": 1, "chunks": 40}
     assert report.to_json() == serial
 
 
@@ -211,6 +248,25 @@ def test_ensemble_lanes_are_capped_by_cores_and_chunks(monkeypatch, workers, cor
     assert runner.ensemble_lanes(workers, n_states) == lanes
 
 
+def test_ensemble_lanes_count_the_cpus_the_process_may_run_on(monkeypatch):
+    """Two CPUs on the machine, one in the affinity mask (as under ``taskset -c 0``): one lane."""
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert runner.ensemble_lanes(2, 6000) == (1, 256)
+
+
+def test_one_lane_runs_where_the_platform_cannot_fork(monkeypatch):
+    config = make_config(mc={"n_states": 600, "n_times": 16}, checks=["moments", "equilibration"],
+                         concentration=None)
+    serial = run_scenario(config).to_json()
+    with_cores(monkeypatch, 2)
+    monkeypatch.delattr(runner.os, "fork")
+    assert runner.ensemble_lanes(2, 600) == (1, 256)
+    report = run_scenario(config, workers=2)
+    assert report.timings["ensemble"] == {"lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None}
+    assert report.to_json() == serial
+
+
 @pytest.mark.parametrize("workers", [0, -1, -(2**62)])
 def test_ensemble_lanes_refuse_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers must be at least 1"):
@@ -218,32 +274,25 @@ def test_ensemble_lanes_refuse_fewer_than_one_worker(workers):
 
 
 def test_a_huge_worker_count_asks_the_pool_for_the_cores_only(monkeypatch):
-    """The pool is asked for cores - 1 threads, whatever ``workers`` says; this one runs its lanes inline."""
-    asked = []
+    """cores - 1 children are forked, whatever ``workers`` says; the calling process runs the other lane."""
+    forks = []
+    fork = runner.os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+    def counted():
+        forks.append(1)  # in the parent's list: a child's append stays in the child
+        return fork()
 
     config = make_config(mc={"n_states": 1000, "n_times": 16}, checks=["moments", "equilibration"],
                          concentration=None)
     serial = run_scenario(config).to_json()
     with_cores(monkeypatch, 4)
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(runner.os, "fork", counted)
     report = run_scenario(config, workers=100_000)
-    assert asked == [3]
-    assert report.timings["ensemble"] == {"threads": 4, "chunk_states": 64, "chunks": 16}
+    assert_no_child_left()
+    assert len(forks) == 3
+    lanes = report.timings["ensemble"]
+    assert lanes.pop("child_peak_rss_mb") > 0
+    assert lanes == {"lanes": 4, "chunk_states": 64, "chunks": 16}
     assert report.to_json() == serial
 
 
@@ -285,18 +334,10 @@ def test_exceedance_record_does_not_depend_on_the_moments_check():
     assert [c.to_dict() for c in alone.checks] == [record_by_name(both, "finite_time_exceedance").to_dict()]
 
 
-def count_overlap_curves(monkeypatch) -> list:
-    """Patch ``runner.overlap_curve`` to count its calls, from any lane; the list's one entry is the count."""
-    calls = [0]
-    original = runner.overlap_curve
-    lock = threading.Lock()
-
-    def counted(*args, **kwargs):
-        with lock:
-            calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(runner, "overlap_curve", counted)
+def count_overlap_curves(monkeypatch) -> SharedCounts:
+    """Patch ``runner.overlap_curve`` to count its calls, from any lane, as ``counts["overlap_curve"]``."""
+    calls = SharedCounts(["overlap_curve"])
+    monkeypatch.setattr(runner, "overlap_curve", calls.wrap("overlap_curve", runner.overlap_curve))
     return calls
 
 
@@ -308,7 +349,7 @@ def test_vacuous_horizons_evaluate_no_exceedance_curve(monkeypatch):
     record = record_by_name(run_scenario(config), "finite_time_exceedance")
     assert record.vacuous and all(c["vacuous"] for c in record.detail["cells"])
     assert [c["exceed_fraction"] for c in record.detail["cells"]] == [0.0, 0.0]
-    assert calls[0] == 0
+    assert calls["overlap_curve"] == 0
 
 
 def test_live_horizon_evaluates_its_exceedance_curves(monkeypatch):
@@ -317,7 +358,34 @@ def test_live_horizon_evaluates_its_exceedance_curves(monkeypatch):
     record = record_by_name(run_scenario(config), "finite_time_exceedance")
     (cell,) = record.detail["cells"]
     assert cell["deviation_bound"] < 2.0 and not cell["vacuous"] and not record.vacuous
-    assert calls[0] == 1
+    assert calls["overlap_curve"] == 1
+
+
+def test_states_draw_no_times_when_every_horizon_is_vacuous(monkeypatch):
+    """A state's uniform times are drawn only for a live horizon's curves, after its state on its stream."""
+    time_rows = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def random(self, *args, **kwargs):
+            if "out" in kwargs:  # the state's draws take single uniforms, its times fill a row
+                time_rows.append(kwargs["out"].size)
+            return self.rng.random(*args, **kwargs)
+
+    derive_rng = runner.derive_rng
+    monkeypatch.setattr(runner, "derive_rng", lambda *path: Recording(derive_rng(*path)))
+    vacuous = make_config(horizons=[2.0, 8.0], mc={"n_states": 20, "n_times": 16},
+                          checks=["moments", "equilibration"], concentration=None)
+    assert record_by_name(run_scenario(vacuous), "finite_time_exceedance").vacuous
+    assert time_rows == []
+    live = make_config(**LIVE_EXCEEDANCE, mc={"n_states": 20, "n_times": 16}, concentration=None)
+    assert not record_by_name(run_scenario(live), "finite_time_exceedance").vacuous
+    assert time_rows == [16] * 20
 
 
 def test_report_serialization_excludes_timings(report):
@@ -433,22 +501,15 @@ def test_checks_subset_controls_records():
 
 
 def test_scenario_quantities_are_computed_once(monkeypatch):
-    calls = {}
-    lock = threading.Lock()  # a lane's call must not be lost to a racing count
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            with lock:
-                calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
+    # a forked lane that built a quantity again would add to these counts too
+    calls = SharedCounts(["contributing_set", "gap_phase_matrix", "gauss_rule", "operator_norm", "GapIndex",
+                          "eigenbasis_observable", "spectral_counts", "mixture_block_overlap"])
 
     def count(name, home):
         original = getattr(sys.modules[home], name)
         for module in [m for key, m in sys.modules.items() if key == "gaplab" or key.startswith("gaplab.")]:
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted(name, original))
+                monkeypatch.setattr(module, name, calls.wrap(name, original))
 
     count("contributing_set", "gaplab.spectra")
     count("gap_phase_matrix", "gaplab.dynamics")
@@ -457,17 +518,15 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
     count("eigenbasis_observable", "gaplab.dynamics")
     count("spectral_counts", "gaplab.spectra")
     count("mixture_block_overlap", "gaplab.dynamics")
-    monkeypatch.setattr(GapIndex, "__init__", counted("GapIndex", GapIndex.__init__))
+    monkeypatch.setattr(GapIndex, "__init__", calls.wrap("GapIndex", GapIndex.__init__))
     with_cores(monkeypatch, 2)
     grids = (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0]))
     # one chunk of states and three, on one lane and on two
     for (horizons, kappas), n_states, workers in itertools.product(grids, (256, 768), (1, 2)):
-        calls.update(dict.fromkeys(
-            ["contributing_set", "gap_phase_matrix", "gauss_rule", "operator_norm", "GapIndex",
-             "eigenbasis_observable", "spectral_counts", "mixture_block_overlap"], 0))
+        calls.reset()
         config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": n_states, "n_times": 16})
         report = run_scenario(config, workers=workers)
-        assert report.timings["ensemble"]["threads"] == workers
+        assert report.timings["ensemble"]["lanes"] == workers
         assert report.violations == 0
         # V* B V once on the contributing set, which every chunk reads, whatever the chunk count, and
         # once on the full spectrum, which B(t) and the mixture reference of the concentration tail read
