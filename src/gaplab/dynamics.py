@@ -39,8 +39,11 @@ node.  When n would reach the pair count P, or the rule's n m^2 per state
 (m eigenbasis columns) would not be below the dense P^2, the dense route
 is the cheaper one and is taken instead.  One ``PhaseForms`` per horizon
 makes that choice once, holds what its route reads (R, or the rule with
-V* B V) and evaluates the forms of each chunk of states and the mixture's,
-so a caller keeps per-state results and no rows of gap coefficients.
+V* B V and the phases exp(-i E t_k) of its nodes) and evaluates the forms
+of each chunk of states, from their amplitudes V* psi and overlap
+matrices, and the mixture's.  So a caller keeps per-state results and no
+rows of gap coefficients, and it can size its chunks by what a state
+costs the forms (``state_width``).
 
 A time-grid oracle (composite Simpson quadrature of the same averages)
 exists solely to cross-check the exact quadratic forms.
@@ -75,6 +78,7 @@ __all__ = [
     "mixture_expectation_curve",
     "state_amplitudes",
     "block_overlap_matrix",
+    "state_overlaps",
     "overlap_curve",
     "mixture_block_overlap",
     "infinite_time_average",
@@ -166,27 +170,36 @@ def state_amplitudes(spec: SpectralDecomposition, psi0) -> np.ndarray:
     calls.
     """
     psi = _check_state(psi0, spec.dim, stack=True)
-    return (spec.basis_matrix.conj().T @ psi[..., None])[..., 0]
+    return (spec.basis_adjoint @ psi[..., None])[..., 0]
 
 
-def block_overlap_matrix(spec: SpectralDecomposition, psi0, Bt) -> np.ndarray:
+def block_overlap_matrix(spec: SpectralDecomposition, psi0, Bt, amplitudes=None) -> np.ndarray:
     """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over the eigenprojectors of ``spec``, from ``Bt`` = V* B V.
 
     ``psi0`` is one state, or a stack of states (n, dim) that gives one
-    matrix per state, shape (n, d, d).  On a contributing set S is the
-    contributing submatrix of the full spectrum's S.  A stack is taken in
-    runs of states whose products of one eigenspace of rows,
-    (run, mult, columns) entries, fit in about ``OVERLAP_RUN_BYTES``, in
-    one buffer reused by every run and eigenspace.  Each entry is the
-    same products (conj(y_a) Bt_ab) y_b, summed in the same order, as for
-    a single state, so a stack gives every state's S bit for bit.
+    matrix per state, shape (n, d, d).  ``amplitudes``, when given, is
+    ``state_amplitudes(spec, psi0)``, which a caller that reads it too
+    computes once; S is then built from it alone.  On a contributing set
+    S is the contributing submatrix of the full spectrum's S.  With simple
+    levels each entry is one product (conj(y_a) Bt_ab) y_b, taken over the
+    whole stack at once.  Otherwise a stack is taken in runs of states
+    whose products of one eigenspace of rows, (run, mult, columns)
+    entries, fit in about ``OVERLAP_RUN_BYTES``, in one buffer reused by
+    every run and eigenspace.  Each entry is the same products, summed in
+    the same order, as for a single state, so a stack gives every state's
+    S bit for bit.
     """
-    y = state_amplitudes(spec, psi0)
+    y = state_amplitudes(spec, psi0) if amplitudes is None else amplitudes
     if spec.n_distinct == 0:  # a contributing set of an observable that couples to nothing
         return np.zeros(y.shape[:-1] + (0, 0), dtype=complex)
     states = y.reshape(-1, y.shape[-1])  # a single state as a stack of one
     conj = np.conj(states)
     (n, m), d, mult = states.shape, spec.n_distinct, int(spec.multiplicities.max())
+    if mult == 1:
+        # a sum of one product is that product, as the runs' reductions below leave it
+        S = conj[:, :, None] * Bt
+        S *= states[:, None, :]
+        return S.reshape(y.shape[:-1] + (d, d))
     run = max(1, min(n, OVERLAP_RUN_BYTES // (mult * m * states.itemsize)))
     products = np.empty((run, mult, m), dtype=complex)
     rows = np.empty((run, d, m), dtype=complex)
@@ -200,6 +213,16 @@ def block_overlap_matrix(spec: SpectralDecomposition, psi0, Bt) -> np.ndarray:
             np.add.reduceat(block, [0], axis=-2, out=rows[: hi - lo, i : i + 1])
         np.add.reduceat(rows[: hi - lo], spec.block_starts, axis=-1, out=S[lo:hi])
     return S.reshape(y.shape[:-1] + (d, d))
+
+
+def state_overlaps(spec: SpectralDecomposition, psis, Bt) -> tuple[np.ndarray, np.ndarray]:
+    """(``state_amplitudes``, ``block_overlap_matrix``) of a stack of states, with V* psi taken once for both.
+
+    A chunk of the state ensemble reads the amplitudes again in its phase
+    forms (``PhaseForms.states``).
+    """
+    y = state_amplitudes(spec, psis)
+    return y, block_overlap_matrix(spec, psis, Bt, amplitudes=y)
 
 
 def overlap_curve(values, S, times) -> np.ndarray:
@@ -325,8 +348,12 @@ class PhaseForms:
     pairs); otherwise the dense route holds R.  ``record`` is
     ``{horizon, route, nodes, pairs, error}``, ``error`` being the rule's
     eps P (0 and no nodes when dense): a rule form misses the exact one by
-    at most eps P |S_off|_F^2.  Each form is summed on its own in a fixed
-    order, so a state's form does not depend on the states evaluated with it.
+    at most eps P |S_off|_F^2.  ``state_width`` is the complex entries per
+    state that ``states`` holds at once: the coefficients and their
+    conjugates (2 P) on the dense route, and on the rule route the node
+    amplitudes z, their conjugates and the products with V* B V
+    (3 n m).  Each form is summed on its own in a fixed order, so a
+    state's form does not depend on the states evaluated with it.
     """
 
     def __init__(self, cs: SpectralDecomposition, Bt, horizon: float, rule):
@@ -335,27 +362,29 @@ class PhaseForms:
         self.rule = rule if rule is not None and rule[2] * columns**2 < pairs**2 else None
         if self.rule is None:
             self.R = gap_phase_matrix(cs.gaps.values, horizon)
+            self.state_width = 2 * pairs
             self.record = {"horizon": horizon, "route": "dense", "nodes": None, "pairs": pairs, "error": 0.0}
             return
         self.Bt = Bt
         # centred eigenvalues turn the curves by a global phase only and keep the phases small
         self.mid = 0.5 * (cs.values.max() + cs.values.min())
-        self.columns = cs.column_values - self.mid
+        # exp(-i E t_k) of every node and column, the same for every state
+        self.phases = np.exp(-1j * np.outer(rule[0], cs.column_values - self.mid))
+        self.state_width = 3 * self.phases.size
         self.record = {"horizon": horizon, "route": "rule", "nodes": rule[2], "pairs": pairs, "error": rule[3]}
 
-    def states(self, psis, S) -> np.ndarray:
-        """Forms of states ``psis`` (n, dim) with overlap matrices ``S`` (n, d, d) on ``cs``.
+    def states(self, amplitudes, S) -> np.ndarray:
+        """Forms of the states with ``amplitudes`` V* psi (n, m) and overlap matrices ``S`` (n, d, d) on ``cs``.
 
-        The rule route sums weights_k |z_k^H (V* B V) z_k - tr S|^2 over the
-        nodes, z_k = exp(-i E t_k) V* psi (see the module docstring).
+        ``amplitudes`` is ``state_amplitudes(cs, psis)``.  The rule route
+        sums weights_k |z_k^H (V* B V) z_k - tr S|^2 over the nodes,
+        z_k = exp(-i E t_k) V* psi (see the module docstring).
         """
         if self.rule is None:
             return _dense_forms(self.R, gap_coefficients(S, self.cs.gaps))
-        times, weights = self.rule[:2]
-        y = state_amplitudes(self.cs, psis)
-        z = np.exp(-1j * np.outer(times, self.columns)) * y[:, None, :]
+        z = self.phases * amplitudes[:, None, :]
         g = ((z.conj() @ self.Bt) * z).sum(-1) - np.trace(S, axis1=1, axis2=2)[:, None]
-        return ((g.real**2 + g.imag**2) * weights).sum(-1)
+        return ((g.real**2 + g.imag**2) * self.rule[1]).sum(-1)
 
     def mixture(self, W) -> float:
         """Form of the mixture's overlap matrix ``W`` on ``cs``: the average of |tr(B(t) rho) - tr W|^2."""
@@ -367,12 +396,22 @@ class PhaseForms:
 
 
 def dephased_power(gaps: GapIndex, S: np.ndarray) -> np.ndarray:
-    """Infinite-horizon forms of overlap matrices ``S`` (n, d, d): each gap cluster's coefficients summed, squared."""
-    rows = gap_coefficients(S, gaps)
+    """Infinite-horizon forms of overlap matrices ``S`` (n, d, d): each gap cluster's coefficients summed, squared.
+
+    The coefficients are gathered in cluster order (``gaps.sorted_pairs``),
+    so a state holds its P coefficients once, then its cluster sums.  A
+    lone state is summed as a stack of two: ``einsum`` sums a single row
+    of more than 8192 clusters in another order than each row of a stack,
+    and a state's power must not depend on the states evaluated with it.
+    """
+    n = S.shape[0]
     if gaps.count == 0:
-        return np.zeros(rows.shape[0])
-    sums = np.add.reduceat(rows[:, gaps.order], gaps.starts, axis=1)
-    return np.einsum("sc,sc->s", sums, sums.conj()).real
+        return np.zeros(n)
+    first, second = gaps.sorted_pairs
+    # a lone state's sums go in the first row of two; the second, zero, is dropped
+    sums = np.zeros((max(n, 2), gaps.starts.size), dtype=complex)
+    np.add.reduceat(S[:, first, second], gaps.starts, axis=1, out=sums[:n])
+    return np.einsum("sc,sc->s", sums, sums.conj()).real[:n]
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

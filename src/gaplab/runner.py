@@ -6,24 +6,31 @@ allowance.  The quantities that depend on the scenario alone (contributing
 set with its gap index, counts and V* B V, |B|, mixture overlap, the Gauss
 rule of each horizon) are prepared once on the :class:`Scenario`, and every
 chunk and every (kappa, T) cell reads that one copy.  The state ensemble is
-processed in chunks of ``CHUNK_STATES`` states, each reduced to its
-per-state results before the next is drawn.  With ``workers`` above 1
-the chunks are spread over lanes (:func:`ensemble_lanes` sets their
-number and the chunk size): lane 0 runs in the calling process and each
-other lane in a child made by ``os.fork``, which writes its rows of the
-per-state results into one anonymous mapping shared with the parent.
+processed in chunks, each reduced to its per-state results before the next
+is drawn.  A chunk holds at most ``CHUNK_STATES`` states, and fewer where
+its states are wide: the chunks in flight hold about ``CHUNK_BYTES`` at
+their widest step, which :func:`_state_width` estimates per state from D,
+the contributing set, the gap pairs P, each horizon's phase forms and the
+live exceedance curves.  So the states in flight do not take more memory
+as d^2, P or the Gauss nodes grow, unless one state alone exceeds the
+budget.  With ``workers`` above 1 the chunks are spread over lanes
+(:func:`ensemble_lanes` sets their number and the chunk size): lane 0
+runs in the calling process and each other lane in a child made by
+``os.fork``, which writes its rows of the per-state results into one
+anonymous mapping shared with the parent.
 The children are forked only after every scenario quantity and phase
 form the chunks read is built, so each child inherits those values
 instead of building them again and losing them when it ends.  Every
 state draws from its own stream (seed, DOMAIN_STATES, state index): its
 state, then its uniform times, which are drawn only when a horizon is
 live.  The arithmetic on those draws runs once per chunk
-(``sample_gap_each``, ``block_overlap_matrix`` over the stack), and it
-gives each state the bits of a state taken alone: the rotation is one
-matrix-vector product per state, and the overlaps keep each state's
-products and summation order.  The concentration scaling check reads
-only each uniform mixture state's weight on its first half of the
-coordinates, which
+(``sample_gap_each``, ``state_overlaps`` over the stack, whose amplitudes
+V* psi the phase forms read too), and it gives each state the bits of a
+state taken alone: the rotation and V* psi are one matrix-vector product
+per state, the overlaps keep each state's products and summation order,
+and every per-state sum is taken the same way in a chunk of one state as
+in a wider one.  The concentration scaling check reads only each uniform
+mixture state's weight on its first half of the coordinates, which
 ``sample_gap_weights`` gives bit for bit as ``sample_gap_diagonal``'s
 states would, in cache-sized blocks of rows, without building the
 states.  So the report bytes depend only on (config, seed), whatever
@@ -44,13 +51,13 @@ from . import jsonio
 from .dynamics import (
     BoundInputs,
     PhaseForms,
-    block_overlap_matrix,
     concentration_tail_bound,
     dephased_power,
     equilibration_bounds,
     mixture_curve,
     overlap_curve,
     phase_norm_cells,
+    state_overlaps,
 )
 from .linalg import quadratic_forms
 from .moments import gap_variance_bound, mc_variance
@@ -74,6 +81,11 @@ DOMAIN_VARIANCE = 6
 
 #: States per chunk of the equilibration ensemble, summed over the lanes that run at once.
 CHUNK_STATES = 256
+
+#: Bytes that the chunks of the equilibration ensemble in flight hold per
+#: state at their widest, summed over the lanes; a wider state makes a
+#: chunk of fewer than ``CHUNK_STATES`` states.
+CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -217,21 +229,43 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def ensemble_lanes(workers: int, n_states: int) -> tuple[int, int]:
+def ensemble_lanes(workers: int, n_states: int, state_bytes: int) -> tuple[int, int]:
     """(lanes, states per chunk) of an ensemble of ``n_states`` states at ``workers``.
 
-    A chunk holds ``CHUNK_STATES`` // min(workers, cores) states (at least
-    one), so the lanes that run at once hold about ``CHUNK_STATES`` states
-    together.  The lane count is min(workers, cores, chunks), cores being
-    the CPUs the process may run on: ``workers`` of any size starts no
-    more processes than that or than the ensemble has chunks.  Without
-    ``os.fork`` there is one lane.
+    ``state_bytes`` is what a chunk holds per state at its widest (see
+    :func:`_state_width`).  A chunk holds
+    min(``CHUNK_STATES`` // l, ``CHUNK_BYTES`` // (l ``state_bytes``))
+    states, at least one, for l = min(workers, cores) lanes, so the lanes
+    that run at once hold about ``CHUNK_STATES`` states and at most about
+    ``CHUNK_BYTES`` together.  The lane count is min(workers, cores,
+    chunks), cores being the CPUs the process may run on: ``workers`` of
+    any size starts no more processes than that or than the ensemble has
+    chunks.  Without ``os.fork`` there is one lane.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     lanes = min(workers, _usable_cores()) if hasattr(os, "fork") else 1
-    size = max(1, CHUNK_STATES // lanes)
+    size = max(1, min(CHUNK_STATES // lanes, CHUNK_BYTES // (lanes * state_bytes)))
     return min(lanes, -(-n_states // size)), size
+
+
+def _state_width(scn: Scenario, forms: list, live: bool) -> int:
+    """Complex entries per state that a chunk of the ensemble holds at its widest.
+
+    Throughout a chunk each state holds its vector (D), its amplitudes
+    V* psi (m) and its overlap matrix S (d^2).  At its widest step it also
+    holds the largest of: with ``moments``, the gap coefficients and
+    cluster sums of ``dephased_power`` (2 P) and each horizon's
+    ``PhaseForms.state_width``; with a ``live`` horizon, its exceedance
+    curves' phases and products (2 d n_times) and the off-diagonal copy of
+    S with its temporary (2 d^2).
+    """
+    cs, n_times = scn.contributing, scn.config.n_times
+    d, m = cs.n_distinct, cs.basis_matrix.shape[1]
+    steps = [2 * cs.gaps.count, *(f.state_width for f in forms)] if forms else []
+    if live:
+        steps.append(2 * d * (n_times + d))
+    return cs.dim + m + d * d + max(steps, default=0)
 
 
 def _run_lane(chunk, starts, poll) -> None:
@@ -266,16 +300,20 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
     again in each child and lost when it ends.  The per-state results live
     in one anonymous shared mapping, into whose rows each chunk writes.
     ``lanes`` is the timings sidecar's ``{lanes, chunk_states, chunks,
-    child_peak_rss_mb}``, the last the peak RSS of the largest child this
-    process has reaped (None when no child ran).
+    child_peak_rss_mb, state_bytes}``: ``chunk_states`` is sized by
+    ``state_bytes`` = 16 :func:`_state_width`, and ``child_peak_rss_mb`` is
+    the peak RSS of the largest child this process has reaped (None when no
+    child ran).
     """
     config, cs = scn.config, scn.contributing
     n, n_times = config.n_states, config.n_times
-    lanes, size = ensemble_lanes(workers, n)
-    Bt = scn.contributing_observable
-    for name in ("basis_matrix", "multiplicities", "block_starts", "gaps"):
-        getattr(cs, name)
     live = not all(vacuous)
+    state_bytes = 16 * _state_width(scn, forms, live)
+    lanes, size = ensemble_lanes(workers, n, state_bytes)
+    Bt = scn.contributing_observable
+    for owner, name in ((cs, "basis_adjoint"), (cs, "multiplicities"), (cs, "block_starts"),
+                        (cs.gaps, "sorted_pairs")):
+        getattr(owner, name)
     horizons = len(deviation_bounds)
     # each result a contiguous block, as np.empty would give it; the mapping starts zeroed
     cells = np.frombuffer(mmap.mmap(-1, 8 * n * (2 + horizons + len(forms) + bool(forms))))
@@ -294,12 +332,12 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
             u = np.empty((hi - lo, n_times))
             for rng, times in zip(rngs, u):
                 rng.random(out=times)
-        S = block_overlap_matrix(cs, psis, Bt)
+        y, S = state_overlaps(cs, psis, Bt)
         itas[lo:hi] = np.trace(S, axis1=1, axis2=2)
         if forms:
             powers[lo:hi] = dephased_power(cs.gaps, S)
         for f, values in zip(forms, state_forms):
-            values[lo:hi] = f.states(psis, S)
+            values[lo:hi] = f.states(y, S)
         for h, (T, bound) in enumerate(zip(config.horizons, deviation_bounds)):
             if vacuous[h]:
                 continue
@@ -317,7 +355,10 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
         from .lanes import run_forked
 
         child_peak = run_forked(lanes, lane)
-    sidecar = {"lanes": lanes, "chunk_states": size, "chunks": -(-n // size), "child_peak_rss_mb": child_peak}
+    sidecar = {
+        "lanes": lanes, "chunk_states": size, "chunks": -(-n // size), "child_peak_rss_mb": child_peak,
+        "state_bytes": state_bytes,
+    }
     return itas, powers, state_forms, fractions, sidecar
 
 
@@ -337,7 +378,7 @@ def verify_equilibration(scn: Scenario, workers: int = 1) -> tuple[list, dict]:
     depend on their number.  Also returns the timings sidecar's entries:
     the route record of each horizon's phase forms (``forms``, only with
     ``moments``) and the lanes of the ensemble (``ensemble``,
-    ``{lanes, chunk_states, chunks, child_peak_rss_mb}``).
+    ``{lanes, chunk_states, chunks, child_peak_rss_mb, state_bytes}``).
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
@@ -528,11 +569,21 @@ def verify_concentration(scn: Scenario) -> tuple[list, dict]:
     return [tail, scaling], sidecar
 
 
+def _peak_rss_mb() -> float | None:
+    """Peak RSS of this process so far in MiB (``ru_maxrss`` is in KiB on Linux); None without ``resource``."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) -> Report:
     """Materialize a scenario, run every enabled check, and assemble the report.
 
     The state ensemble runs on ``workers`` lanes (see :func:`ensemble_lanes`);
-    the report bytes are the same for any number.
+    the report bytes are the same for any number.  The timings sidecar
+    also gives this process's peak RSS so far (``peak_rss_mb``).
     """
     t0 = time.perf_counter()
     scn = build_scenario(config, base_dir)
@@ -560,6 +611,7 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) 
         checks.extend(records)
         timings.update(sidecar)
     timings["total"] = time.perf_counter() - t0
+    timings["peak_rss_mb"] = _peak_rss_mb()
     return Report(
         config=config.raw,
         seed=config.seed,

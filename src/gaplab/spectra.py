@@ -80,6 +80,11 @@ class SpectralDecomposition:
         return np.hstack(self.blocks) if self.blocks else np.zeros((self.dim, 0))
 
     @cached_property
+    def basis_adjoint(self) -> np.ndarray:
+        """V*, the conjugate transpose of ``basis_matrix``, as a transposed view of its conjugate."""
+        return self.basis_matrix.conj().T
+
+    @cached_property
     def block_starts(self) -> np.ndarray:
         """Column offset of each block inside ``basis_matrix``."""
         return np.cumsum(self.multiplicities) - self.multiplicities
@@ -106,11 +111,12 @@ class GapIndex:
 
     ``pairs`` holds every ordered pair (i, j), i != j, of positions in
     ``eigenvalues`` in row-major order and ``values`` their gaps e_i - e_j.
-    ``order`` is the stable sort order of the gaps.  Sorted gaps closer than
-    ``tol`` chain into one cluster; cluster k starts at position
-    ``starts[k]`` of the sorted gaps and holds ``counts[k]`` of them, with
-    mean gap ``representatives[k]``.  ``tol`` is ``gap_tol`` if given, else
-    ``GAP_TOL_RELATIVE`` times the diameter of the eigenvalues.
+    ``order`` is the stable sort order of the gaps, and ``sorted_pairs``
+    the pairs in that order.  Sorted gaps closer than ``tol`` chain into one
+    cluster; cluster k starts at position ``starts[k]`` of the sorted gaps
+    and holds ``counts[k]`` of them, with mean gap ``representatives[k]``.
+    ``tol`` is ``gap_tol`` if given, else ``GAP_TOL_RELATIVE`` times the
+    diameter of the eigenvalues.
     """
 
     def __init__(self, eigenvalues, gap_tol=None):
@@ -134,6 +140,12 @@ class GapIndex:
     @property
     def count(self) -> int:
         return self.values.size
+
+    @cached_property
+    def sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positions (i, j) of the pairs in the sort order of their gaps, as two arrays."""
+        first, second = np.ascontiguousarray(self.pairs[self.order].T)
+        return first, second
 
     @property
     def max_degeneracy(self) -> int:

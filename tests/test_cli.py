@@ -672,7 +672,9 @@ def test_run_timings_split_the_concentration_checks(tmp_path):
     out, t_f = tmp_path / "r.json", tmp_path / "timings.json"
     assert cli.main(["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]) == 0
     timings = json.loads(t_f.read_text())
-    assert set(timings) == {"build", "concentration_tail", "concentration_scaling", "scaling_blocks", "total"}
+    assert set(timings) == {
+        "build", "concentration_tail", "concentration_scaling", "scaling_blocks", "total", "peak_rss_mb"
+    }
     assert timings["concentration_tail"] > 0.0 and timings["concentration_scaling"] > 0.0
     # 256 KiB of complex rows: all 300 states at d = 4, 8 rows at d = 2048
     assert timings["scaling_blocks"] == [{"dim": 4, "rows": 300}, {"dim": 2048, "rows": 8}]
@@ -706,13 +708,16 @@ def test_run_timings_record_the_ensemble_lanes(tmp_path, monkeypatch):
     assert cli.main([*argv, "--workers", "100000"]) == 0
     assert_no_child_left()
     # two lanes of 128-state chunks hold 256 states at once, as one lane of 256-state chunks does
-    lanes = json.loads(t_f.read_text())["ensemble"]
-    assert lanes.pop("child_peak_rss_mb") > 0
-    assert lanes == {"lanes": 2, "chunk_states": 128, "chunks": 5}
-    assert "ensemble" not in out.read_text()
+    timings = json.loads(t_f.read_text())
+    lanes = timings["ensemble"]
+    assert lanes.pop("child_peak_rss_mb") > 0 and timings["peak_rss_mb"] > 0
+    # the states are narrow enough that the chunk is not cut by CHUNK_BYTES
+    assert 0 < lanes["state_bytes"] <= runner.CHUNK_BYTES // runner.CHUNK_STATES
+    assert lanes == {"lanes": 2, "chunk_states": 128, "chunks": 5, "state_bytes": lanes["state_bytes"]}
+    assert "ensemble" not in out.read_text() and "peak_rss_mb" not in out.read_text()
     assert cli.main(argv) == 0
     assert json.loads(t_f.read_text())["ensemble"] == {
-        "lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None
+        "lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None, "state_bytes": lanes["state_bytes"]
     }
 
 
@@ -771,7 +776,8 @@ def test_run_two_lanes_under_the_default_blas_threads_give_the_serial_report(tmp
     argv = ["run", "--config", str(config), "--out", str(forked), "--timings", str(t_f), "--workers", "2"]
     subprocess.run([sys.executable, "-m", "gaplab.cli", *argv], env=env, check=True, capture_output=True, timeout=120)
     assert forked.read_bytes() == serial.read_bytes()
-    assert json.loads(t_f.read_text())["ensemble"]["lanes"] == runner.ensemble_lanes(2, 600)[0]
+    lanes = json.loads(t_f.read_text())["ensemble"]
+    assert lanes["lanes"] == runner.ensemble_lanes(2, 600, lanes["state_bytes"])[0]
 
 
 def test_run_violation_exits_1(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from gaplab.dynamics import (
     PhaseForms,
     concentration_tail_bound,
     block_overlap_matrix,
+    dephased_power,
     eigenbasis_observable,
     gap_coefficients,
     equilibration_bounds,
@@ -34,6 +35,8 @@ from gaplab.dynamics import (
     phase_matrix_norm,
     phase_norm_cells,
     phase_quadratic_forms,
+    state_amplitudes,
+    state_overlaps,
 )
 from gaplab.linalg import operator_norm
 from gaplab.sampling import derive_rng
@@ -137,6 +140,23 @@ def test_gap_coefficients_follow_gap_pairs():
     positions = np.searchsorted(spec.values, cs.values)
     i, j = positions[gi.pairs[:, 0]], positions[gi.pairs[:, 1]]
     assert np.array_equal(gi.values, spec.values[i] - spec.values[j])
+    first, second = gi.sorted_pairs
+    assert np.array_equal(stack[:, first, second], rows[:, gi.order])
+
+
+def test_dephased_power_of_a_state_does_not_depend_on_its_stack():
+    """100 simple levels give 9900 gap clusters, more than ``einsum`` sums a lone row of in one piece."""
+    rng = derive_rng(509)
+    gaps = GapIndex(np.sort(rng.standard_normal(100)))
+    assert gaps.starts.size > 8192
+    S = rng.standard_normal((5, 100, 100)) + 1j * rng.standard_normal((5, 100, 100))
+    stack = dephased_power(gaps, S)
+    for n in (1, 2, 3):
+        assert dephased_power(gaps, S[:n]).tolist() == stack[:n].tolist()
+    assert [dephased_power(gaps, S[k : k + 1])[0] for k in range(5)] == stack.tolist()
+    # the clusters' squared sums, as a plain sum of one state's coefficients would give them to rounding
+    sums = np.add.reduceat(gap_coefficients(S, gaps)[:, gaps.order], gaps.starts, axis=1)
+    assert stack == pytest.approx(np.sum(np.abs(sums) ** 2, axis=1), rel=1e-12)
 
 
 def _uncoupled_levels_case():
@@ -441,17 +461,19 @@ def test_rule_forms_match_the_dense_forms(multiplicities, eigenvalues):
     ruled = PhaseForms(cs, Bt, 8.0, gauss_rule(cs.gaps, 8.0))
     route = ruled.record
     assert route["route"] == "rule" and route["pairs"] == cs.gaps.count and 0.0 < route["error"] <= PHASE_NORM_ERROR
-    forms = ruled.states(psis, S)
+    y, S_again = state_overlaps(cs, psis, Bt)
+    assert y.tolist() == state_amplitudes(cs, psis).tolist() and S_again.tolist() == S.tolist()
+    forms = ruled.states(y, S)
     dense = phase_quadratic_forms(cs.gaps, rows, 8.0)
     assert forms == pytest.approx(dense, rel=1e-12)
     # the evaluator without a rule takes the dense forms, with their bits
-    assert PhaseForms(cs, Bt, 8.0, None).states(psis, S).tolist() == dense.tolist()
+    assert PhaseForms(cs, Bt, 8.0, None).states(y, S).tolist() == dense.tolist()
     # and so is the rule's: a state's form is its own curve's deviation, from B in the original basis
     assert forms[0] == pytest.approx(expectation_curve_variance(spec, psis[0], B, 8.0), rel=1e-12)
     bound = route["error"] * np.sum(np.abs(rows) ** 2, axis=1)
     assert np.all(bound <= 1e-12 * dense)
     # one state alone gives the bits it has in the stack
-    assert ruled.states(psis[3:4], S[3:4])[0] == forms[3]
+    assert ruled.states(y[3:4], S[3:4])[0] == forms[3]
 
 
 def test_degenerate_levels_take_the_dense_forms_route():
@@ -466,7 +488,8 @@ def test_degenerate_levels_take_the_dense_forms_route():
     assert forms.record == {"horizon": 8.0, "route": "dense", "nodes": None, "pairs": 56, "error": 0.0}
     # the dense forms read the state's S, which must be that of B in the original basis
     psi = random_state(128, rng)
-    form = forms.states(psi[None], block_overlap_matrix(spec, psi[None], eigenbasis_observable(spec, B)))[0]
+    form = forms.states(state_amplitudes(spec, psi[None]),
+                        block_overlap_matrix(spec, psi[None], eigenbasis_observable(spec, B)))[0]
     assert form == pytest.approx(expectation_curve_variance_quadrature(spec, psi, B, 8.0), rel=1e-6)
     assert gauss_rule(GapIndex([1.0]), 8.0) is None  # no pair, no rule
 

@@ -151,7 +151,9 @@ def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch, overrides, ro
         assert_no_child_left()
         assert [r["route"] for r in report.timings.get("forms", [])] == (routes or [])
         lanes = report.timings["ensemble"]
-        assert lanes["chunk_states"] == max(1, chunk // workers) and lanes["lanes"] == min(workers, lanes["chunks"])
+        by_bytes = runner.CHUNK_BYTES // (workers * lanes["state_bytes"])
+        assert lanes["chunk_states"] == max(1, min(chunk // workers, by_bytes))
+        assert lanes["lanes"] == min(workers, lanes["chunks"])
         if routes is None:
             # the live horizon's curves run in every chunk, on every lane
             assert not record_by_name(report, "finite_time_exceedance").vacuous
@@ -214,6 +216,62 @@ def test_moments_memory_does_not_grow_with_the_lanes(monkeypatch):
     assert totals[1] <= totals[0] + 2**20
 
 
+def test_moments_memory_stays_within_the_chunk_budget_at_any_horizon(monkeypatch):
+    """At D = 64 the horizon-64 rule has about five times the nodes of the horizon-8 one, so its states are
+    wider and its chunks smaller: the ensemble's ``tracemalloc`` growth does not rise, and it stays within
+    ``CHUNK_BYTES`` plus 1 MiB.  One chunk of all 200 states would hold about 126 MiB of node amplitudes and
+    their two temporaries at T = 64.
+    """
+    growth, run_lane = [], runner._run_lane
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run_lane(*args)
+        growth.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(runner, "_run_lane", measured)
+    forms, lanes = [], []
+    for horizon in (8.0, 64.0):
+        config = make_config(
+            dimension=64, observable={"kind": "random_projector", "rank": 32}, mc={"n_states": 200, "n_times": 8},
+            horizons=[horizon], checks=["moments"], concentration=None,
+        )
+        tracemalloc.start()
+        try:
+            report = run_scenario(config)
+        finally:
+            tracemalloc.stop()
+        (record,) = report.timings["forms"]
+        forms.append(record)
+        lanes.append(report.timings["ensemble"])
+    assert [f["route"] for f in forms] == ["rule", "rule"] and forms[1]["nodes"] > 4 * forms[0]["nodes"]
+    assert lanes[1]["state_bytes"] > lanes[0]["state_bytes"] and lanes[1]["chunk_states"] < lanes[0]["chunk_states"]
+    assert growth[1] <= growth[0]
+    assert max(growth) <= runner.CHUNK_BYTES + 2**20
+
+
+def test_a_one_state_chunk_gives_the_report_of_wider_chunks(monkeypatch):
+    """At D = 96 a state has more gap clusters (9120) than ``einsum`` sums a lone row of in one piece.
+
+    Chunks of 8 leave the 129th state alone in the last chunk; its dephased power must have the bits
+    it has in a chunk of 9 (the chunk ``CHUNK_BYTES`` sets), so the report does not change.
+    """
+    config = make_config(
+        dimension=96, observable={"kind": "random_projector", "rank": 48}, mc={"n_states": 129, "n_times": 8},
+        checks=["moments"], concentration=None,
+    )
+    blobs = []
+    for chunk in (8, runner.CHUNK_STATES):
+        monkeypatch.setattr(runner, "CHUNK_STATES", chunk)
+        report = run_scenario(config)
+        assert report.scenario.contributing.gaps.starts.size > 8192
+        blobs.append(report.to_json())
+        if chunk == 8:
+            assert report.timings["ensemble"]["chunks"] == 17
+    assert blobs[0] == blobs[1]
+
+
 def test_many_lanes_switching_often_give_the_serial_report(monkeypatch):
     """Eight lanes of one-state chunks, more lanes than cores, write every row as one lane does."""
     config = make_config(mc={"n_states": 40, "n_times": 16}, checks=["moments", "equilibration"],
@@ -225,34 +283,46 @@ def test_many_lanes_switching_often_give_the_serial_report(monkeypatch):
     assert_no_child_left()
     lanes = report.timings["ensemble"]
     assert lanes.pop("child_peak_rss_mb") > 0
+    assert lanes.pop("state_bytes") > 0
     assert lanes == {"lanes": 8, "chunk_states": 1, "chunks": 40}
     assert report.to_json() == serial
 
 
+#: Bytes per state of the D = 128 ``ensemble`` benchmark scenario (d = 8, m = 128, P = 56).
+NARROW = 16 * (128 + 128 + 64 + 112)
+
+
 @pytest.mark.parametrize(
-    "workers, cores, n_states, lanes",
+    "workers, cores, n_states, state_bytes, lanes",
     [
-        (1, 2, 6000, (1, 256)),
-        (2, 2, 6000, (2, 128)),
-        (100_000, 2, 6000, (2, 128)),
-        (100_000, None, 6000, (1, 256)),
-        (2**62, 4096, 10**9, (4096, 1)),
-        (8, 8, 100, (4, 32)),
-        (3, 3, 2, (1, 85)),
+        (1, 2, 6000, NARROW, (1, 256)),
+        (2, 2, 6000, NARROW, (2, 128)),
+        (100_000, 2, 6000, NARROW, (2, 128)),
+        (100_000, None, 6000, NARROW, (1, 256)),
+        (2**62, 4096, 10**9, NARROW, (4096, 1)),
+        (8, 8, 100, NARROW, (4, 32)),
+        (3, 3, 2, NARROW, (1, 85)),
+        (1, 2, 200, 16 * 2**14, (1, 16)),
+        (2, 2, 200, 16 * 2**14, (2, 8)),
+        (2, 2, 200, runner.CHUNK_BYTES, (2, 1)),
+        (1, 2, 200, 2**40, (1, 1)),
+        (2, 2, 1, 2**40, (1, 1)),
     ],
     ids=["serial", "two-cores", "huge-workers", "unknown-cores", "more-cores-than-chunk-states",
-         "fewer-chunks-than-cores", "fewer-states-than-a-chunk"],
+         "fewer-chunks-than-cores", "fewer-states-than-a-chunk", "wide-states", "wide-states-two-lanes",
+         "a-state-fills-the-budget", "a-state-exceeds-the-budget", "one-state"],
 )
-def test_ensemble_lanes_are_capped_by_cores_and_chunks(monkeypatch, workers, cores, n_states, lanes):
+def test_ensemble_lanes_are_capped_by_cores_and_chunks(monkeypatch, workers, cores, n_states, state_bytes, lanes):
+    """The chunk is also cut to ``CHUNK_BYTES`` of states in flight, down to one state however wide."""
     with_cores(monkeypatch, cores)
-    assert runner.ensemble_lanes(workers, n_states) == lanes
+    assert runner.ensemble_lanes(workers, n_states, state_bytes) == lanes
 
 
 def test_ensemble_lanes_count_the_cpus_the_process_may_run_on(monkeypatch):
     """Two CPUs on the machine, one in the affinity mask (as under ``taskset -c 0``): one lane."""
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert runner.ensemble_lanes(2, 6000) == (1, 256)
+    assert runner.ensemble_lanes(2, 6000, NARROW) == (1, 256)
 
 
 def test_one_lane_runs_where_the_platform_cannot_fork(monkeypatch):
@@ -261,16 +331,18 @@ def test_one_lane_runs_where_the_platform_cannot_fork(monkeypatch):
     serial = run_scenario(config).to_json()
     with_cores(monkeypatch, 2)
     monkeypatch.delattr(runner.os, "fork")
-    assert runner.ensemble_lanes(2, 600) == (1, 256)
+    assert runner.ensemble_lanes(2, 600, NARROW) == (1, 256)
     report = run_scenario(config, workers=2)
-    assert report.timings["ensemble"] == {"lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None}
+    lanes = report.timings["ensemble"]
+    assert lanes.pop("state_bytes") > 0
+    assert lanes == {"lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None}
     assert report.to_json() == serial
 
 
 @pytest.mark.parametrize("workers", [0, -1, -(2**62)])
 def test_ensemble_lanes_refuse_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers must be at least 1"):
-        runner.ensemble_lanes(workers, 100)
+        runner.ensemble_lanes(workers, 100, NARROW)
 
 
 def test_a_huge_worker_count_asks_the_pool_for_the_cores_only(monkeypatch):
@@ -291,7 +363,7 @@ def test_a_huge_worker_count_asks_the_pool_for_the_cores_only(monkeypatch):
     assert_no_child_left()
     assert len(forks) == 3
     lanes = report.timings["ensemble"]
-    assert lanes.pop("child_peak_rss_mb") > 0
+    assert lanes.pop("child_peak_rss_mb") > 0 and lanes.pop("state_bytes") > 0
     assert lanes == {"lanes": 4, "chunk_states": 64, "chunks": 16}
     assert report.to_json() == serial
 
@@ -355,10 +427,12 @@ def test_vacuous_horizons_evaluate_no_exceedance_curve(monkeypatch):
 def test_live_horizon_evaluates_its_exceedance_curves(monkeypatch):
     calls = count_overlap_curves(monkeypatch)
     config = make_config(**LIVE_EXCEEDANCE, mc={"n_states": 20, "n_times": 16}, concentration=None)
-    record = record_by_name(run_scenario(config), "finite_time_exceedance")
+    report = run_scenario(config)
+    record = record_by_name(report, "finite_time_exceedance")
     (cell,) = record.detail["cells"]
     assert cell["deviation_bound"] < 2.0 and not cell["vacuous"] and not record.vacuous
-    assert calls["overlap_curve"] == 1
+    # once per chunk: at D = 64 the curves' width cuts the 20 states into chunks of 18
+    assert calls["overlap_curve"] == report.timings["ensemble"]["chunks"] == 2
 
 
 def test_states_draw_no_times_when_every_horizon_is_vacuous(monkeypatch):
