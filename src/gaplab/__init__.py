@@ -53,7 +53,6 @@ from .sampling import (
 )
 from .scenarios import ConfigError, Scenario, ScenarioConfig, build_scenario, load_scenario
 from .spectra import (
-    ContributingSet,
     GapIndex,
     SpectralDecomposition,
     contributing_set,
@@ -67,7 +66,6 @@ __all__ = [
     "Bounds",
     "CheckRecord",
     "ConfigError",
-    "ContributingSet",
     "DensityMatrix",
     "GapIndex",
     "KIntegralTable",

@@ -16,10 +16,11 @@ G(kappa) (1 + 8 log2(d) / (kappa T)) for every window width kappa > 0
 (Short and Farrelly, New J. Phys. 14, 013063, 2012).
 
 The contributing set of the observable is itself a spectrum, the full one
-restricted to the eigenvalues that couple to B, so the overlap matrices
-that feed the gap forms are built on it directly, from V* B V on its
-columns (``eigenbasis_observable``, the one place where B is checked and
-changes basis; a scenario keeps the contributing one).  Pairs, gaps and gap
+restricted to the eigenvalues that couple to B (the full one itself when
+every eigenvalue couples), so the overlap matrices that feed the gap forms
+are built on it directly, from V* B V on its columns
+(``eigenbasis_observable``, the one place where B is checked and changes
+basis; a scenario keeps the contributing one).  Pairs, gaps and gap
 clusters come from one ``spectra.GapIndex`` (the cached ``gaps`` of the
 contributing set), which the coefficients, the forms, their dephased limit
 and the norm with its window bound all read.  Only the dense routes of the
@@ -65,7 +66,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .linalg import as_complex_matrix, quadratic_forms
+from .linalg import as_complex_matrix, quadratic_forms, row_powers
 from .spectra import GapIndex, SpectralDecomposition, contributing_set
 
 __all__ = [
@@ -399,19 +400,14 @@ def dephased_power(gaps: GapIndex, S: np.ndarray) -> np.ndarray:
     """Infinite-horizon forms of overlap matrices ``S`` (n, d, d): each gap cluster's coefficients summed, squared.
 
     The coefficients are gathered in cluster order (``gaps.sorted_pairs``),
-    so a state holds its P coefficients once, then its cluster sums.  A
-    lone state is summed as a stack of two: ``einsum`` sums a single row
-    of more than 8192 clusters in another order than each row of a stack,
-    and a state's power must not depend on the states evaluated with it.
+    so a state holds its P coefficients once, then its cluster sums, whose
+    power ``linalg.row_powers`` takes the same way for a lone state as in
+    a stack.
     """
-    n = S.shape[0]
     if gaps.count == 0:
-        return np.zeros(n)
+        return np.zeros(S.shape[0])
     first, second = gaps.sorted_pairs
-    # a lone state's sums go in the first row of two; the second, zero, is dropped
-    sums = np.zeros((max(n, 2), gaps.starts.size), dtype=complex)
-    np.add.reduceat(S[:, first, second], gaps.starts, axis=1, out=sums[:n])
-    return np.einsum("sc,sc->s", sums, sums.conj()).real[:n]
+    return row_powers(np.add.reduceat(S[:, first, second], gaps.starts, axis=1))
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

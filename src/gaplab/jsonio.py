@@ -114,22 +114,19 @@ def spectrum_from_json(obj) -> SpectralDecomposition:
     if len(blocks) != values.size:
         raise ValueError("block count does not match eigenvalue count")
     dim = blocks[0].shape[0]
-    total = 0
     for b in blocks:
         if b.shape[0] != dim:
             raise ValueError("blocks have inconsistent ambient dimension")
         defect = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
         if defect > ORTHONORMALITY_TOL:
             raise ValueError(f"block columns are not orthonormal (defect {defect:.3e})")
-        total += b.shape[1]
-    if total != dim:
-        raise ValueError(f"block ranks sum to {total}, expected dimension {dim}")
-    spec = SpectralDecomposition(values=values, blocks=blocks)
-    resolution = spec.basis_matrix @ spec.basis_matrix.conj().T
-    defect = np.abs(resolution - np.eye(dim)).max()
+    V = np.hstack(blocks)
+    if V.shape[1] != dim:
+        raise ValueError(f"block ranks sum to {V.shape[1]}, expected dimension {dim}")
+    defect = np.abs(V @ V.conj().T - np.eye(dim)).max()
     if defect > ORTHONORMALITY_TOL:
         raise ValueError(f"blocks do not resolve the identity (defect {defect:.3e})")
-    return spec
+    return SpectralDecomposition(values=values, basis_matrix=V, multiplicities=np.array([b.shape[1] for b in blocks]))
 
 
 def save_spectrum(path, spec: SpectralDecomposition) -> None:

@@ -12,6 +12,7 @@ __all__ = [
     "hermitian_eigendecomposition",
     "operator_norm",
     "quadratic_forms",
+    "row_powers",
 ]
 
 #: Relative residual allowed for an eigendecomposition reconstruction.
@@ -86,3 +87,19 @@ def quadratic_forms(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """x^H A x of each row x of ``X``, each summed on its own in a fixed order."""
     # einsum, not the faster ((X.conj() @ A) * X).sum(-1): the stored benchmark reports pin this rounding
     return np.einsum("sd,de,se->s", X.conj(), A, X)
+
+
+def row_powers(X: np.ndarray) -> np.ndarray:
+    """sum_k |x_k|^2 of each row x of ``X`` (n, m), the same for a row alone as in any stack of rows.
+
+    ``einsum`` sums a lone row of more than 8192 entries in another order
+    than a row of a stack, so a lone row is summed as the first of two
+    rows, against a zero second row of its conjugate (no copy of the row).
+    """
+    n, m = X.shape
+    if n > 1:
+        conj, rows = X.conj(), X
+    else:
+        conj, rows = np.zeros((2, m), dtype=complex), np.broadcast_to(X, (2, m))
+        np.conjugate(X, out=conj[:1])
+    return np.einsum("sd,sd->s", conj, rows).real[:n]

@@ -311,8 +311,7 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
     state_bytes = 16 * _state_width(scn, forms, live)
     lanes, size = ensemble_lanes(workers, n, state_bytes)
     Bt = scn.contributing_observable
-    for owner, name in ((cs, "basis_adjoint"), (cs, "multiplicities"), (cs, "block_starts"),
-                        (cs.gaps, "sorted_pairs")):
+    for owner, name in ((cs, "basis_adjoint"), (cs, "block_starts"), (cs.gaps, "sorted_pairs")):
         getattr(owner, name)
     horizons = len(deviation_bounds)
     # each result a contiguous block, as np.empty would give it; the mapping starts zeroed

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, hermitian_eigendecomposition
+from .linalg import as_complex_matrix, hermitian_eigendecomposition, row_powers
 
 __all__ = [
     "DensityMatrix",
@@ -297,11 +297,12 @@ def sample_gap_weights(probabilities, rng: np.random.Generator, size: int, cut: 
     Equal bit for bit to the weights of the rows of
     :func:`sample_gap_diagonal` with the same generator, taken as
     ``einsum("sd,sd->s", x.conj(), x).real`` over their first ``cut``
-    columns x, and the generator is left where that call leaves it.  The
-    draws are made as there, all at once; the recipe then runs in blocks
-    of ``weight_block_rows`` rows through one reused buffer, each row with
-    its full norm, and only the first ``cut`` columns are divided by it.
-    So no (size, dim) array of states is built.
+    columns x in a stack of at least two rows (``linalg.row_powers``, which
+    sums a lone row in such a stack), and the generator is left where that
+    call leaves it.  The draws are made as there, all at once; the recipe
+    then runs in blocks of ``weight_block_rows`` rows through one reused
+    buffer, each row with its full norm, and only the first ``cut`` columns
+    are divided by it.  So no (size, dim) array of states is built.
     """
     p = _checked_probabilities(probabilities)
     n = int(size)
@@ -315,7 +316,7 @@ def sample_gap_weights(probabilities, rng: np.random.Generator, size: int, cut: 
         hi = min(lo + rows, n)
         block = _gap_coordinates(p, tuple(x[lo:hi] for x in draws), z[: hi - lo])
         head = _normalized(block, cut)
-        weights[lo:hi] = np.einsum("sd,sd->s", head.conj(), head).real
+        weights[lo:hi] = row_powers(head)
     return weights
 
 
@@ -333,7 +334,7 @@ def sample_gap_resampling_oracle(
     if batch < MIN_ORACLE_BATCH:
         raise ValueError(f"batch must be at least {MIN_ORACLE_BATCH}")
     g = sample_gaussian(rho, rng, size=batch)
-    w = np.einsum("ij,ij->i", g.conj(), g).real
+    w = row_powers(g)
     cdf = np.cumsum(w)
     pick = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
     pick = min(pick, batch - 1)

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import eigenbasis_observable, gauss_rule, mixture_block_overlap
 from .linalg import as_complex_matrix, operator_norm
 from .sampling import DensityMatrix, derive_rng
-from .spectra import ContributingSet, SpectralDecomposition, contributing_set, spectral_counts
+from .spectra import SpectralDecomposition, contributing_set, spectral_counts
 from . import jsonio
 
 __all__ = [
@@ -101,7 +101,7 @@ def random_hamiltonian(
     either sorted standard normals (resampled until all separations exceed
     ``MIN_SEPARATION``), an arithmetic progression with step ``spacing``
     (which maximizes gap degeneracies), or an explicit ascending sequence.
-    The eigenbasis is Haar random.
+    The eigenbasis, the spectrum's one basis, is a Haar unitary.
     """
     mult = _positive_integers(multiplicities, "multiplicities")
     if sum(mult) != dim:
@@ -114,7 +114,9 @@ def random_hamiltonian(
                 if k < 2 or np.diff(vals).min() > MIN_SEPARATION:
                     break
             else:
-                raise RuntimeError("could not draw separated eigenvalues")
+                raise RuntimeError(
+                    f"could not draw {k} Gaussian eigenvalues all spaced above MIN_SEPARATION = {MIN_SEPARATION:g}"
+                    ' in 1000 tries; set hamiltonian.eigenvalues to "arithmetic" or to explicit levels')
         elif eigenvalues == "arithmetic":
             if spacing <= 0:
                 raise ValueError("spacing must be positive")
@@ -127,10 +129,7 @@ def random_hamiltonian(
             raise ValueError("explicit eigenvalues must match the multiplicity count")
         if k > 1 and np.any(np.diff(vals) <= 0):
             raise ValueError("explicit eigenvalues must be strictly increasing")
-    U = haar_unitary(dim, rng)
-    starts = np.concatenate(([0], np.cumsum(mult)[:-1]))
-    blocks = [U[:, s : s + m] for s, m in zip(starts, mult)]
-    return SpectralDecomposition(values=vals, blocks=blocks)
+    return SpectralDecomposition(values=vals, basis_matrix=haar_unitary(dim, rng), multiplicities=np.array(mult))
 
 
 def random_density(dim: int, rng: np.random.Generator, p_max_limit=None) -> DensityMatrix:
@@ -438,7 +437,8 @@ class Scenario:
 
     ``norm_b`` is the observable's operator norm, taken when it is built.
     The other quantities that depend on the scenario alone are computed on
-    first use and kept, so every check shares one copy.
+    first use and kept, so every check shares one copy.  Where every level
+    couples, ``contributing`` is ``spec``, and the spectrum's V* B V and W are the contributing ones.
     """
 
     config: ScenarioConfig
@@ -449,8 +449,8 @@ class Scenario:
     macro: MacroDecomposition
 
     @cached_property
-    def contributing(self) -> ContributingSet:
-        """The spectrum restricted to the eigenvalues that couple to the observable."""
+    def contributing(self) -> SpectralDecomposition:
+        """The spectrum restricted to the eigenvalues that couple to the observable (``spec`` when all do)."""
         return contributing_set(self.spec, self.observable)
 
     @cached_property
@@ -461,11 +461,15 @@ class Scenario:
     @cached_property
     def spectrum_observable(self) -> np.ndarray:
         """V* B V over every column of the full spectrum, from which the concentration tail builds B(t)."""
+        if self.contributing is self.spec:
+            return self.contributing_observable
         return eigenbasis_observable(self.spec, self.observable)
 
     @cached_property
     def spectrum_mixture_overlap(self) -> np.ndarray:
         """W over the full spectrum, which the concentration reference and the ``--csv`` curves read."""
+        if self.contributing is self.spec:
+            return self.mixture_overlap
         return mixture_block_overlap(self.spec, self.rho, self.spectrum_observable)
 
     @cached_property

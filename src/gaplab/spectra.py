@@ -1,12 +1,13 @@
 """Spectral decompositions, contributing sets and their degeneracy / gap counts.
 
 A Hamiltonian with pure point spectrum is held as its distinct eigenvalues
-together with orthonormal column blocks spanning the eigenspaces.  The
-contributing set of an observable is that spectrum restricted to the
-eigenvalues whose eigenspaces couple to the observable: a
-:class:`SpectralDecomposition` in its own right, so every routine that takes
-a spectrum also takes it, and no routine translates positions between the
-two.
+together with one orthonormal basis, whose column blocks (views into it)
+span the eigenspaces.  The contributing set of an observable is that
+spectrum restricted to the eigenvalues whose eigenspaces couple to the
+observable: a :class:`SpectralDecomposition` in its own right, so every
+routine that takes a spectrum also takes it, and no routine translates
+positions between the two.  Where every eigenvalue couples, as for a
+generic observable, it is the spectrum itself, built on once.
 
 Every count, of a full spectrum or of a contributing set, comes from
 :func:`spectral_counts` as one record: distinct eigenvalues, largest
@@ -37,7 +38,6 @@ from .linalg import as_complex_matrix
 __all__ = [
     "GapIndex",
     "SpectralDecomposition",
-    "ContributingSet",
     "contributing_set",
     "spectral_counts",
 ]
@@ -51,33 +51,31 @@ ZERO_TOL = 1e-12
 
 @dataclass
 class SpectralDecomposition:
-    """Distinct eigenvalues (strictly ascending) with orthonormal eigenspace blocks.
+    """Distinct eigenvalues (strictly ascending) with one orthonormal eigenbasis.
 
-    ``blocks[i]`` has shape (dim, multiplicity_i); its columns span the
-    eigenspace of ``values[i]``.  The blocks are mutually orthogonal; those
-    of a full spectrum together resolve the identity, those of a restricted
-    one (a :class:`ContributingSet`) span only the members' eigenspaces.
+    ``basis_matrix`` is C-contiguous, (dim, columns); block i of its
+    columns, ``multiplicities[i]`` wide, spans the eigenspace of
+    ``values[i]``.  A full spectrum's columns resolve the identity, a
+    contributing set's span the members' eigenspaces; ``dim`` holds also
+    when there are none.
     """
 
     values: np.ndarray
-    blocks: list
+    basis_matrix: np.ndarray
+    multiplicities: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.basis_matrix.shape[0]
 
     @property
     def n_distinct(self) -> int:
         return len(self.values)
 
     @cached_property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([b.shape[1] for b in self.blocks], dtype=int)
-
-    @cached_property
-    def basis_matrix(self) -> np.ndarray:
-        """All eigenvector columns side by side, in block order."""
-        return np.hstack(self.blocks) if self.blocks else np.zeros((self.dim, 0))
+    def blocks(self) -> list:
+        """The eigenspace blocks, ``blocks[i]`` of shape (dim, multiplicities[i]), as views into ``basis_matrix``."""
+        return [self.basis_matrix[:, s : s + m] for s, m in zip(self.block_starts, self.multiplicities)]
 
     @cached_property
     def basis_adjoint(self) -> np.ndarray:
@@ -169,26 +167,13 @@ class GapIndex:
         return int((cum[hi] - cum[:-1]).max())
 
 
-@dataclass
-class ContributingSet(SpectralDecomposition):
-    """A spectrum restricted to the eigenvalues whose eigenspaces couple to an observable.
-
-    An eigenvalue is a member iff its projector hits the observable on
-    either side above a relative Frobenius threshold.  ``ambient_dim`` is
-    the dimension of the full spectrum, which ``dim`` reports also when no
-    eigenvalue is a member.
-    """
-
-    ambient_dim: int
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim
-
-
-def contributing_set(spec: SpectralDecomposition, B) -> ContributingSet:
+def contributing_set(spec: SpectralDecomposition, B) -> SpectralDecomposition:
     """The spectrum ``spec`` restricted to the eigenvalues that couple to observable ``B``.
 
+    That is ``spec`` itself when every eigenvalue couples; otherwise the
+    members' values, multiplicities and columns, the columns as a
+    C-contiguous copy (a bare column gather gives Fortran order, on which
+    the products with the basis round otherwise).
     Membership: ``|P_e B|_F > ZERO_TOL * |B|_F`` or ``|B P_e|_F > ZERO_TOL * |B|_F``.
     Since the blocks have orthonormal columns, ``|P_e B|_F = |U_e* B|_F`` and
     ``|B P_e|_F = |B U_e|_F``.  An observable whose Frobenius norm overflows
@@ -201,17 +186,17 @@ def contributing_set(spec: SpectralDecomposition, B) -> ContributingSet:
         norm_b = np.linalg.norm(B)
     if not np.isfinite(norm_b):
         raise ValueError("observable Frobenius norm overflows; scale the observable down")
-    members = []
+    members = np.zeros(spec.n_distinct, dtype=bool)
     if norm_b > 0:
         threshold = ZERO_TOL * norm_b
         for i, U in enumerate(spec.blocks):
             left = np.linalg.norm(U.conj().T @ B)
             right = np.linalg.norm(B @ U)
-            if left > threshold or right > threshold:
-                members.append(i)
-    return ContributingSet(
-        values=spec.values[members], blocks=[spec.blocks[i] for i in members], ambient_dim=spec.dim
-    )
+            members[i] = left > threshold or right > threshold
+    if members.all():
+        return spec
+    columns = np.compress(np.repeat(members, spec.multiplicities), spec.basis_matrix, axis=1)
+    return SpectralDecomposition(spec.values[members], columns, spec.multiplicities[members])
 
 
 def spectral_counts(spec: SpectralDecomposition, kappas, gaps: GapIndex | None = None) -> dict:

@@ -31,8 +31,7 @@ def diagonal_density(probabilities) -> DensityMatrix:
 def simple_spectrum(values) -> SpectralDecomposition:
     """Simple levels at the strictly ascending ``values``, with the standard basis as eigenvectors."""
     values = np.asarray(values, dtype=float)
-    eye = np.eye(values.size)
-    return SpectralDecomposition(values=values, blocks=[eye[:, [i]] for i in range(values.size)])
+    return SpectralDecomposition(values=values, basis_matrix=np.eye(values.size), multiplicities=np.ones(values.size, dtype=int))
 
 
 def with_cores(monkeypatch, cores) -> None:

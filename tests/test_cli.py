@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_no_child_left, simple_spectrum, with_cores
-from gaplab import cli, runner
+from gaplab import cli, runner, scenarios
 from gaplab.dynamics import (
     CONCENTRATION_CONSTANT,
     BoundInputs,
@@ -482,6 +482,20 @@ def test_run_rejects_malformed_horizons_and_kappas(tmp_path, capsys, patch, fiel
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{field} must be" in err or f"{field} needs" in err
+    assert "Traceback" not in err
+
+
+def test_run_names_the_way_out_when_gaussian_levels_cannot_be_separated(tmp_path, capsys, monkeypatch):
+    """No 6 standard normal levels are all 10 apart: the run exits 2 naming the level count, the
+    separation, the tries and the other eigenvalue modes."""
+    monkeypatch.setattr(scenarios, "MIN_SEPARATION", 10.0)
+    path = write_run_config(tmp_path)
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "bad hamiltonian section: could not draw 6 Gaussian eigenvalues" in err
+    assert "MIN_SEPARATION = 10 in 1000 tries" in err
+    assert 'set hamiltonian.eigenvalues to "arithmetic" or to explicit levels' in err
     assert "Traceback" not in err
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from gaplab.linalg import hermitian_eigendecomposition, operator_norm, quadratic_forms
+from gaplab.linalg import hermitian_eigendecomposition, operator_norm, quadratic_forms, row_powers
 from gaplab.sampling import derive_rng
 
 
@@ -72,3 +72,17 @@ def test_quadratic_forms_equal_the_einsums_they_replace(rows, dim):
     conjugates = quadratic_forms(X.conj(), A).view(float)
     assert np.array_equal(conjugates, np.einsum("te,ef,tf->t", X, A, X.conj()).view(float))
     assert np.array_equal(conjugates, np.einsum("sp,pq,sq->s", X, A, X.conj()).view(float))
+
+
+@pytest.mark.parametrize("dim", [5, 8192, 9900, 20000])
+def test_row_powers_give_a_lone_row_the_bits_of_its_row_in_a_stack(dim):
+    """Above 8192 entries ``einsum`` sums a lone row in another order than a row of a stack; ``row_powers``
+    gives each row, alone or in a stack, or a column slice of one, the bits of the stacked einsum."""
+    rng = derive_rng(102, dim)
+    X = rng.standard_normal((3, dim + 1)) + 1j * rng.standard_normal((3, dim + 1))
+    X *= 10.0 ** rng.uniform(-3, 3, size=(3, 1))
+    stacked = np.einsum("sd,sd->s", X[:, :dim].conj(), X[:, :dim]).real
+    assert np.array_equal(row_powers(X[:, :dim]), stacked)
+    for i in range(3):
+        assert np.array_equal(row_powers(X[i : i + 1, :dim]), stacked[i : i + 1])
+        assert np.array_equal(row_powers(np.ascontiguousarray(X[i : i + 1, :dim])), stacked[i : i + 1])

@@ -4,7 +4,8 @@ No module uses another module's ``_``-prefixed names, neither through
 ``from .x import _name`` nor as an attribute ``x._name`` of an imported
 sibling module.  Only ``dynamics`` builds the dense phase-average matrix,
 and no run path builds it at d = 48, T = 8.  Only ``linalg`` writes
-the three-operand ``einsum`` of the quadratic forms.  The runner takes the phase
+the three-operand ``einsum`` of the quadratic forms and the two-operand
+one of the per-row powers.  The runner takes the phase
 forms through ``dynamics.PhaseForms`` and reads none of the routines
 behind it.  Importing the command line
 tool leaves out ``scipy.integrate``, which only the oracles use.  Every name a module imports is read in it (``__init__`` only re-exports).
@@ -84,23 +85,32 @@ def test_only_dynamics_builds_the_phase_matrix():
     assert calls_of("R = dynamics.gap_phase_matrix(g, 1.0)\ngap_phase_matrix(g, 2.0)", "gap_phase_matrix") == 2
 
 
-def three_operand_einsums(source: str) -> int:
-    """Number of ``einsum(subscripts, x, a, y)`` calls, bare or as an attribute, in a module's source."""
+def einsums(source: str, operands: int) -> int:
+    """Number of ``einsum(subscripts, ...)`` calls on ``operands`` operands, bare or as an attribute, in a module's source."""
     return sum(
         1
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and "einsum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        and len(node.args) == 4
+        and len(node.args) == 1 + operands
     )
 
 
 def test_only_linalg_writes_the_three_operand_einsum():
     """Its rounding is pinned by the stored reports, so ``linalg.quadratic_forms`` writes it once."""
-    counts = {p.name: three_operand_einsums(p.read_text()) for p in PACKAGE.glob("*.py")}
+    counts = {p.name: einsums(p.read_text(), 3) for p in PACKAGE.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"linalg.py": 1}
     source = "np.einsum('sd,de,se->s', x, a, y)\neinsum('ij,ij->i', g, g)\neinsum('i,ij,j', u, M, v)"
-    assert three_operand_einsums(source) == 2
+    assert einsums(source, 3) == 2
+
+
+def test_only_linalg_writes_the_two_operand_einsum():
+    """The per-row powers sum a lone row in another order than a row of a stack, so ``linalg.row_powers``,
+    which pads a lone row, writes their ``einsum`` once."""
+    counts = {p.name: einsums(p.read_text(), 2) for p in PACKAGE.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"linalg.py": 1}
+    source = "np.einsum('sd,sd->s', x.conj(), x)\neinsum('sc,sc->s', g, g)\neinsum('i,ij,j', u, M, v)\nnp.einsum('ii', a)"
+    assert einsums(source, 2) == 2
 
 
 #: The routines behind ``dynamics.PhaseForms``, which pick and evaluate a forms route.

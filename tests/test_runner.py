@@ -575,6 +575,8 @@ def test_checks_subset_controls_records():
 
 
 def test_scenario_quantities_are_computed_once(monkeypatch):
+    """``sets`` is 1 where every level couples to B, so the contributing set is the spectrum, and 2 where
+    a strict subset couples (the macro projector leaves out the last level)."""
     # a forked lane that built a quantity again would add to these counts too
     calls = SharedCounts(["contributing_set", "gap_phase_matrix", "gauss_rule", "operator_norm", "GapIndex",
                           "eigenbasis_observable", "spectral_counts", "mixture_block_overlap"])
@@ -595,24 +597,30 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
     monkeypatch.setattr(GapIndex, "__init__", calls.wrap("GapIndex", GapIndex.__init__))
     with_cores(monkeypatch, 2)
     grids = (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0]))
+    cases = (({"kind": "random_projector"}, 1), ({"kind": "macro_projector"}, 2))
     # one chunk of states and three, on one lane and on two
-    for (horizons, kappas), n_states, workers in itertools.product(grids, (256, 768), (1, 2)):
+    for (observable, sets), (horizons, kappas), n_states, workers in itertools.product(
+        cases, grids, (256, 768), (1, 2)
+    ):
         calls.reset()
-        config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": n_states, "n_times": 16})
+        config = make_config(horizons=horizons, kappas=kappas, mc={"n_states": n_states, "n_times": 16},
+                             observable=observable)
         report = run_scenario(config, workers=workers)
         assert report.timings["ensemble"]["lanes"] == workers
         assert report.violations == 0
-        # V* B V once on the contributing set, which every chunk reads, whatever the chunk count, and
-        # once on the full spectrum, which B(t) and the mixture reference of the concentration tail read
-        assert calls["eigenbasis_observable"] == 2
-        assert calls["mixture_block_overlap"] == 2
+        assert report.spectral["contributing"]["n_distinct"] == 8 - (sets - 1)
+        # V* B V once on the contributing set, which every chunk reads, whatever the chunk count, and,
+        # unless that set is the spectrum, once on the full spectrum, which B(t) and the mixture reference
+        # of the concentration tail read
+        assert calls["eigenbasis_observable"] == sets
+        assert calls["mixture_block_overlap"] == sets
         # the full spectrum's counts and the contributing set's, which every (kappa, T) cell reads
         assert calls["spectral_counts"] == 2
         assert calls["contributing_set"] == 1
         assert calls["gap_phase_matrix"] <= 2 * len(config.horizons)
         # one rule per horizon, which the phase norm and the moments forms share
         assert calls["gauss_rule"] == len(config.horizons)
-        # one index for the full spectrum, one for the contributing set
-        assert calls["GapIndex"] == 2
+        # one index for each set of eigenvalues
+        assert calls["GapIndex"] == sets
         # |B| only: the phase-matrix norm is an eigenvalue, not a singular value
         assert calls["operator_norm"] == 1

@@ -167,8 +167,10 @@ def test_sample_gap_diagonal_checks_its_probabilities():
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64, None])
-@pytest.mark.parametrize("d", [2, 3, 17, 64, 255])
+@pytest.mark.parametrize("d", [2, 3, 17, 64, 255, 20000])
 def test_sample_gap_weights_are_the_diagonal_states_weights_bit_for_bit(monkeypatch, d, rows):
+    """At d = 20000 a default block holds one row, and a half row of 10000 entries is more than
+    ``einsum`` sums in one piece: each weight is still its row's in a stack of the states."""
     if rows is not None:  # blocks of that many rows; None keeps the default budget
         monkeypatch.setattr(sampling, "WEIGHT_BLOCK_BYTES", rows * 16 * d)
     p = np.full(d, 1.0 / d)
@@ -177,8 +179,9 @@ def test_sample_gap_weights_are_the_diagonal_states_weights_bit_for_bit(monkeypa
             assert weight_block_rows(d, n) == min(n, rows)
         alone, blocked = derive_rng(seed), derive_rng(seed)
         states = sample_gap_diagonal(p, alone, n)
-        head = states[:, : d // 2]
-        expected = np.einsum("sd,sd->s", head.conj(), head).real
+        # a zero row under the heads keeps the lone state of n = 1 in a stack of two
+        head = np.concatenate((states[:, : d // 2], np.zeros((1, d // 2))))
+        expected = np.einsum("sd,sd->s", head.conj(), head).real[:n]
         assert np.array_equal(_bits(sample_gap_weights(p, blocked, n, d // 2)), _bits(expected))
         # the generator is left where the states leave it
         assert np.array_equal(alone.random(8), blocked.random(8))
