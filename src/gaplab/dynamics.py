@@ -111,9 +111,10 @@ CONCENTRATION_CONSTANT = 1.0 / (288.0 * math.pi**2)
 #: Point count of the Simpson time-grid oracle (odd, as Simpson's rule needs).
 QUADRATURE_POINTS = 10001
 
-#: Bytes of one run's (run, multiplicity, columns) products in
-#: ``block_overlap_matrix``: small enough to stay in a core's cache.
-OVERLAP_RUN_BYTES = 256 * 1024
+#: Bytes of the products that ``block_overlap_matrix`` holds at once: a
+#: run of states times a band of eigenspaces of one multiplicity, small
+#: enough to stay in a core's cache.
+OVERLAP_RUN_BYTES = 2**20
 
 #: Largest error the kernel route may add to the phase-matrix norm.  The
 #: norm is at least 1 (R has a unit diagonal), so this is below one
@@ -174,6 +175,55 @@ def state_amplitudes(spec: SpectralDecomposition, psi0) -> np.ndarray:
     return (spec.basis_adjoint @ psi[..., None])[..., 0]
 
 
+def _bands(multiplicities: np.ndarray, run: int, columns: int) -> list:
+    """(first, stop, multiplicity): runs of consecutive eigenspaces of one multiplicity.
+
+    A band's products for ``run`` states, (multiplicity, run, band,
+    columns) complex entries, fit in ``OVERLAP_RUN_BYTES``, unless one
+    eigenspace alone does not.
+    """
+    bands, i, d = [], 0, multiplicities.size
+    while i < d:
+        mult = int(multiplicities[i])
+        width = max(1, OVERLAP_RUN_BYTES // (16 * run * mult * columns))
+        stop = i + 1
+        while stop < min(d, i + width) and multiplicities[stop] == mult:
+            stop += 1
+        bands.append((i, stop, mult))
+        i = stop
+    return bands
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """x[0] + x[1] + ... over the first axis, in numpy's pairwise order, taken in place in ``x``.
+
+    Summing k complex terms, numpy adds fewer than 4 in order; up to 64 in
+    4 interleaved accumulators, combined as (r0 + r1) + (r2 + r3), and then
+    the ones left over in order; above 64 the sums of the first
+    4 floor(k / 8) terms and of the others.  Each add here takes one whole
+    slab x[i], so every entry of a slab is summed as ``np.add.reduce``
+    sums it.
+    """
+    k = len(x)
+    if k > 64:
+        head = 4 * (k // 8)
+        total = _pairwise_sum(x[:head])
+        total += _pairwise_sum(x[head:])
+        return total
+    total, left = x[0], range(1, k)
+    if k >= 4:
+        full = k - k % 4
+        for i in range(4, full, 4):
+            x[:4] += x[i : i + 4]
+        total += x[1]
+        x[2] += x[3]
+        total += x[2]
+        left = range(full, k)
+    for i in left:
+        total += x[i]
+    return total
+
+
 def block_overlap_matrix(spec: SpectralDecomposition, psi0, Bt, amplitudes=None) -> np.ndarray:
     """Matrix S with S[i, j] = <psi0| P_i B P_j |psi0> over the eigenprojectors of ``spec``, from ``Bt`` = V* B V.
 
@@ -183,12 +233,16 @@ def block_overlap_matrix(spec: SpectralDecomposition, psi0, Bt, amplitudes=None)
     computes once; S is then built from it alone.  On a contributing set
     S is the contributing submatrix of the full spectrum's S.  With simple
     levels each entry is one product (conj(y_a) Bt_ab) y_b, taken over the
-    whole stack at once.  Otherwise a stack is taken in runs of states
-    whose products of one eigenspace of rows, (run, mult, columns)
-    entries, fit in about ``OVERLAP_RUN_BYTES``, in one buffer reused by
-    every run and eigenspace.  Each entry is the same products, summed in
-    the same order, as for a single state, so a stack gives every state's
-    S bit for bit.
+    whole stack at once.  Otherwise a stack is taken in runs of states,
+    and each run in bands of consecutive eigenspaces of one multiplicity
+    whose products fit in about ``OVERLAP_RUN_BYTES``, in one buffer
+    reused by every run and band.  The products are laid out one slab per
+    row of an eigenspace, and an eigenspace's rows are summed slab by slab
+    in the order ``np.add.reduceat`` sums them: the first row plus the
+    pairwise sum of the others (``_pairwise_sum``); then each eigenspace's
+    columns by ``np.add.reduceat`` along the rows.  Each entry is the same
+    products, summed in the same order, as for a single state, so a stack
+    gives every state's S bit for bit.
     """
     y = state_amplitudes(spec, psi0) if amplitudes is None else amplitudes
     if spec.n_distinct == 0:  # a contributing set of an observable that couples to nothing
@@ -201,17 +255,25 @@ def block_overlap_matrix(spec: SpectralDecomposition, psi0, Bt, amplitudes=None)
         S = conj[:, :, None] * Bt
         S *= states[:, None, :]
         return S.reshape(y.shape[:-1] + (d, d))
-    run = max(1, min(n, OVERLAP_RUN_BYTES // (mult * m * states.itemsize)))
-    products = np.empty((run, mult, m), dtype=complex)
+    run = max(1, min(n, OVERLAP_RUN_BYTES // (16 * mult * m)))
+    bands = _bands(spec.multiplicities, run, m)
+    products = np.empty(max(run * (stop - i) * k * m for i, stop, k in bands), dtype=complex)
     rows = np.empty((run, d, m), dtype=complex)
     S = np.empty((n, d, d), dtype=complex)
-    blocks = list(zip(spec.block_starts, spec.block_starts + spec.multiplicities))
     for lo in range(0, n, run):
         hi = min(lo + run, n)
-        for i, (a, b) in enumerate(blocks):
-            block = np.multiply(conj[lo:hi, a:b, None], Bt[a:b], out=products[: hi - lo, : b - a])
+        for i, stop, k in bands:
+            width, a = stop - i, spec.block_starts[i]
+            b = a + width * k
+            # block[r, s, e] is row r of eigenspace i + e for state lo + s
+            block = products[: k * (hi - lo) * width * m].reshape(k, hi - lo, width, m)
+            np.multiply(conj[lo:hi, a:b].reshape(hi - lo, width, k).transpose(2, 0, 1)[..., None],
+                        Bt[a:b].reshape(width, k, m).transpose(1, 0, 2)[:, None], out=block)
             block *= states[lo:hi, None, :]
-            np.add.reduceat(block, [0], axis=-2, out=rows[: hi - lo, i : i + 1])
+            if k == 1:
+                rows[: hi - lo, i:stop] = block[0]
+            else:
+                np.add(block[0], _pairwise_sum(block[1:]), out=rows[: hi - lo, i:stop])
         np.add.reduceat(rows[: hi - lo], spec.block_starts, axis=-1, out=S[lo:hi])
     return S.reshape(y.shape[:-1] + (d, d))
 

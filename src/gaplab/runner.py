@@ -14,10 +14,11 @@ the contributing set, the gap pairs P, each horizon's phase forms and the
 live exceedance curves.  So the states in flight do not take more memory
 as d^2, P or the Gauss nodes grow, unless one state alone exceeds the
 budget.  With ``workers`` above 1 the chunks are spread over lanes
-(:func:`ensemble_lanes` sets their number and the chunk size): lane 0
-runs in the calling process and each other lane in a child made by
-``os.fork``, which writes its rows of the per-state results into one
-anonymous mapping shared with the parent.
+(:func:`ensemble_lanes` sets their number and the chunk size), each
+claiming the next chunk whenever it is free: lane 0 runs in the calling
+process, after the concentration checks where they are enabled, and each
+other lane in a child made by ``os.fork``, which writes its rows of the
+per-state results into one anonymous mapping shared with the parent.
 The children are forked only after every scenario quantity and phase
 form the chunks read is built, so each child inherits those values
 instead of building them again and losing them when it ends.  Every
@@ -167,9 +168,10 @@ def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
 
 
 def _spectral_section(scn: Scenario) -> dict:
-    kappas = scn.config.kappas
+    # where every level couples, the spectrum's counts are the contributing set's, already taken
+    counts = scn.contributing_counts if scn.contributing is scn.spec else spectral_counts(scn.spec, scn.config.kappas)
     return {
-        **spectral_counts(scn.spec, kappas),
+        **counts,
         "diameter": scn.spec.diameter,
         "norm_b": scn.norm_b,
         "norm_rho": scn.rho.p_max,
@@ -269,13 +271,14 @@ def _state_width(scn: Scenario, forms: list, live: bool) -> int:
 
 
 def _run_lane(chunk, starts, poll) -> None:
-    """One lane of the ensemble, in the process that runs it: ``chunk(lo)`` then ``poll()`` for each chunk start."""
+    """One lane of the ensemble, in its process: ``chunk(lo)`` then ``poll()`` for each chunk start it claims."""
     for lo in starts:
         chunk(lo)
         poll()
 
 
-def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: list, forms: list, workers: int):
+def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: list, forms: list, workers: int,
+              beside=None):
     """Per-state results of the sampled states, each chunk reduced to them before the next is drawn.
 
     Returns (itas, powers, state_forms, fractions, lanes), one entry per
@@ -291,19 +294,24 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
     reaches) stays 0.  Every overlap matrix is built on the contributing
     set, which is all the curves and averages depend on.
 
-    Lane k runs chunks k, k + lanes, ...: lane 0 in this process, every
-    other lane in a forked child (see :func:`lanes.run_forked`), which is
-    reaped before this function returns or raises.  The children are
-    forked after every value they read is built (the contributing set's
-    cached arrays here, V* B V, the mixture overlap and every
-    ``PhaseForms`` before the call): a value a child built would be built
-    again in each child and lost when it ends.  The per-state results live
+    Lane 0 runs in this process and every other lane in a forked child
+    (see :func:`lanes.run_forked`), which is reaped before this function
+    returns or raises.  Each lane claims the next chunks left as it goes,
+    so the chunks a lane runs vary from run to run, but the chunk bounds
+    and every state's stream do not, and neither do the results.  With
+    more than one lane, lane 0 first calls ``beside()``, when given, work
+    that reads no ensemble state, so the children run chunks meanwhile;
+    one lane runs the chunks in order and leaves ``beside`` to the caller.
+    The children are forked after every value they read is built (the
+    contributing set's cached arrays here, V* B V, the mixture overlap and
+    every ``PhaseForms`` before the call): a value a child built would be
+    built again in each child and lost when it ends.  The per-state results live
     in one anonymous shared mapping, into whose rows each chunk writes.
     ``lanes`` is the timings sidecar's ``{lanes, chunk_states, chunks,
-    child_peak_rss_mb, state_bytes}``: ``chunk_states`` is sized by
-    ``state_bytes`` = 16 :func:`_state_width`, and ``child_peak_rss_mb`` is
-    the peak RSS of the largest child this process has reaped (None when no
-    child ran).
+    child_peak_rss_mb, state_bytes, claimed}``: ``chunk_states`` is sized
+    by ``state_bytes`` = 16 :func:`_state_width`, ``child_peak_rss_mb`` is
+    the peak RSS of the largest child this process has reaped (None when
+    no child ran), and ``claimed`` the chunks each lane ran, lane 0 first.
     """
     config, cs = scn.config, scn.contributing
     n, n_times = config.n_states, config.n_times
@@ -343,25 +351,26 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
             devs = np.abs(overlap_curve(cs.values, S, u * T) - center)
             fractions[lo:hi, h] = (devs > bound).mean(axis=1)
 
-    def lane(k: int, poll) -> None:
-        _run_lane(chunk, range(k * size, n, lanes * size), poll)
+    def lane(starts, poll) -> None:
+        _run_lane(chunk, starts, poll)
 
-    child_peak = None
+    starts = range(0, n, size)
+    child_peak, claimed = None, [len(starts)]
     if lanes == 1:
-        lane(0, lambda: None)
+        lane(starts, lambda: None)
     else:
         # imported here, so that a run on one lane, as on a platform without os.fork, never loads it
         from .lanes import run_forked
 
-        child_peak = run_forked(lanes, lane)
+        child_peak, claimed = run_forked(lanes, starts, lane, beside)
     sidecar = {
-        "lanes": lanes, "chunk_states": size, "chunks": -(-n // size), "child_peak_rss_mb": child_peak,
-        "state_bytes": state_bytes,
+        "lanes": lanes, "chunk_states": size, "chunks": len(starts), "child_peak_rss_mb": child_peak,
+        "state_bytes": state_bytes, "claimed": claimed,
     }
     return itas, powers, state_forms, fractions, sidecar
 
 
-def verify_equilibration(scn: Scenario, workers: int = 1) -> tuple[list, dict]:
+def verify_equilibration(scn: Scenario, workers: int = 1, beside=None) -> tuple[list, dict]:
     """Second-moment and exceedance checks over sampled projected-ensemble states.
 
     Emits the four moment-bound records, the identity check that the
@@ -374,10 +383,12 @@ def verify_equilibration(scn: Scenario, workers: int = 1) -> tuple[list, dict]:
     exceedance curves are evaluated only for the live horizons, whose
     deviation bound is at most 2 |B|.  The chunks of states run on
     ``workers`` lanes (see :func:`ensemble_lanes`); the records do not
-    depend on their number.  Also returns the timings sidecar's entries:
-    the route record of each horizon's phase forms (``forms``, only with
-    ``moments``) and the lanes of the ensemble (``ensemble``,
-    ``{lanes, chunk_states, chunks, child_peak_rss_mb, state_bytes}``).
+    depend on their number.  ``beside``, when given, runs in this process
+    while forked lanes run chunks, and not at all on one lane (see
+    :func:`_ensemble`).  Also returns the timings sidecar's entries: the
+    route record of each horizon's phase forms (``forms``, only with
+    ``moments``) and the lanes of the ensemble (``ensemble``, ``{lanes,
+    chunk_states, chunks, child_peak_rss_mb, state_bytes, claimed}``).
     """
     config = scn.config
     seed, n_states, kappas = config.seed, config.n_states, config.kappas
@@ -399,7 +410,9 @@ def verify_equilibration(scn: Scenario, workers: int = 1) -> tuple[list, dict]:
     if "moments" in config.checks:
         Bt = scn.contributing_observable
         forms = [PhaseForms(cs, Bt, T, rule) for T, rule in zip(config.horizons, scn.gauss_rules)]
-    itas, powers, state_forms, fractions, lanes = _ensemble(scn, center, deviation_bounds, vacuous, forms, workers)
+    itas, powers, state_forms, fractions, lanes = _ensemble(
+        scn, center, deviation_bounds, vacuous, forms, workers, beside
+    )
     records = []
 
     if "moments" in config.checks:
@@ -568,21 +581,29 @@ def verify_concentration(scn: Scenario) -> tuple[list, dict]:
     return [tail, scaling], sidecar
 
 
-def _peak_rss_mb() -> float | None:
-    """Peak RSS of this process so far in MiB (``ru_maxrss`` is in KiB on Linux); None without ``resource``."""
+def _usage() -> tuple[float | None, int | None]:
+    """Peak RSS in MiB (``ru_maxrss`` is in KiB on Linux) and minor page faults of this process so far.
+
+    (None, None) without ``resource``.
+    """
     try:
         import resource
     except ImportError:
-        return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        return None, None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) -> Report:
     """Materialize a scenario, run every enabled check, and assemble the report.
 
     The state ensemble runs on ``workers`` lanes (see :func:`ensemble_lanes`);
-    the report bytes are the same for any number.  The timings sidecar
-    also gives this process's peak RSS so far (``peak_rss_mb``).
+    the report bytes are the same for any number.  With more than one
+    lane the concentration checks run in this process beside the forked
+    lanes, before it claims chunks (so ``equilibration`` seconds include
+    theirs); otherwise after the ensemble.  Their records come last either
+    way.  The timings sidecar also gives this process's peak RSS
+    (``peak_rss_mb``) and minor page faults (``minor_faults``) so far.
     """
     t0 = time.perf_counter()
     scn = build_scenario(config, base_dir)
@@ -599,18 +620,26 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) 
         records, timings["variance_rule"] = _variance_records(scn)
         checks.extend(records)
         timings["variance"] = time.perf_counter() - t1
+    concentration = []  # the concentration checks' (records, sidecar), once they have run
+
+    def check_concentration() -> None:
+        concentration.append(verify_concentration(scn))
+
     if "moments" in config.checks or "equilibration" in config.checks:
         t1 = time.perf_counter()
-        records, sidecar = verify_equilibration(scn, workers)
+        beside = check_concentration if "concentration" in config.checks else None
+        records, sidecar = verify_equilibration(scn, workers, beside)
         checks.extend(records)
         timings.update(sidecar)
         timings["equilibration"] = time.perf_counter() - t1
     if "concentration" in config.checks:
-        records, sidecar = verify_concentration(scn)
+        if not concentration:
+            check_concentration()
+        records, sidecar = concentration[0]
         checks.extend(records)
         timings.update(sidecar)
     timings["total"] = time.perf_counter() - t0
-    timings["peak_rss_mb"] = _peak_rss_mb()
+    timings["peak_rss_mb"], timings["minor_faults"] = _usage()
     return Report(
         config=config.raw,
         seed=config.seed,

@@ -2,11 +2,13 @@
 
 import json
 import math
+import mmap
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -687,7 +689,7 @@ def test_run_timings_split_the_concentration_checks(tmp_path):
     assert cli.main(["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]) == 0
     timings = json.loads(t_f.read_text())
     assert set(timings) == {
-        "build", "concentration_tail", "concentration_scaling", "scaling_blocks", "total", "peak_rss_mb"
+        "build", "concentration_tail", "concentration_scaling", "scaling_blocks", "total", "peak_rss_mb", "minor_faults"
     }
     assert timings["concentration_tail"] > 0.0 and timings["concentration_scaling"] > 0.0
     # 256 KiB of complex rows: all 300 states at d = 4, 8 rows at d = 2048
@@ -724,14 +726,19 @@ def test_run_timings_record_the_ensemble_lanes(tmp_path, monkeypatch):
     # two lanes of 128-state chunks hold 256 states at once, as one lane of 256-state chunks does
     timings = json.loads(t_f.read_text())
     lanes = timings["ensemble"]
-    assert lanes.pop("child_peak_rss_mb") > 0 and timings["peak_rss_mb"] > 0
+    assert lanes.pop("child_peak_rss_mb") > 0 and timings["peak_rss_mb"] > 0 and timings["minor_faults"] > 0
     # the states are narrow enough that the chunk is not cut by CHUNK_BYTES
     assert 0 < lanes["state_bytes"] <= runner.CHUNK_BYTES // runner.CHUNK_STATES
+    # each lane claims chunks as it goes, so the split varies from run to run, but not the total
+    claimed = lanes.pop("claimed")
+    assert len(claimed) == 2 and sum(claimed) == 5 and min(claimed) >= 0
     assert lanes == {"lanes": 2, "chunk_states": 128, "chunks": 5, "state_bytes": lanes["state_bytes"]}
-    assert "ensemble" not in out.read_text() and "peak_rss_mb" not in out.read_text()
+    for key in ("ensemble", "peak_rss_mb", "minor_faults", "claimed"):
+        assert key not in out.read_text()
     assert cli.main(argv) == 0
     assert json.loads(t_f.read_text())["ensemble"] == {
-        "lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None, "state_bytes": lanes["state_bytes"]
+        "lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None, "state_bytes": lanes["state_bytes"],
+        "claimed": [3],
     }
 
 
@@ -739,23 +746,29 @@ def test_run_timings_record_the_ensemble_lanes(tmp_path, monkeypatch):
 def test_run_error_in_a_lane_exits_2_and_leaves_no_thread(tmp_path, capsys, monkeypatch, lane):
     """A lane's failure reaches the caller as a serial run's would, and every forked lane is reaped.
 
-    The 600 states run in 5 chunks of 128 on two lanes: the calling process takes chunks 0, 2 and 4,
-    a forked child chunks 1 and 3.  The sampler raises in the calling process's first chunk
-    (``calling``), raises in the child's second chunk (``pool``), or kills the child there (``killed``).
+    The 600 states run in 5 chunks of 128 on two lanes, each lane claiming chunks as it goes.  In its
+    first chunk each lane waits until the other lane is in one too, so both lanes hold a chunk whoever
+    claims which.  Then the sampler raises in the calling process (``calling``), raises in the child
+    (``pool``), or kills the child (``killed``).
     """
     with_cores(monkeypatch, 2)
     original = runner.sample_gap_each
-    parent, calls = os.getpid(), []
+    parent = os.getpid()
+    arrived = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # one flag per lane, shared across the fork
 
     def fails_in_one_lane(rho, rngs):
-        calls.append(1)  # each process counts its own chunks
-        in_child = os.getpid() != parent
-        if lane == "calling" and not in_child:
-            raise ValueError("synthetic sampler failure in the calling lane")
-        if in_child and len(calls) == 2:
-            if lane == "killed":
+        in_child = int(os.getpid() != parent)
+        if not arrived[in_child]:
+            arrived[in_child] = 1
+            deadline = time.monotonic() + 60
+            while not arrived[1 - in_child]:
+                assert time.monotonic() < deadline, "the other lane never ran a chunk"
+                time.sleep(0.001)
+            if lane == "calling" and not in_child:
+                raise ValueError("synthetic sampler failure in the calling lane")
+            if lane == "killed" and in_child:
                 os.kill(os.getpid(), signal.SIGKILL)
-            elif lane == "pool":
+            if lane == "pool" and in_child:
                 raise ValueError("synthetic sampler failure in the pool lane")
         return original(rho, rngs)
 
@@ -770,6 +783,39 @@ def test_run_error_in_a_lane_exits_2_and_leaves_no_thread(tmp_path, capsys, monk
         "killed": "ensemble lane 1 was ended by signal SIGKILL",
     }[lane]
     assert f"error: {message}" in err and "Traceback" not in err
+
+
+def test_run_error_in_the_concentration_checks_beside_the_lanes_exits_2(tmp_path, capsys, monkeypatch):
+    """The calling process runs the concentration checks after the fork and before it claims a chunk; their
+    failure ends the run as a serial run's would, and the child is killed and reaped."""
+    with_cores(monkeypatch, 2)
+    parent, forked, chunks = os.getpid(), [], []  # a child's appends stay in the child
+    fork, sample = runner.os.fork, runner.sample_gap_each
+
+    def counted_fork():
+        forked.append(1)
+        return fork()
+
+    def counted_chunk(rho, rngs):
+        chunks.append(1)
+        return sample(rho, rngs)
+
+    def fails(config):
+        assert os.getpid() == parent and forked == [1] and chunks == []
+        raise ValueError("synthetic concentration failure")
+
+    monkeypatch.setattr(runner.os, "fork", counted_fork)
+    monkeypatch.setattr(runner, "sample_gap_each", counted_chunk)
+    monkeypatch.setattr(runner, "_concentration_scaling", fails)
+    config = write_ensemble_config(tmp_path)
+    scenario = {**json.loads(config.read_text()), "checks": ["moments", "equilibration", "concentration"]}
+    config.write_text(json.dumps({**scenario, "concentration": {"n_states": 300}}))
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--workers", "2"]) == 2
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert "error: synthetic concentration failure" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_two_lanes_under_the_default_blas_threads_give_the_serial_report(tmp_path):

@@ -41,7 +41,7 @@ from gaplab.dynamics import (
 from gaplab.linalg import operator_norm
 from gaplab.sampling import derive_rng
 from gaplab.scenarios import macro_decomposition, random_density, random_hamiltonian, random_projector
-from gaplab.spectra import GapIndex, contributing_set, spectral_counts
+from gaplab.spectra import GapIndex, SpectralDecomposition, contributing_set, spectral_counts
 
 
 def test_expectation_curve_identities():
@@ -97,15 +97,56 @@ def test_block_overlap_matrix_stack_matches_single_states():
         block_overlap_matrix(spec, psis * 1.1, Bt)
 
 
-def _overlaps_written_out(spec, psi, B) -> np.ndarray:
-    """One state's S: the products (conj(y_a) Bt_ab) y_b, each eigenspace's rows summed, then its columns."""
-    V = spec.basis_matrix
-    y = V.conj().T @ psi
-    Bt = V.conj().T @ B @ V
+def _overlaps_by_reduceat(spec, y, Bt) -> np.ndarray:
+    """One state's S from its amplitudes: the products (conj(y_a) Bt_ab) y_b, each eigenspace's rows summed
+    by ``np.add.reduceat``, then its columns."""
     ends = spec.block_starts + spec.multiplicities
     rows = [np.add.reduceat(y.conj()[a:b, None] * Bt[a:b] * y[None, :], [0], axis=0)
             for a, b in zip(spec.block_starts, ends)]
     return np.add.reduceat(np.concatenate(rows), spec.block_starts, axis=1)
+
+
+def _overlaps_written_out(spec, psi, B) -> np.ndarray:
+    """One state's S: y = V* psi and Bt = V* B V, then ``_overlaps_by_reduceat``."""
+    V = spec.basis_matrix
+    return _overlaps_by_reduceat(spec, V.conj().T @ psi, V.conj().T @ B @ V)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 257])
+@pytest.mark.parametrize(
+    "multiplicities",
+    [[16] * 8, [3, 3, 3, 1, 1, 5, 5, 5, 2], [2, 7, 1, 12, 4, 3, 66], [140, 1, 67, 67]],
+    ids=["equal", "runs-and-simple-levels", "mixed", "above-65"],
+)
+def test_slab_sums_give_the_bits_of_reduceat(multiplicities, n):
+    """Each eigenspace's rows are summed slab by slab in numpy's pairwise order: every state's S has the
+    bits, signed zeros included, of per-eigenspace ``np.add.reduceat`` and of the state taken alone.
+
+    More than 65 rows (64 terms after the first) take the pairwise split; exact and signed zeros sit in
+    the amplitudes and in V* B V, and the fourth state's second eigenspace is all zeros of either sign.
+    """
+    mults = np.array(multiplicities)
+    m = int(mults.sum())
+    spec = SpectralDecomposition(values=np.arange(mults.size, dtype=float), basis_matrix=np.eye(m),
+                                 multiplicities=mults)
+    rng = derive_rng(530, n, m)
+
+    def signed_zeros(shape):
+        return np.copysign(0.0, rng.standard_normal(shape)) + 1j * np.copysign(0.0, rng.standard_normal(shape))
+
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    Bt = random_hermitian(m, rng)
+    y[rng.random(y.shape) < 0.1] = 0.0
+    y = np.where(rng.random(y.shape) < 0.1, signed_zeros(y.shape), y)
+    Bt = np.where(rng.random(Bt.shape) < 0.1, signed_zeros(Bt.shape), Bt)
+    if n > 3:
+        a, b = spec.block_starts[1], spec.block_starts[1] + mults[1]
+        y[3, a:b] = signed_zeros(b - a)
+    stacked = block_overlap_matrix(spec, None, Bt, amplitudes=y)
+    assert stacked.shape == (n, mults.size, mults.size)
+    for state, S in zip(y, stacked):
+        assert np.array_equal(S.view(np.int64), _overlaps_by_reduceat(spec, state, Bt).view(np.int64))
+        assert np.array_equal(S.view(np.int64), block_overlap_matrix(spec, None, Bt, amplitudes=state).view(np.int64))
 
 
 def test_block_overlap_runs_match_single_states():

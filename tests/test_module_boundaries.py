@@ -160,12 +160,14 @@ def test_importing_the_cli_leaves_out_scipy_integrate():
 
 
 def test_a_one_lane_run_leaves_out_the_forked_lanes(tmp_path):
-    """``gaplab.lanes`` is imported only by an ensemble that forks, so a one-lane run never compiles it."""
+    """``gaplab.lanes`` is imported only by an ensemble that forks, so a one-lane run never compiles it,
+    also where the concentration checks would run beside forked lanes."""
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({
         "schema": "gaplab-scenario/1", "dimension": 6, "seed": 7, "hamiltonian": {"kind": "random"},
         "rho": {"kind": "uniform"}, "observable": {"kind": "random_projector"}, "horizons": [4.0],
-        "kappas": [1.0], "checks": ["moments", "equilibration"], "mc": {"n_states": 600, "n_times": 8},
+        "kappas": [1.0], "checks": ["moments", "equilibration", "concentration"],
+        "mc": {"n_states": 600, "n_times": 8}, "concentration": {"n_states": 300},
     }))
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "report.json")]
     code = f"import sys, gaplab.cli; gaplab.cli.main({argv!r}); print('gaplab.lanes' in sys.modules, file=sys.stderr)"
@@ -173,6 +175,29 @@ def test_a_one_lane_run_leaves_out_the_forked_lanes(tmp_path):
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stderr.strip() == "False"
+
+
+def imported_modules(source: str) -> set:
+    """Top-level modules that a module's ``import`` and absolute ``from ... import`` statements name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+    return names
+
+
+def test_the_forked_lanes_import_only_what_they_use_of_the_standard_library():
+    """A run that forks imports ``gaplab.lanes``, compiling it from source where no bytecode is written.  It
+    takes pipes, fork, wait, signals and usage from ``os``, ``signal`` and ``resource``, and ``pickle`` for
+    the lanes' outcomes: no process or thread pool, no ``fcntl``, no numpy."""
+    modules = imported_modules((PACKAGE / "lanes.py").read_text())
+    assert modules <= sys.stdlib_module_names
+    assert modules & {"multiprocessing", "threading", "concurrent", "fcntl", "select", "numpy"} == set()
+    assert imported_modules("import os.path\nfrom multiprocessing import Pipe\nfrom . import runner") == {
+        "os", "multiprocessing"
+    }
 
 
 def unused_imports(source: str) -> list:

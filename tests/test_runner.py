@@ -284,7 +284,39 @@ def test_many_lanes_switching_often_give_the_serial_report(monkeypatch):
     lanes = report.timings["ensemble"]
     assert lanes.pop("child_peak_rss_mb") > 0
     assert lanes.pop("state_bytes") > 0
+    claimed = lanes.pop("claimed")
+    assert len(claimed) == 8 and sum(claimed) == 40
     assert lanes == {"lanes": 8, "chunk_states": 1, "chunks": 40}
+    assert report.to_json() == serial
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_chunk_runs_once_whichever_lane_claims_it(monkeypatch, workers):
+    """Lanes claim chunks as they go, the calling one after the concentration checks: every chunk start
+    runs exactly once over all lanes, ``claimed`` counts them per lane, and the report is the serial one."""
+    config = make_config(mc={"n_states": 100, "n_times": 16})
+    serial = run_scenario(config).to_json()
+    with_cores(monkeypatch, workers)
+    monkeypatch.setattr(runner, "CHUNK_STATES", 24)
+    ran = multiprocessing.Array("q", 100)  # runs of each chunk start, over every lane; its lock is shared across fork
+    run_lane = runner._run_lane
+
+    def recorded(chunk, starts, poll):
+        def counted(lo):
+            with ran.get_lock():
+                ran[lo] += 1
+            chunk(lo)
+
+        run_lane(counted, starts, poll)
+
+    monkeypatch.setattr(runner, "_run_lane", recorded)
+    report = run_scenario(config, workers=workers)
+    assert_no_child_left()
+    lanes = report.timings["ensemble"]
+    size = 24 // workers
+    assert lanes["lanes"] == workers and lanes["chunk_states"] == size
+    assert list(ran) == [int(i % size == 0) for i in range(100)]
+    assert len(lanes["claimed"]) == workers and sum(lanes["claimed"]) == lanes["chunks"] == -(-100 // size)
     assert report.to_json() == serial
 
 
@@ -335,7 +367,7 @@ def test_one_lane_runs_where_the_platform_cannot_fork(monkeypatch):
     report = run_scenario(config, workers=2)
     lanes = report.timings["ensemble"]
     assert lanes.pop("state_bytes") > 0
-    assert lanes == {"lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None}
+    assert lanes == {"lanes": 1, "chunk_states": 256, "chunks": 3, "child_peak_rss_mb": None, "claimed": [3]}
     assert report.to_json() == serial
 
 
@@ -364,6 +396,8 @@ def test_a_huge_worker_count_asks_the_pool_for_the_cores_only(monkeypatch):
     assert len(forks) == 3
     lanes = report.timings["ensemble"]
     assert lanes.pop("child_peak_rss_mb") > 0 and lanes.pop("state_bytes") > 0
+    claimed = lanes.pop("claimed")
+    assert len(claimed) == 4 and sum(claimed) == 16
     assert lanes == {"lanes": 4, "chunk_states": 64, "chunks": 16}
     assert report.to_json() == serial
 
@@ -576,7 +610,8 @@ def test_checks_subset_controls_records():
 
 def test_scenario_quantities_are_computed_once(monkeypatch):
     """``sets`` is 1 where every level couples to B, so the contributing set is the spectrum, and 2 where
-    a strict subset couples (the macro projector leaves out the last level)."""
+    a strict subset couples (the macro projector leaves out the last level).  The spectral section reads
+    the contributing set's counts where that set is the spectrum."""
     # a forked lane that built a quantity again would add to these counts too
     calls = SharedCounts(["contributing_set", "gap_phase_matrix", "gauss_rule", "operator_norm", "GapIndex",
                           "eigenbasis_observable", "spectral_counts", "mixture_block_overlap"])
@@ -614,8 +649,9 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
         # of the concentration tail read
         assert calls["eigenbasis_observable"] == sets
         assert calls["mixture_block_overlap"] == sets
-        # the full spectrum's counts and the contributing set's, which every (kappa, T) cell reads
-        assert calls["spectral_counts"] == 2
+        # the contributing set's counts, which every (kappa, T) cell reads, and, unless that set is the
+        # spectrum, the full spectrum's
+        assert calls["spectral_counts"] == sets
         assert calls["contributing_set"] == 1
         assert calls["gap_phase_matrix"] <= 2 * len(config.horizons)
         # one rule per horizon, which the phase norm and the moments forms share
