@@ -4,7 +4,7 @@ Subcommands: stats, sample, variance, evolve, bounds, run.  Every JSON
 output is canonical (sorted keys, two-space indent, trailing newline), so
 identical inputs produce identical bytes.  Exit codes: 0 success / all
 checks passed, 1 at least one check violated, 2 configuration or input
-error.
+error, also an input too large for the machine's memory.
 """
 
 from __future__ import annotations
@@ -259,8 +259,8 @@ def main(argv=None) -> int:
         args.kappa = [1.0]
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:  # a run too large for the machine is bad input
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -19,11 +19,11 @@ The contributing set of the observable is itself a spectrum, the full one
 restricted to the eigenvalues that couple to B (the full one itself when
 every eigenvalue couples), so the overlap matrices that feed the gap forms
 are built on it directly, from V* B V on its columns
-(``eigenbasis_observable``, the one place where B is checked and changes
-basis; a scenario keeps the contributing one).  Pairs, gaps and gap
-clusters come from one ``spectra.GapIndex`` (the cached ``gaps`` of the
-contributing set), which the coefficients, the forms, their dephased limit
-and the norm with its window bound all read.  Only the dense routes of the
+(``eigenbasis_observable``; a scenario keeps the contributing one).  B
+and rho change basis, checked, through ``linalg.change_basis`` alone.
+Pairs, gaps and gap clusters come from one ``spectra.GapIndex`` (the
+cached ``gaps`` of the contributing set), which the coefficients, the
+forms, their dephased limit and the norm with its window bound all read.  Only the dense routes of the
 forms and of the norm build R.  Both other routes read one Gauss-Legendre
 rule per horizon (``gauss_rule``, which a scenario computes once and hands
 to both): on its n nodes t_k of [0, T], R is approximated by
@@ -66,7 +66,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .linalg import as_complex_matrix, quadratic_forms, row_powers
+from .linalg import change_basis, quadratic_forms, row_powers
 from .spectra import GapIndex, SpectralDecomposition, contributing_set
 
 __all__ = [
@@ -140,11 +140,7 @@ def _check_state(psi0, dim: int, stack: bool = False) -> np.ndarray:
 
 def eigenbasis_observable(spec: SpectralDecomposition, B) -> np.ndarray:
     """Bt = V* B V over the columns V of ``spec.basis_matrix``, for a finite square B of dimension ``spec.dim``."""
-    B = as_complex_matrix(B, name="observable", square=True)
-    if B.shape[0] != spec.dim:
-        raise ValueError(f"observable dimension {B.shape[0]} does not match spectrum dim {spec.dim}")
-    V = spec.basis_matrix
-    return V.conj().T @ B @ V
+    return change_basis(B, spec.basis_matrix, "observable")
 
 
 def expectation_curve(spec: SpectralDecomposition, psi0, B, times) -> np.ndarray:
@@ -310,11 +306,7 @@ def overlap_curve(values, S, times) -> np.ndarray:
 
 def mixture_block_overlap(spec: SpectralDecomposition, rho, Bt) -> np.ndarray:
     """Matrix W with W[i, j] = tr(P_i B P_j rho) over the eigenprojectors of ``spec``, from ``Bt`` = V* B V."""
-    rho_dense = rho.matrix() if hasattr(rho, "matrix") else as_complex_matrix(rho, square=True)
-    if rho_dense.shape[0] != spec.dim:
-        raise ValueError("density matrix dimension does not match spectrum")
-    V = spec.basis_matrix
-    rt = V.conj().T @ rho_dense @ V
+    rt = change_basis(rho.matrix() if hasattr(rho, "matrix") else rho, spec.basis_matrix, "density matrix")
     return _block_sums(Bt * rt.T, spec.block_starts)
 
 
@@ -610,12 +602,14 @@ def window_factor(d: int, kappa: float, horizon: float) -> float:
     return 1.0 + 8.0 * math.log2(max(d, 1)) / (kappa * horizon)
 
 
-def phase_norm_cells(gaps: GapIndex, kappas, horizons, rules) -> tuple[list, list]:
+def phase_norm_cells(gaps: GapIndex, counts: dict, kappas, horizons, rules) -> tuple[list, list]:
     """Phase-matrix norm (one per horizon) and its window bound on every (kappa, T) cell.
 
     ``rules`` holds the ``gauss_rule`` of each horizon.  The bound is
     G(kappa) (1 + 8 log2(d) / (kappa T)) over the d eigenvalues of
-    ``gaps``.  Also returns the route record of each horizon's norm.
+    ``gaps``, with G(kappa) read from ``counts``, their ``spectral_counts``
+    (each kappa among its widths).  Also returns the route record of each
+    horizon's norm.
     """
     d = gaps.eigenvalues.size
     cells, routes = [], []
@@ -623,7 +617,7 @@ def phase_norm_cells(gaps: GapIndex, kappas, horizons, rules) -> tuple[list, lis
         norm, route = phase_matrix_norm(gaps, T, rule)
         routes.append(route)
         for kappa in kappas:
-            bound = gaps.window_count(kappa) * window_factor(d, kappa, T)
+            bound = counts["window_counts"][str(kappa)] * window_factor(d, kappa, T)
             cells.append({"horizon": T, "kappa": kappa, "norm": norm, "bound": bound})
     return cells, routes
 

@@ -36,13 +36,14 @@ def run_forked(lanes: int, starts, lane, first=None) -> tuple[float, list]:
     ``claimed`` yields, claiming them one ticket at a time.  Lane 0 first
     calls ``first()``, when given, and claims chunks only then.  It calls
     ``poll()`` between its chunks, which raises the error of a child that
-    has failed: the exception type and message the child sent, or an
-    ``OSError`` naming the lane and the signal for a child ended by one.  A
-    failed child, or an exception in lane 0 (in ``first`` too), stops the
-    others: the children still running are killed and every child is
-    reaped before the error is raised.  Returns the peak RSS in MiB of the
-    largest child this process has reaped (``ru_maxrss`` is in KiB on
-    Linux) and the chunks each lane ran, lane 0 first.
+    has failed: the exception type and message the child sent (see
+    :func:`_rebuilt`), or an ``OSError`` naming the lane and the signal for
+    a child ended by one.  A failed child, or an exception in lane 0 (in
+    ``first`` too), stops the others: the children still running are
+    killed and every child is reaped before the error is raised.  Returns
+    the peak RSS in MiB of the largest child this process has reaped
+    (``ru_maxrss`` is in KiB on Linux) and the chunks each lane ran, lane
+    0 first.
     """
     tickets = _Tickets(starts)
     children = _Children()
@@ -152,7 +153,7 @@ class _Children:
             return
         if message:
             kind, text = pickle.loads(message)
-            raise kind(text)
+            raise _rebuilt(kind, text)
         raise OSError(f"ensemble lane {k} exited with status {code}")
 
     def close(self) -> None:
@@ -179,6 +180,14 @@ def _exception_message(exc: BaseException) -> bytes:
         return pickle.dumps((type(exc), str(exc)))
     except (pickle.PicklingError, AttributeError, TypeError):  # a type pickle cannot name, such as a local class
         return pickle.dumps((RuntimeError, f"{type(exc).__name__}: {exc}"))
+
+
+def _rebuilt(kind: type, text: str) -> BaseException:
+    """``kind(text)``, or where that fails, a MemoryError or RuntimeError that names ``kind``."""
+    try:
+        return kind(text)
+    except Exception:  # a constructor that takes more than the message, such as numpy's _ArrayMemoryError
+        return (MemoryError if issubclass(kind, MemoryError) else RuntimeError)(f"{kind.__name__}: {text}")
 
 
 def _send(fd: int, message: bytes) -> None:

@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "HermitianEigenSystem",
     "as_complex_matrix",
+    "change_basis",
     "hermitian_eigendecomposition",
     "operator_norm",
     "quadratic_forms",
@@ -34,6 +35,14 @@ def as_complex_matrix(M, name: str = "matrix", square: bool = False) -> np.ndarr
     if square and out.shape[0] != out.shape[1]:
         raise ValueError(f"{name} must be square, got shape {out.shape}")
     return out
+
+
+def change_basis(A, U: np.ndarray, name: str) -> np.ndarray:
+    """U* A U, for a finite square ``A`` (called ``name`` in errors) of the dimension of the columns of ``U``."""
+    A = as_complex_matrix(A, name=name, square=True)
+    if A.shape[0] != U.shape[0]:
+        raise ValueError(f"{name} dimension {A.shape[0]} does not match basis dimension {U.shape[0]}")
+    return U.conj().T @ A @ U
 
 
 @dataclass

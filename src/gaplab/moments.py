@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix
+from .linalg import change_basis
 from .sampling import DensityMatrix
 
 __all__ = [
@@ -259,15 +259,7 @@ def k_table(probabilities) -> KIntegralTable:
 
 def gap_expectation(rho: DensityMatrix, A) -> complex:
     """Ensemble mean of <psi|A|psi> under the projected ensemble: tr(A rho)."""
-    return complex(np.dot(_eigenbasis_observable(rho, A).diagonal(), rho.probabilities))
-
-
-def _eigenbasis_observable(rho: DensityMatrix, A) -> np.ndarray:
-    A = as_complex_matrix(A, name="observable", square=True)
-    if A.shape[0] != rho.dim:
-        raise ValueError(f"observable dimension {A.shape[0]} does not match rho dim {rho.dim}")
-    U = rho.basis
-    return U.conj().T @ A @ U
+    return complex(np.dot(change_basis(A, rho.basis, "observable").diagonal(), rho.probabilities))
 
 
 def _exact_variance(At: np.ndarray, p: np.ndarray, pair: np.ndarray) -> float:
@@ -297,7 +289,7 @@ def gap_variance_exact(rho: DensityMatrix, A) -> float:
         raise ValueError("dimension must be at least 4")
     if np.any(p <= 0.0):
         raise ValueError("all probabilities must be strictly positive")
-    return _exact_variance(_eigenbasis_observable(rho, A), p, _k_rule(p, 0)[1])
+    return _exact_variance(change_basis(A, rho.basis, "observable"), p, _k_rule(p, 0)[1])
 
 
 @dataclass
@@ -345,7 +337,7 @@ def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
         raise ValueError("all probabilities must be strictly positive")
     if q > 0.25 + 1e-15:
         raise ValueError(f"p_max = {q!r} exceeds 1/4")
-    At = _eigenbasis_observable(rho, A)
+    At = change_basis(A, rho.basis, "observable")
     P = p[:, None] ** np.arange(1, 4)
     t = P.T @ (np.abs(At) ** 2) @ P
     s1, s2, s3 = (np.abs(At.diagonal()) @ P).tolist()

@@ -189,7 +189,8 @@ def _phase_norm_record(scn: Scenario) -> tuple[CheckRecord, list]:
     if cs.n_distinct < 2:
         note = {"note": "fewer than two contributing eigenvalues"}
         return _record("phase_norm_window_bound", 0.0, 0.0, seed, note, vacuous=True), []
-    cells, routes = phase_norm_cells(cs.gaps, scn.config.kappas, scn.config.horizons, scn.gauss_rules)
+    cells, routes = phase_norm_cells(cs.gaps, scn.contributing_counts, scn.config.kappas, scn.config.horizons,
+                                     scn.gauss_rules)
     worst = _tightest(cells, lambda c: -c["norm"] / c["bound"])
     ratio = float(worst["norm"] / worst["bound"])
     record = _record("phase_norm_window_bound", 1.0, ratio, seed, {"cells": cells}, passed=ratio <= 1.0 + 1e-9)

@@ -554,6 +554,22 @@ def _build_observable(config: ScenarioConfig, macro, base_dir: str) -> tuple[np.
     return B, norm_b
 
 
+def _check_phases(config: ScenarioConfig, spec: SpectralDecomposition) -> None:
+    """Refuse a horizon or concentration time at which a phase of the run overflows.
+
+    Up to a horizon T the run takes the phases E t, t in [0, T], of every
+    level E, and (G_a - G_b) T, where two gaps differ by at most twice the
+    diameter; the concentration tail takes E t at its time t.
+    """
+    top = float(np.abs(spec.values).max())
+    reach = max(top, 2.0 * spec.diameter)
+    checks = (("horizons", config.horizons, reach), ("concentration.time", [config.concentration["time"]], top))
+    for name, times, scale in checks:
+        for t in times:
+            if not math.isfinite(scale * t):
+                raise ConfigError(f"{name} must keep every phase finite, but {t!r} times {scale!r} overflows")
+
+
 def build_scenario(config: ScenarioConfig, base_dir: str = ".") -> Scenario:
     """Materialize a scenario from its config, deterministically in the seed."""
     spec = _build_hamiltonian(config, base_dir)
@@ -561,6 +577,7 @@ def build_scenario(config: ScenarioConfig, base_dir: str = ".") -> Scenario:
         raise ConfigError(
             f"hamiltonian dimension {spec.dim} does not match config dimension {config.dimension}"
         )
+    _check_phases(config, spec)
     macro = _build_macro(config, spec)
     rho = _build_rho(config, spec, macro, base_dir)
     if rho.dim != config.dimension:

@@ -57,12 +57,21 @@ class SpectralDecomposition:
     columns, ``multiplicities[i]`` wide, spans the eigenspace of
     ``values[i]``.  A full spectrum's columns resolve the identity, a
     contributing set's span the members' eigenspaces; ``dim`` holds also
-    when there are none.
+    when there are none.  Levels that are not finite, or whose spread
+    overflows, are refused.
     """
 
     values: np.ndarray
     basis_matrix: np.ndarray
     multiplicities: np.ndarray
+
+    def __post_init__(self):
+        # every gap, and every phase built on one, is a difference of the levels
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.values).all() and np.isfinite(self.diameter)
+        if not finite:
+            low, high = float(self.values[0]), float(self.values[-1])
+            raise ValueError(f"eigenvalues must be finite and differ by a finite spread, got {low!r} to {high!r}")
 
     @property
     def dim(self) -> int:

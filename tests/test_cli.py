@@ -605,6 +605,61 @@ def test_run_at_extreme_widths_spacings_and_deviations_ends_cleanly(tmp_path, ca
         assert tail["detail"]["cells"][-1]["bound"] == 0.0 and tail["passed"]
 
 
+#: Eight explicit levels, each finite, whose spread 2e308 overflows.
+WIDE_LEVELS = [-1e308, -7e307, -4e307, -1e307, 1e307, 4e307, 7e307, 1e308]
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"hamiltonian": {"kind": "random", "eigenvalues": WIDE_LEVELS}},
+         "bad hamiltonian section: eigenvalues must be finite and differ by a finite spread"),
+        ({"hamiltonian": {"kind": "random", "eigenvalues": "arithmetic", "spacing": 1e308}},
+         "bad hamiltonian section: eigenvalues must be finite and differ by a finite spread"),
+        ({"horizons": [1e308]}, "horizons must keep every phase finite"),
+        ({"concentration": {"time": 1e308}, "checks": ["concentration"]}, "concentration.time must keep every phase"),
+    ],
+    ids=["levels-spread", "arithmetic-spacing", "horizon", "concentration-time"],
+)
+def test_run_refuses_levels_and_times_whose_phases_overflow(tmp_path, capsys, patch, message):
+    """At D = 8 these configs ended in an empty reduction, a failed eigensolver or, at the concentration
+    time, a NaN B(t) whose tail read 0; each is refused when the scenario is built, naming its field."""
+    path = write_run_config(tmp_path)
+    config = {**json.loads(path.read_text()), "dimension": 8, **patch}
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_stats_refuses_levels_whose_spread_overflows(tmp_path, capsys):
+    f = tmp_path / "spec.json"
+    blocks = [{"rows": 3, "cols": 1, "entries": [[float(i == j), 0.0] for i in range(3)]} for j in range(3)]
+    f.write_text(json.dumps({"eigenvalues": [-1e308, 0.0, 1e308], "blocks": blocks}))
+    assert cli.main(["stats", "--spectrum", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "eigenvalues must be finite and differ by a finite spread, got -1e+308 to 1e+308" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "concentration",
+    [{"scaling_dims": [16, 10**15]}, {"n_states": 10**15}],
+    ids=["scaling-dim", "n_states"],
+)
+def test_run_too_large_for_any_memory_exits_2(tmp_path, capsys, concentration):
+    """10**15 float64 values are 7.1 PiB, beyond any address space, so the array is refused before
+    anything is allocated; the run exits 2 with numpy's message, not 1 with a traceback."""
+    path = write_run_config(tmp_path)
+    config = {**json.loads(path.read_text()), "concentration": concentration, "checks": ["concentration"]}
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: Unable to allocate 7.11 PiB" in err and "Traceback" not in err
+
+
 def test_run_takes_an_observable_just_below_the_cut(tmp_path):
     save_matrix(tmp_path / "B.json", 1.1e76 * np.diag(np.arange(6.0)))
     path = write_run_config(tmp_path)
@@ -742,14 +797,15 @@ def test_run_timings_record_the_ensemble_lanes(tmp_path, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("lane", ["calling", "pool", "killed"])
+@pytest.mark.parametrize("lane", ["calling", "pool", "killed", "memory"])
 def test_run_error_in_a_lane_exits_2_and_leaves_no_thread(tmp_path, capsys, monkeypatch, lane):
     """A lane's failure reaches the caller as a serial run's would, and every forked lane is reaped.
 
     The 600 states run in 5 chunks of 128 on two lanes, each lane claiming chunks as it goes.  In its
     first chunk each lane waits until the other lane is in one too, so both lanes hold a chunk whoever
     claims which.  Then the sampler raises in the calling process (``calling``), raises in the child
-    (``pool``), or kills the child (``killed``).
+    (``pool``), kills the child (``killed``), or asks in the child for 10**16 float64 values (``memory``),
+    which no address space holds, so numpy refuses them with an error its message alone cannot rebuild.
     """
     with_cores(monkeypatch, 2)
     original = runner.sample_gap_each
@@ -770,6 +826,8 @@ def test_run_error_in_a_lane_exits_2_and_leaves_no_thread(tmp_path, capsys, monk
                 os.kill(os.getpid(), signal.SIGKILL)
             if lane == "pool" and in_child:
                 raise ValueError("synthetic sampler failure in the pool lane")
+            if lane == "memory" and in_child:
+                np.empty(10**16)
         return original(rho, rngs)
 
     monkeypatch.setattr(runner, "sample_gap_each", fails_in_one_lane)
@@ -781,6 +839,7 @@ def test_run_error_in_a_lane_exits_2_and_leaves_no_thread(tmp_path, capsys, monk
         "calling": "synthetic sampler failure in the calling lane",
         "pool": "synthetic sampler failure in the pool lane",
         "killed": "ensemble lane 1 was ended by signal SIGKILL",
+        "memory": "MemoryError: Unable to allocate 71.1 PiB",  # numpy names its _ArrayMemoryError so
     }[lane]
     assert f"error: {message}" in err and "Traceback" not in err
 

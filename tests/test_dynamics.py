@@ -549,7 +549,8 @@ def test_gauss_rule_averages_over_the_horizon():
 
 def test_window_norm_bound_worked_example():
     spec = simple_spectrum([0.0, 1.0, 2.0])
-    [cell], [route] = phase_norm_cells(spec.gaps, [1.5], [100.0], [gauss_rule(spec.gaps, 100.0)])
+    counts = spectral_counts(spec, [1.5])
+    [cell], [route] = phase_norm_cells(spec.gaps, counts, [1.5], [100.0], [gauss_rule(spec.gaps, 100.0)])
     assert route["horizon"] == 100.0 and route["pairs"] == 6
     expected = 3.0 * (1.0 + 8.0 * math.log2(3.0) / 150.0)
     assert cell["bound"] == pytest.approx(expected, rel=1e-12)
@@ -564,7 +565,8 @@ def test_window_norm_bound_random_sweep():
         diameter = spec.values[-1] - spec.values[0]
         horizons = (0.5, 5.0, 50.0)
         rules = [gauss_rule(spec.gaps, T) for T in horizons]
-        cells, routes = phase_norm_cells(spec.gaps, (0.1 * diameter, 0.7 * diameter), horizons, rules)
+        kappas = (0.1 * diameter, 0.7 * diameter)
+        cells, routes = phase_norm_cells(spec.gaps, spectral_counts(spec, kappas), kappas, horizons, rules)
         assert [r["horizon"] for r in routes] == [0.5, 5.0, 50.0]
         assert len(cells) == 6
         for cell in cells:

@@ -8,9 +8,13 @@ the three-operand ``einsum`` of the quadratic forms and the two-operand
 one of the per-row powers.  The runner takes the phase
 forms through ``dynamics.PhaseForms`` and reads none of the routines
 behind it.  Importing the command line
-tool leaves out ``scipy.integrate``, which only the oracles use.  Every name a module imports is read in it (``__init__`` only re-exports).
-Every function and method is read somewhere in the package outside
-``__init__``, unless it is one of the few kept for the tests
+tool leaves out ``scipy.integrate``, which only the oracles use, and
+importing the sampler loads no module but ``linalg``.  The package root
+imports nothing and exports only ``__version__``, so each module's
+``__all__`` is the one list of its exports.  Every name a module imports
+is read in it.
+Every function and method is read somewhere in the package, unless it
+is one of the few kept for the tests
 (``TEST_FACING``): code that no command, run path or oracle reaches is
 deleted, not exported.  Every name in a module's ``__all__`` is bound in
 that module, so deleting a function also deletes its export.  An attribute read whose name is a dataclass field
@@ -115,13 +119,20 @@ def test_only_linalg_writes_the_two_operand_einsum():
 
 #: The routines behind ``dynamics.PhaseForms``, which pick and evaluate a forms route.
 FORMS_INTERNALS = {
-    "gap_coefficients", "phase_quadratic_forms", "phase_forms_route", "rule_phase_forms", "state_amplitudes",
+    "gap_coefficients", "gap_phase_matrix", "gauss_rule", "kernel_nodes", "phase_quadratic_forms",
+    "state_amplitudes",
 }
 
 
 def imported_names(source: str) -> set:
     """Names that a module's ``from ... import`` statements bind from other modules."""
     return {a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_forms_internals_are_defined_in_dynamics():
+    """Each name the runner must leave alone is a function of ``dynamics`` today, so none guards a deleted name."""
+    defined = {name for name, method in defined_functions((PACKAGE / "dynamics.py").read_text()) if not method}
+    assert FORMS_INTERNALS <= defined
 
 
 def test_runner_leaves_the_forms_route_to_dynamics():
@@ -157,6 +168,22 @@ def test_importing_the_cli_leaves_out_scipy_integrate():
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_importing_the_sampler_loads_only_linear_algebra():
+    """The package root re-exports nothing, so ``gaplab.sampling`` loads ``gaplab.linalg`` and no runner stack."""
+    code = "import sys, gaplab.sampling; print(sorted(m for m in sys.modules if m.split('.')[0] == 'gaplab'))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == str(["gaplab", "gaplab.linalg", "gaplab.sampling"])
+
+
+def test_the_package_root_exports_only_its_version():
+    import gaplab
+
+    assert gaplab.__all__ == ["__version__"]
+    assert imported_names((PACKAGE / "__init__.py").read_text()) == set()
 
 
 def test_a_one_lane_run_leaves_out_the_forked_lanes(tmp_path):
@@ -213,9 +240,7 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 
@@ -280,17 +305,16 @@ def names_read(source: str, fields: frozenset = frozenset()) -> set:
 
 
 def unread_functions(sources: dict) -> list:
-    """``module:name`` of every function and method that no module but ``__init__`` reads.
+    """``module:name`` of every function and method that no module reads.
 
     A method is read through any attribute of its name.  A module-level
     function is read by its bare name or through an attribute, except an
     attribute named as a dataclass field of the package: that reads the
     field.
     """
-    users = [s for name, s in sources.items() if name != "__init__.py"]
     fields = frozenset().union(*(dataclass_fields(s) for s in sources.values()))
-    read = set().union(*(names_read(s) for s in users))
-    read_as_function = set().union(*(names_read(s, fields) for s in users))
+    read = set().union(*(names_read(s) for s in sources.values()))
+    read_as_function = set().union(*(names_read(s, fields) for s in sources.values()))
     return [f"{name}:{fn}" for name, s in sorted(sources.items()) for fn, method in defined_functions(s)
             if fn not in (read if method else read_as_function)]
 
