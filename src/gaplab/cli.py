@@ -47,14 +47,14 @@ def _emit(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_times(spec: str) -> np.ndarray:
+def _parse_times(spec: str, top: float) -> np.ndarray:
     try:
         t0, t1, n = spec.split(":")
         t0, t1, n = float(t0), float(t1), int(n)
     except ValueError:
         raise ConfigError(f"--times must have the form t0:t1:n, got {spec!r}") from None
-    if not (np.isfinite([t0, t1]).all() and t1 > t0 and n >= 2):
-        raise ConfigError("--times needs finite t0 < t1 and n >= 2")
+    if not (np.isfinite([t0, t1, t1 - t0, top * max(-t0, t1)]).all() and t1 > t0 and n >= 2):
+        raise ConfigError(f"--times needs finite t0 < t1, n >= 2 and finite phases E t up to |E| = {top!r}")
     return np.linspace(t0, t1, n)
 
 
@@ -127,7 +127,7 @@ def _cmd_evolve(args) -> int:
     if states.shape[0] != 1:
         raise ConfigError("--psi0 file must contain exactly one state")
     B = jsonio.load_matrix(args.B)
-    times = _parse_times(args.times)
+    times = _parse_times(args.times, float(np.abs(spec.values).max()))
     curve = expectation_curve(spec, states[0], B, times)
     jsonio.write_curve_csv(args.out, times, curve)
     return 0

@@ -39,12 +39,9 @@ curve f(t_k) = z_k^H (V* B V) z_k, z_k = exp(-i E t_k) V* psi, at each
 node.  When n would reach the pair count P, or the rule's n m^2 per state
 (m eigenbasis columns) would not be below the dense P^2, the dense route
 is the cheaper one and is taken instead.  One ``PhaseForms`` per horizon
-makes that choice once, holds what its route reads (R, or the rule with
-V* B V and the phases exp(-i E t_k) of its nodes) and evaluates the forms
-of each chunk of states, from their amplitudes V* psi and overlap
-matrices, and the mixture's.  So a caller keeps per-state results and no
-rows of gap coefficients, and it can size its chunks by what a state
-costs the forms (``state_width``).
+makes that choice once and evaluates the forms of each chunk of states and
+the mixture's, so a caller keeps per-state results and no rows of gap
+coefficients.
 
 A time-grid oracle (composite Simpson quadrature of the same averages)
 exists solely to cross-check the exact quadratic forms.
@@ -63,6 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,12 +84,12 @@ __all__ = [
     "diagonal_ensemble_expectation",
     "gap_coefficients",
     "gap_phase_matrix",
-    "phase_quadratic_forms",
     "PhaseForms",
     "dephased_power",
     "gauss_legendre",
     "gauss_phase_error",
     "kernel_nodes",
+    "GaussRule",
     "gauss_rule",
     "phase_matrix_norm",
     "window_factor",
@@ -345,10 +343,10 @@ def gap_coefficients(S: np.ndarray, gaps: GapIndex) -> np.ndarray:
 
     S has shape (..., d, d) over the d eigenvalues that ``gaps`` indexes
     (for a contributing set ``cs``, S built on ``cs`` and ``gaps = cs.gaps``).
-    The result has shape (..., gaps.count), in the order of the pairs.
+    The result has shape (..., gaps.count), in the row-major order of ``gaps.values``.
     """
-    pairs = gaps.pairs
-    return S[..., pairs[:, 0], pairs[:, 1]]
+    d = gaps.eigenvalues.size
+    return S[..., ~np.eye(d, dtype=bool)]
 
 
 def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
@@ -377,20 +375,15 @@ def gap_phase_matrix(gap_values, horizon: float) -> np.ndarray:
     return R
 
 
-def _dense_forms(R: np.ndarray, coeff_rows: np.ndarray) -> np.ndarray:
-    """c^H R c of each row c of coefficients, summed on its own in a fixed order."""
-    # the forms of the rows' conjugates, whose conjugate is c again, bit for bit
-    return np.maximum(quadratic_forms(coeff_rows.conj(), R).real, 0.0)
+def _centred(values: np.ndarray) -> np.ndarray:
+    """The eigenvalues less their midpoint: the curves turn by a global phase only, and the phases stay small."""
+    return values - 0.5 * (values.max() + values.min())
 
 
-def phase_quadratic_forms(gaps: GapIndex, coeff_rows: np.ndarray, horizon: float) -> np.ndarray:
-    """<|sum_a c_a exp(i G_a t)|^2>_[0,T] for each row of coefficients over the pairs of ``gaps``.
-
-    The dense route of the forms, through the P x P matrix R.  Each row is
-    summed on its own in a fixed order, so a row's value does not depend
-    on the rows stacked with it.
-    """
-    return _dense_forms(gap_phase_matrix(gaps.values, horizon), coeff_rows)
+def _route(horizon: float, route: str, pairs: int, rule=None) -> dict:
+    """Route record ``{horizon, route, nodes, pairs, error}``: the nodes and eps P of ``rule``, None and 0 if dense."""
+    nodes, error = (None, 0.0) if rule is None else (rule.nodes, rule.error)
+    return {"horizon": horizon, "route": route, "nodes": nodes, "pairs": pairs, "error": error}
 
 
 class PhaseForms:
@@ -400,10 +393,9 @@ class PhaseForms:
     the horizon and its ``gauss_rule`` (or None).  The rule route is taken
     where the rule's n nodes cost less per state than the dense form,
     n m^2 < P^2 (an (n x m) by (m x m) product against c^H R c over the P
-    pairs); otherwise the dense route holds R.  ``record`` is
-    ``{horizon, route, nodes, pairs, error}``, ``error`` being the rule's
-    eps P (0 and no nodes when dense): a rule form misses the exact one by
-    at most eps P |S_off|_F^2.  ``state_width`` is the complex entries per
+    pairs); otherwise the dense route holds R.  ``record`` is the route
+    record; a rule form misses the exact one by at most its error eps P
+    times |S_off|_F^2.  ``state_width`` is the complex entries per
     state that ``states`` holds at once: the coefficients and their
     conjugates (2 P) on the dense route, and on the rule route the node
     amplitudes z, their conjugates and the products with V* B V
@@ -414,54 +406,53 @@ class PhaseForms:
     def __init__(self, cs: SpectralDecomposition, Bt, horizon: float, rule):
         self.cs = cs
         pairs, columns = cs.gaps.count, cs.basis_matrix.shape[1]
-        self.rule = rule if rule is not None and rule[2] * columns**2 < pairs**2 else None
+        self.rule = rule if rule is not None and rule.nodes * columns**2 < pairs**2 else None
         if self.rule is None:
             self.R = gap_phase_matrix(cs.gaps.values, horizon)
             self.state_width = 2 * pairs
-            self.record = {"horizon": horizon, "route": "dense", "nodes": None, "pairs": pairs, "error": 0.0}
+            self.record = _route(horizon, "dense", pairs)
             return
         self.Bt = Bt
-        # centred eigenvalues turn the curves by a global phase only and keep the phases small
-        self.mid = 0.5 * (cs.values.max() + cs.values.min())
+        self.centred = _centred(cs.values)
         # exp(-i E t_k) of every node and column, the same for every state
-        self.phases = np.exp(-1j * np.outer(rule[0], cs.column_values - self.mid))
+        self.phases = np.exp(-1j * np.outer(rule.times, np.repeat(self.centred, cs.multiplicities)))
         self.state_width = 3 * self.phases.size
-        self.record = {"horizon": horizon, "route": "rule", "nodes": rule[2], "pairs": pairs, "error": rule[3]}
+        self.record = _route(horizon, "rule", pairs, rule)
 
     def states(self, amplitudes, S) -> np.ndarray:
         """Forms of the states with ``amplitudes`` V* psi (n, m) and overlap matrices ``S`` (n, d, d) on ``cs``.
 
-        ``amplitudes`` is ``state_amplitudes(cs, psis)``.  The rule route
-        sums weights_k |z_k^H (V* B V) z_k - tr S|^2 over the nodes,
+        ``amplitudes``, ``state_amplitudes(cs, psis)``, only the rule route
+        reads; it sums weights_k |z_k^H (V* B V) z_k - tr S|^2 over the nodes,
         z_k = exp(-i E t_k) V* psi (see the module docstring).
         """
         if self.rule is None:
-            return _dense_forms(self.R, gap_coefficients(S, self.cs.gaps))
+            # c^H R c as the forms of the coefficient rows' conjugates, whose conjugate is c again, bit for bit
+            return np.maximum(quadratic_forms(gap_coefficients(S, self.cs.gaps).conj(), self.R).real, 0.0)
         z = self.phases * amplitudes[:, None, :]
         g = ((z.conj() @ self.Bt) * z).sum(-1) - np.trace(S, axis1=1, axis2=2)[:, None]
-        return ((g.real**2 + g.imag**2) * self.rule[1]).sum(-1)
+        return ((g.real**2 + g.imag**2) * self.rule.weights).sum(-1)
 
     def mixture(self, W) -> float:
         """Form of the mixture's overlap matrix ``W`` on ``cs``: the average of |tr(B(t) rho) - tr W|^2."""
         if self.rule is None:
-            return float(_dense_forms(self.R, gap_coefficients(W, self.cs.gaps)[None])[0])
-        times, weights = self.rule[:2]
-        deviation = overlap_curve(self.cs.values - self.mid, W, times) - complex(np.trace(W))
-        return float(((deviation.real**2 + deviation.imag**2) * weights).sum())
+            return float(self.states(None, W[None])[0])
+        deviation = overlap_curve(self.centred, W, self.rule.times) - complex(np.trace(W))
+        return float(((deviation.real**2 + deviation.imag**2) * self.rule.weights).sum())
 
 
 def dephased_power(gaps: GapIndex, S: np.ndarray) -> np.ndarray:
     """Infinite-horizon forms of overlap matrices ``S`` (n, d, d): each gap cluster's coefficients summed, squared.
 
-    The coefficients are gathered in cluster order (``gaps.sorted_pairs``),
-    so a state holds its P coefficients once, then its cluster sums, whose
-    power ``linalg.row_powers`` takes the same way for a lone state as in
-    a stack.
+    The coefficients are gathered in cluster order, at the flat positions
+    ``gaps.positions`` of each S, so a state holds its P coefficients once,
+    then its cluster sums, whose power ``linalg.row_powers`` takes the same
+    way for a lone state as in a stack.
     """
     if gaps.count == 0:
         return np.zeros(S.shape[0])
-    first, second = gaps.sorted_pairs
-    return row_powers(np.add.reduceat(S[:, first, second], gaps.starts, axis=1))
+    d = gaps.eigenvalues.size
+    return row_powers(np.add.reduceat(S.reshape(len(S), d * d)[:, gaps.positions], gaps.starts, axis=1))
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -545,7 +536,11 @@ def kernel_nodes(omega: float, pairs: int) -> int | None:
     return lo
 
 
-def gauss_rule(gaps: GapIndex, horizon: float) -> tuple[np.ndarray, np.ndarray, int, float] | None:
+#: A Gauss-Legendre rule of the phase averages on [0, T]: node times, weights, node count n and error eps P.
+GaussRule = NamedTuple("GaussRule", [("times", np.ndarray), ("weights", np.ndarray), ("nodes", int), ("error", float)])
+
+
+def gauss_rule(gaps: GapIndex, horizon: float) -> GaussRule | None:
     """The Gauss-Legendre rule of the phase averages over ``gaps`` on [0, horizon], or None.
 
     Returns (times, weights, n, error): the n nodes t_k = (T/2)(1 + x_k)
@@ -566,7 +561,7 @@ def gauss_rule(gaps: GapIndex, horizon: float) -> tuple[np.ndarray, np.ndarray, 
     if n is None:
         return None
     x, w = gauss_legendre(n)
-    return 0.5 * horizon * (1.0 + x), 0.5 * w, n, gauss_phase_error(n, omega) * pairs
+    return GaussRule(0.5 * horizon * (1.0 + x), 0.5 * w, n, gauss_phase_error(n, omega) * pairs)
 
 
 def phase_matrix_norm(gaps: GapIndex, horizon: float, rule) -> tuple[float, dict]:
@@ -577,22 +572,19 @@ def phase_matrix_norm(gaps: GapIndex, horizon: float, rule) -> tuple[float, dict
     on the nodes of ``rule``, the ``gauss_rule`` of ``gaps`` at ``horizon``,
     plus its error bound eps P, never less than |R|, since
     |c^H (R_q - R) c| <= eps P |c|^2.  Where the rule is None (no n below
-    P) it takes the dense route, ``eigvalsh`` of R itself.  The record is
-    ``{horizon, route, nodes, pairs, error}``, ``error`` being the eps P
-    that was added (0 and no nodes on the dense route).
+    P) it takes the dense route, ``eigvalsh`` of R itself.  The route
+    record's ``error`` is the eps P that was added.
     """
     if rule is None:
         norm = float(np.linalg.eigvalsh(gap_phase_matrix(gaps.values, horizon))[-1])
-        return norm, {"horizon": horizon, "route": "dense", "nodes": None, "pairs": gaps.count, "error": 0.0}
-    times, weights, n, error = rule
-    e = gaps.eigenvalues
-    # centred eigenvalues leave |S_jk| as it is and keep the phases small
-    E = np.exp(1j * np.outer(times, e - 0.5 * (e.max() + e.min())))
+        return norm, _route(horizon, "dense", gaps.count)
+    # centred eigenvalues leave |S_jk| as it is
+    E = np.exp(1j * np.outer(rule.times, _centred(gaps.eigenvalues)))
     S = E @ E.conj().T
-    K = S.real**2 + S.imag**2 - e.size
-    r = np.sqrt(weights)
-    norm = float(np.linalg.eigvalsh(r[:, None] * K * r)[-1]) + error
-    return norm, {"horizon": horizon, "route": "kernel", "nodes": n, "pairs": gaps.count, "error": error}
+    K = S.real**2 + S.imag**2 - gaps.eigenvalues.size
+    r = np.sqrt(rule.weights)
+    norm = float(np.linalg.eigvalsh(r[:, None] * K * r)[-1]) + rule.error
+    return norm, _route(horizon, "kernel", gaps.count, rule)
 
 
 def window_factor(d: int, kappa: float, horizon: float) -> float:
@@ -629,8 +621,8 @@ def expectation_curve_variance(spec: SpectralDecomposition, psi0, B, horizon: fl
     no time discretization is involved.
     """
     cs = contributing_set(spec, B)
-    w = gap_coefficients(block_overlap_matrix(cs, psi0, eigenbasis_observable(cs, B)), cs.gaps)
-    return float(phase_quadratic_forms(cs.gaps, w[None, :], horizon)[0])
+    Bt = eigenbasis_observable(cs, B)
+    return float(PhaseForms(cs, Bt, horizon, None).states(None, block_overlap_matrix(cs, psi0, Bt)[None])[0])
 
 
 def expectation_curve_variance_infinite(spec: SpectralDecomposition, psi0, B) -> float:
@@ -670,8 +662,8 @@ def mixture_curve_deviation(spec: SpectralDecomposition, rho, B, horizon: float)
     phase quadratic form, now with mixture overlap coefficients.
     """
     cs = contributing_set(spec, B)
-    u = gap_coefficients(mixture_block_overlap(cs, rho, eigenbasis_observable(cs, B)), cs.gaps)
-    return float(phase_quadratic_forms(cs.gaps, u[None, :], horizon)[0])
+    Bt = eigenbasis_observable(cs, B)
+    return PhaseForms(cs, Bt, horizon, None).mixture(mixture_block_overlap(cs, rho, Bt))
 
 
 def mixture_curve_deviation_quadrature(spec: SpectralDecomposition, rho, B, horizon: float) -> float:

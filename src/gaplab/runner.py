@@ -304,8 +304,8 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
     that reads no ensemble state, so the children run chunks meanwhile;
     one lane runs the chunks in order and leaves ``beside`` to the caller.
     The children are forked after every value they read is built (the
-    contributing set's cached arrays here, V* B V, the mixture overlap and
-    every ``PhaseForms`` before the call): a value a child built would be
+    contributing set's gap index and the arrays cached here, V* B V, the
+    mixture overlap and every ``PhaseForms`` before the call): a value a child built would be
     built again in each child and lost when it ends.  The per-state results live
     in one anonymous shared mapping, into whose rows each chunk writes.
     ``lanes`` is the timings sidecar's ``{lanes, chunk_states, chunks,
@@ -320,8 +320,8 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
     state_bytes = 16 * _state_width(scn, forms, live)
     lanes, size = ensemble_lanes(workers, n, state_bytes)
     Bt = scn.contributing_observable
-    for owner, name in ((cs, "basis_adjoint"), (cs, "block_starts"), (cs.gaps, "sorted_pairs")):
-        getattr(owner, name)
+    for name in ("basis_adjoint", "block_starts"):
+        getattr(cs, name)
     horizons = len(deviation_bounds)
     # each result a contiguous block, as np.empty would give it; the mapping starts zeroed
     cells = np.frombuffer(mmap.mmap(-1, 8 * n * (2 + horizons + len(forms) + bool(forms))))

@@ -120,7 +120,8 @@ def random_hamiltonian(
         elif eigenvalues == "arithmetic":
             if spacing <= 0:
                 raise ValueError("spacing must be positive")
-            vals = spacing * np.arange(k, dtype=float)
+            with np.errstate(over="ignore"):  # SpectralDecomposition refuses levels that overflow
+                vals = spacing * np.arange(k, dtype=float)
         else:
             raise ValueError(f"unknown eigenvalue mode {eigenvalues!r}")
     else:

@@ -14,7 +14,8 @@ Every count, of a full spectrum or of a contributing set, comes from
 degeneracy, largest gap degeneracy and the window counts.  The gap counts,
 here and in ``dynamics``, read one :class:`GapIndex` per set of
 eigenvalues; a spectrum keeps its own, at the default tolerance, as the
-cached member ``gaps``.
+cached member ``gaps``, which holds each pair once, as its flat position in
+a d x d matrix, in gap order, beside the cluster starts: 16 bytes per pair.
 
 Tolerance convention: realized gap values are clustered by transitive
 chaining within ``gap_tol`` (two gaps are equal iff they land in the same
@@ -116,14 +117,12 @@ class SpectralDecomposition:
 class GapIndex:
     """Ordered pairs of distinct eigenvalues, their gaps, and the gap clusters.
 
-    ``pairs`` holds every ordered pair (i, j), i != j, of positions in
-    ``eigenvalues`` in row-major order and ``values`` their gaps e_i - e_j.
-    ``order`` is the stable sort order of the gaps, and ``sorted_pairs``
-    the pairs in that order.  Sorted gaps closer than ``tol`` chain into one
-    cluster; cluster k starts at position ``starts[k]`` of the sorted gaps
-    and holds ``counts[k]`` of them, with mean gap ``representatives[k]``.
-    ``tol`` is ``gap_tol`` if given, else ``GAP_TOL_RELATIVE`` times the
-    diameter of the eigenvalues.
+    A pair (i, j), i != j, of the d ``eigenvalues`` is held once, as its flat
+    position i d + j in a d x d matrix; ``positions`` lists the pairs in the
+    stable sort order of their gaps e_i - e_j.  Sorted gaps closer than
+    ``tol`` chain into one cluster; cluster k starts at sorted gap
+    ``starts[k]``.  ``tol`` is ``gap_tol`` if given, else
+    ``GAP_TOL_RELATIVE`` times the diameter of the eigenvalues.
     """
 
     def __init__(self, eigenvalues, gap_tol=None):
@@ -135,24 +134,26 @@ class GapIndex:
             self.tol = float(gap_tol)
         else:
             raise ValueError(f"gap_tol must be a finite nonnegative number, got {gap_tol!r}")
-        mask = ~np.eye(e.size, dtype=bool)
-        self.pairs = np.argwhere(mask)
-        self.values = (e[:, None] - e[None, :])[mask]
-        self.order = np.argsort(self.values, kind="stable")
-        ordered = self.values[self.order]
+        gaps = np.subtract.outer(e, e).ravel()
+        order = np.argsort(gaps, kind="stable")
+        self.positions = order[order % (e.size + 1) != 0]  # off the diagonal, still in stable gap order
+        ordered = gaps[self.positions]
+        del gaps, order
         self.starts = np.flatnonzero(np.diff(ordered, prepend=-np.inf) > self.tol)
-        self.counts = np.diff(self.starts, append=ordered.size)
-        self.representatives = np.add.reduceat(ordered, self.starts) / self.counts
 
     @property
     def count(self) -> int:
-        return self.values.size
+        return self.eigenvalues.size * (self.eigenvalues.size - 1)
 
-    @cached_property
-    def sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The positions (i, j) of the pairs in the sort order of their gaps, as two arrays."""
-        first, second = np.ascontiguousarray(self.pairs[self.order].T)
-        return first, second
+    @property
+    def values(self) -> np.ndarray:
+        """The gaps e_i - e_j of the pairs in row-major order of (i, j), the order of ``gap_coefficients``."""
+        return np.subtract.outer(self.eigenvalues, self.eigenvalues)[~np.eye(self.eigenvalues.size, dtype=bool)]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Number of gaps in each cluster."""
+        return np.diff(self.starts, append=self.count)
 
     @property
     def max_degeneracy(self) -> int:
@@ -162,7 +163,7 @@ class GapIndex:
     def window_count(self, kappa: float) -> int:
         """Maximal number of gaps in a half-open window of width kappa.
 
-        Windows are anchored at the cluster representatives; the window
+        Windows are anchored at the clusters' mean gaps; the window
         [a, a + kappa) includes its left edge only, so it holds at least
         its anchor cluster, also where a + kappa rounds to a.
         """
@@ -170,10 +171,16 @@ class GapIndex:
             raise ValueError(f"kappa must be positive, got {kappa!r}")
         if self.count == 0:
             return 0
-        cum = np.concatenate(([0], np.cumsum(self.counts)))
-        reps = self.representatives
+        e = self.eigenvalues
+        first, second = np.divmod(self.positions, e.size)
+        gaps = e[first]  # the sorted gaps, by the subtraction that sorted them
+        gaps -= e[second]
+        del first, second
+        bounds = np.append(self.starts, self.count)  # cluster k holds the sorted gaps bounds[k]:bounds[k + 1]
+        reps = np.add.reduceat(gaps, self.starts) / np.diff(bounds)
+        del gaps
         hi = np.maximum(np.searchsorted(reps, reps + kappa, side="left"), np.arange(1, reps.size + 1))
-        return int((cum[hi] - cum[:-1]).max())
+        return int((bounds[hi] - self.starts).max())
 
 
 def contributing_set(spec: SpectralDecomposition, B) -> SpectralDecomposition:

@@ -255,6 +255,21 @@ def test_evolve_malformed_times(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times", ["0:1e308:3", "-1e308:1e308:3"], ids=["phase", "span"])
+def test_evolve_refuses_times_whose_phases_overflow(tmp_path, capsys, times):
+    """On levels up to 2 the phase 2 t of t = 1e308 overflows, and so does the span of -1e308:1e308."""
+    spec_f, psi_f, b_f, out = (tmp_path / name for name in ("spec.json", "psi.json", "B.json", "c.csv"))
+    write_spectrum(spec_f, [0.0, 1.0, 2.0])
+    save_states(psi_f, np.array([[1.0, 0.0, 0.0]], dtype=complex))
+    save_matrix(b_f, np.eye(3, dtype=complex))
+    argv = ["evolve", "--spectrum", str(spec_f), "--psi0", str(psi_f), "--B", str(b_f), f"--times={times}"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: --times needs finite t0 < t1, n >= 2 and finite phases E t up to |E| = 2.0" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_bounds_output_matches_module(tmp_path):
     inputs = dict(
         epsilon=0.1,
@@ -621,6 +636,7 @@ WIDE_LEVELS = [-1e308, -7e307, -4e307, -1e307, 1e307, 4e307, 7e307, 1e308]
     ],
     ids=["levels-spread", "arithmetic-spacing", "horizon", "concentration-time"],
 )
+@pytest.mark.filterwarnings("error")
 def test_run_refuses_levels_and_times_whose_phases_overflow(tmp_path, capsys, patch, message):
     """At D = 8 these configs ended in an empty reduction, a failed eigensolver or, at the concentration
     time, a NaN B(t) whose tail read 0; each is refused when the scenario is built, naming its field."""

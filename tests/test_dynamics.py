@@ -34,7 +34,6 @@ from gaplab.dynamics import (
     overlap_curve,
     phase_matrix_norm,
     phase_norm_cells,
-    phase_quadratic_forms,
     state_amplitudes,
     state_overlaps,
 )
@@ -178,11 +177,12 @@ def test_gap_coefficients_follow_gap_pairs():
     assert rows.shape == (3, gi.count)
     for S, row in zip(stack, rows):
         assert np.array_equal(row, S[~np.eye(cs.n_distinct, dtype=bool)])
-    positions = np.searchsorted(spec.values, cs.values)
-    i, j = positions[gi.pairs[:, 0]], positions[gi.pairs[:, 1]]
-    assert np.array_equal(gi.values, spec.values[i] - spec.values[j])
-    first, second = gi.sorted_pairs
-    assert np.array_equal(stack[:, first, second], rows[:, gi.order])
+    # the rows in gap order are the entries at the sorted flat positions, and the gaps are the full spectrum's
+    d = cs.n_distinct
+    assert np.array_equal(stack.reshape(3, d * d)[:, gi.positions], rows[:, np.argsort(gi.values, kind="stable")])
+    levels = spec.values[np.searchsorted(spec.values, cs.values)]
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    assert np.array_equal(gi.values, levels[i] - levels[j])
 
 
 def test_dephased_power_of_a_state_does_not_depend_on_its_stack():
@@ -196,7 +196,8 @@ def test_dephased_power_of_a_state_does_not_depend_on_its_stack():
         assert dephased_power(gaps, S[:n]).tolist() == stack[:n].tolist()
     assert [dephased_power(gaps, S[k : k + 1])[0] for k in range(5)] == stack.tolist()
     # the clusters' squared sums, as a plain sum of one state's coefficients would give them to rounding
-    sums = np.add.reduceat(gap_coefficients(S, gaps)[:, gaps.order], gaps.starts, axis=1)
+    order = np.argsort(gaps.values, kind="stable")
+    sums = np.add.reduceat(gap_coefficients(S, gaps)[:, order], gaps.starts, axis=1)
     assert stack == pytest.approx(np.sum(np.abs(sums) ** 2, axis=1), rel=1e-12)
 
 
@@ -244,13 +245,14 @@ def test_overlap_curve_matches_expectation_curve(values, multiplicities):
         assert np.abs(curve - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
 
 
-def test_phase_quadratic_forms_rows_independent_of_stacking():
+def test_dense_phase_forms_rows_independent_of_stacking():
     rng = derive_rng(506)
-    gaps = GapIndex(rng.standard_normal(5))
-    rows = rng.standard_normal((4, gaps.count)) + 1j * rng.standard_normal((4, gaps.count))
-    stacked = phase_quadratic_forms(gaps, rows, 3.0)
-    assert all(phase_quadratic_forms(gaps, rows[i : i + 1], 3.0)[0] == stacked[i] for i in range(4))
-    assert phase_quadratic_forms(GapIndex([1.0]), np.empty((4, 0)), 3.0).tolist() == [0.0] * 4
+    spec = simple_spectrum(np.sort(rng.standard_normal(5)))
+    forms = PhaseForms(spec, np.eye(5), 3.0, None)
+    S = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    stacked = forms.states(None, S)
+    assert all(forms.states(None, S[i : i + 1])[0] == stacked[i] for i in range(4))
+    assert PhaseForms(simple_spectrum([1.0]), np.eye(1), 3.0, None).states(None, S[:, :1, :1]).tolist() == [0.0] * 4
 
 
 def test_curve_variance_matches_time_grid_quadrature():
@@ -505,11 +507,9 @@ def test_rule_forms_match_the_dense_forms(multiplicities, eigenvalues):
     y, S_again = state_overlaps(cs, psis, Bt)
     assert y.tolist() == state_amplitudes(cs, psis).tolist() and S_again.tolist() == S.tolist()
     forms = ruled.states(y, S)
-    dense = phase_quadratic_forms(cs.gaps, rows, 8.0)
+    dense = PhaseForms(cs, Bt, 8.0, None).states(y, S)
     assert forms == pytest.approx(dense, rel=1e-12)
-    # the evaluator without a rule takes the dense forms, with their bits
-    assert PhaseForms(cs, Bt, 8.0, None).states(y, S).tolist() == dense.tolist()
-    # and so is the rule's: a state's form is its own curve's deviation, from B in the original basis
+    # a state's form is its own curve's deviation, from B in the original basis
     assert forms[0] == pytest.approx(expectation_curve_variance(spec, psis[0], B, 8.0), rel=1e-12)
     bound = route["error"] * np.sum(np.abs(rows) ** 2, axis=1)
     assert np.all(bound <= 1e-12 * dense)
@@ -537,7 +537,9 @@ def test_degenerate_levels_take_the_dense_forms_route():
 
 def test_gauss_rule_averages_over_the_horizon():
     gaps = GapIndex(np.linspace(0.0, 1.3, 12))
-    times, weights, n, error = gauss_rule(gaps, 5.0)
+    rule = gauss_rule(gaps, 5.0)
+    assert rule._fields == ("times", "weights", "nodes", "error")
+    times, weights, n, error = rule
     assert times.size == weights.size == n < gaps.count and 0.0 < error <= PHASE_NORM_ERROR
     assert error == gauss_phase_error(n, 1.3 * 5.0) * gaps.count
     assert np.all((times > 0.0) & (times < 5.0)) and weights.sum() == pytest.approx(1.0, rel=1e-15)

@@ -119,8 +119,7 @@ def test_only_linalg_writes_the_two_operand_einsum():
 
 #: The routines behind ``dynamics.PhaseForms``, which pick and evaluate a forms route.
 FORMS_INTERNALS = {
-    "gap_coefficients", "gap_phase_matrix", "gauss_rule", "kernel_nodes", "phase_quadratic_forms",
-    "state_amplitudes",
+    "gap_coefficients", "gap_phase_matrix", "gauss_rule", "kernel_nodes", "state_amplitudes",
 }
 
 

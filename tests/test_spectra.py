@@ -1,11 +1,15 @@
 """Gap statistics and the contributing set."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simple_spectrum
+from conftest import random_hermitian, random_state, simple_spectrum
+from gaplab.dynamics import block_overlap_matrix, dephased_power, eigenbasis_observable
+from gaplab.linalg import row_powers
 from gaplab.sampling import derive_rng
 from gaplab.scenarios import random_hamiltonian
 from gaplab.spectra import GapIndex, contributing_set, spectral_counts
@@ -46,12 +50,12 @@ def test_window_count_worked_example():
 
 def test_gap_index_pairs_and_clusters():
     gi = GapIndex([0.0, 1.0, 2.0])
-    assert gi.pairs.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
+    # the pairs (0, 2), (0, 1), (1, 2), (1, 0), (2, 1), (2, 0) at flat positions 3 i + j;
+    # stable: equal gaps keep row-major order
+    assert gi.positions.tolist() == [2, 1, 5, 3, 7, 6]
     assert gi.values.tolist() == [-1.0, -2.0, 1.0, -1.0, 2.0, 1.0]
-    assert gi.order.tolist() == [1, 0, 3, 2, 5, 4]  # stable: equal gaps keep pair order
     assert gi.starts.tolist() == [0, 1, 3, 5]
     assert gi.counts.tolist() == [1, 2, 2, 1]
-    assert gi.representatives.tolist() == [-2.0, -1.0, 1.0, 2.0]
     assert gi.tol == pytest.approx(2e-9)
     assert gi.max_degeneracy == 2
     assert gi.window_count(1.5) == 3
@@ -63,6 +67,88 @@ def test_gap_index_pairs_and_clusters():
         empty.window_count(0.0)
     with pytest.raises(ValueError):
         GapIndex([0.0, 1.0], gap_tol=-1.0)
+
+
+def pair_layout(eigenvalues, tol: float) -> dict:
+    """Brute-force oracle of a gap index as (i, j) pairs: row-major pairs from ``np.argwhere``, their gaps,
+    the stable sort order, and clusters chained within ``tol``, each with its mean gap."""
+    e = np.asarray(eigenvalues, dtype=float)
+    pairs = np.argwhere(~np.eye(e.size, dtype=bool))
+    values = np.array([e[i] - e[j] for i, j in pairs])
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = [k for k in range(ordered.size) if k == 0 or ordered[k] - ordered[k - 1] > tol]
+    counts = np.diff(starts + [ordered.size]).astype(int)
+    means = [ordered[a : a + c].mean() for a, c in zip(starts, counts)]
+    return {"pairs": pairs, "values": values, "order": order, "starts": starts, "counts": counts, "means": means}
+
+
+def oracle_window_count(layout: dict, kappa: float) -> int:
+    """Most gaps in clusters whose mean lies in [a, a + kappa), over the cluster means a."""
+    means, counts = np.array(layout["means"]), layout["counts"]
+    return max((int(counts[(means >= a) & (means < a + kappa)].sum()) for a in means), default=0)
+
+
+GAP_LAYOUT_CASES = {
+    "empty": ([], None),
+    "one-level": ([0.5], None),
+    "two-levels": ([-1.0, 2.0], None),
+    "arithmetic": (0.3 * np.arange(12.0), None),
+    "gaussian": (np.sort(derive_rng(206).standard_normal(15)), None),
+    "uneven-clustered": ([0.0, 1.0, 2.0, 4.0, 4.5, 7.0], 0.6),
+}
+
+
+@pytest.mark.parametrize("levels, gap_tol", GAP_LAYOUT_CASES.values(), ids=GAP_LAYOUT_CASES.keys())
+def test_gap_index_matches_the_pair_layout(levels, gap_tol):
+    gi = GapIndex(levels, gap_tol)
+    layout = pair_layout(levels, gi.tol)
+    d = len(levels)
+    flat = layout["pairs"][:, 0] * d + layout["pairs"][:, 1]
+    assert gi.count == d * (d - 1) == len(flat)
+    assert gi.positions.tolist() == flat[layout["order"]].tolist()
+    assert gi.values.tolist() == layout["values"].tolist()
+    assert gi.starts.tolist() == layout["starts"] and gi.counts.tolist() == layout["counts"].tolist()
+    assert gi.max_degeneracy == max(layout["counts"], default=0)
+    for kappa in (1e-12, 0.45, 1.05, 2.9, 1e3):
+        assert gi.window_count(kappa) == oracle_window_count(layout, kappa)
+
+
+@pytest.mark.parametrize(
+    "levels, multiplicities",
+    [("arithmetic", [2, 1, 3, 1, 2, 1]), ("gaussian", [1] * 7), ([0.0, 1.0, 2.0, 4.0], [3, 1, 1, 2]), ([1.5], [3])],
+    ids=["arithmetic-blocks", "gaussian", "uneven-blocks", "one-level"],
+)
+def test_dephased_power_matches_the_pair_layout(levels, multiplicities):
+    """The parent layout's gather S[:, i, j] in gap order, summed per cluster, gives the same bits."""
+    rng = derive_rng(207)
+    dim = sum(multiplicities)
+    spec = random_hamiltonian(dim, multiplicities, rng, eigenvalues=levels, spacing=0.4)
+    psis = np.array([random_state(dim, rng) for _ in range(3)])
+    S = block_overlap_matrix(spec, psis, eigenbasis_observable(spec, random_hermitian(dim, rng)))
+    gi = spec.gaps
+    layout = pair_layout(spec.values, gi.tol)
+    first, second = layout["pairs"][layout["order"]].T
+    power = dephased_power(gi, S)
+    if gi.count:
+        assert power.tolist() == row_powers(np.add.reduceat(S[:, first, second], layout["starts"], axis=1)).tolist()
+    sums = [[S[k, first[a : a + c], second[a : a + c]].sum() for a, c in zip(layout["starts"], layout["counts"])]
+            for k in range(3)]
+    assert power == pytest.approx(np.sum(np.abs(sums) ** 2, axis=1), rel=1e-12, abs=0.0)
+
+
+def test_a_gap_index_holds_sixteen_bytes_per_pair():
+    """At D = 512 with nearly all gaps distinct the index holds its sorted positions and cluster starts,
+    at most 8 B per pair each, and keeps nothing it derives where its counts are read."""
+    levels = np.sort(derive_rng(208).uniform(-1.0, 1.0, 512))
+    tracemalloc.start()
+    try:
+        gi = GapIndex(levels)
+        assert gi.window_count(0.1) > 0 and gi.max_degeneracy >= 1 and gi.values.size == gi.count
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * gi.count + 64 * 1024
 
 
 @pytest.mark.parametrize("gap_tol", [float("nan"), float("inf")])
