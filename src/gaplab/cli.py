@@ -10,6 +10,7 @@ error, also an input too large for the machine's memory.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
@@ -38,6 +39,14 @@ __all__ = ["main"]
 #: Points per horizon for the mixture curve CSV export.
 CSV_CURVE_POINTS = 1001
 
+#: glibc's ``mallopt`` parameters and the values :func:`keep_freed_memory_mapped` gives them: the mmap
+#: threshold at the ceiling of glibc's dynamic threshold on 64-bit hosts, the trim threshold twice that,
+#: as the dynamic rule sets it.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+
 def _emit(obj, out: str | None) -> None:
     text = jsonio.dumps_canonical(obj)
     if out:
@@ -56,6 +65,32 @@ def _parse_times(spec: str, top: float) -> np.ndarray:
     if not (np.isfinite([t0, t1, t1 - t0, top * max(-t0, t1)]).all() and t1 > t0 and n >= 2):
         raise ConfigError(f"--times needs finite t0 < t1, n >= 2 and finite phases E t up to |E| = {top!r}")
     return np.linspace(t0, t1, n)
+
+
+@functools.cache
+def keep_freed_memory_mapped() -> dict | None:
+    """Fix glibc's allocator so that freed arrays stay mapped for the next ones; once per process.
+
+    glibc serves each array of at least its mmap threshold with a fresh
+    mapping, unmapped again when freed, so every chunk, draw and Monte
+    Carlo array of that size faults its pages in afresh; and it returns
+    freed memory above its trim threshold at the top of the heap to the
+    system.  Its dynamic rule raises both, up to the mmap threshold's
+    ceiling, only as it sees large blocks freed.  Setting both at that
+    ceiling from the start keeps the blocks below it in the heap for the
+    next chunk, stage and scenario; forked lanes inherit the setting.
+    Returns ``{mmap_threshold, trim_threshold}`` in bytes, or None where
+    the C library has no ``mallopt`` or refuses the values (then nothing
+    is changed, or the mmap threshold alone).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library of the process's own, or no mallopt in it
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if not (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)):
+        return None
+    return {"mmap_threshold": MMAP_THRESHOLD, "trim_threshold": TRIM_THRESHOLD}
 
 
 def _check_count(flag: str, value: int, minimum: int) -> None:
@@ -183,7 +218,7 @@ def _cmd_run(args) -> int:
             jsonio.write_curve_csv(path, times, curve)
     if args.timings:
         with open(args.timings, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.dumps_canonical(report.timings))
+            fh.write(jsonio.dumps_canonical({**report.timings, "allocator": keep_freed_memory_mapped()}))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         flag = " (vacuous)" if check.vacuous else ""
@@ -253,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory_mapped()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "kappa", None) == []:

@@ -427,16 +427,26 @@ class PhaseForms:
         z_k = exp(-i E t_k) V* psi (see the module docstring).
         """
         if self.rule is None:
-            # c^H R c as the forms of the coefficient rows' conjugates, whose conjugate is c again, bit for bit
-            return np.maximum(quadratic_forms(gap_coefficients(S, self.cs.gaps).conj(), self.R).real, 0.0)
+            c = gap_coefficients(S, self.cs.gaps)
+            if len(c) == 1:
+                # a stack's coefficients come F-ordered, and einsum sums in the order of the strides: a lone
+                # row goes first in an F-ordered pair, so that it gets the bits it has in any stack
+                pair = np.zeros((2, c.shape[1]), dtype=complex, order="F")
+                pair[0] = c[0]
+                return self._dense(pair)[:1]
+            return self._dense(c)
         z = self.phases * amplitudes[:, None, :]
         g = ((z.conj() @ self.Bt) * z).sum(-1) - np.trace(S, axis1=1, axis2=2)[:, None]
         return ((g.real**2 + g.imag**2) * self.rule.weights).sum(-1)
 
+    def _dense(self, c: np.ndarray) -> np.ndarray:
+        """c^H R c of each row of ``c``, as the forms of the rows' conjugates, whose conjugate is c again, bit for bit."""
+        return np.maximum(quadratic_forms(c.conj(), self.R).real, 0.0)
+
     def mixture(self, W) -> float:
         """Form of the mixture's overlap matrix ``W`` on ``cs``: the average of |tr(B(t) rho) - tr W|^2."""
         if self.rule is None:
-            return float(self.states(None, W[None])[0])
+            return float(self._dense(gap_coefficients(W[None], self.cs.gaps))[0])
         deviation = overlap_curve(self.centred, W, self.rule.times) - complex(np.trace(W))
         return float(((deviation.real**2 + deviation.imag**2) * self.rule.weights).sum())
 

@@ -22,14 +22,15 @@ per-state results into one anonymous mapping shared with the parent.
 The children are forked only after every scenario quantity and phase
 form the chunks read is built, so each child inherits those values
 instead of building them again and losing them when it ends.  Every
-state draws from its own stream (seed, DOMAIN_STATES, state index): its
-state, then its uniform times, which are drawn only when a horizon is
-live.  The arithmetic on those draws runs once per chunk
-(``sample_gap_each``, ``state_overlaps`` over the stack, whose amplitudes
-V* psi the phase forms read too), and it gives each state the bits of a
-state taken alone: the rotation and V* psi are one matrix-vector product
-per state, the overlaps keep each state's products and summation order,
-and every per-state sum is taken the same way in a chunk of one state as
+state draws from its own stream (seed, DOMAIN_STATES, state index), whose
+generators a chunk derives in one hash (``derive_rngs``): its state, then
+its uniform times, which are drawn only when a horizon is live.  The
+arithmetic on those draws runs once per chunk (``sample_gap_each``,
+``state_overlaps`` over the stack, whose amplitudes V* psi the phase
+forms read too), and it gives each state the bits of a state taken
+alone: the rotation and V* psi are one matrix-vector product per state,
+the overlaps keep each state's products and summation order, and every
+per-state sum is taken the same way in a chunk of one state as
 in a wider one.  The concentration scaling check reads only each uniform
 mixture state's weight on its first half of the coordinates, which
 ``sample_gap_weights`` gives bit for bit as ``sample_gap_diagonal``'s
@@ -62,7 +63,7 @@ from .dynamics import (
 )
 from .linalg import quadratic_forms
 from .moments import gap_variance_bound, mc_variance
-from .sampling import derive_rng, sample_gap, sample_gap_each, sample_gap_weights, weight_block_rows
+from .sampling import derive_rng, derive_rngs, sample_gap, sample_gap_each, sample_gap_weights, weight_block_rows
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
 from .spectra import spectral_counts
 
@@ -333,7 +334,7 @@ def _ensemble(scn: Scenario, center: complex, deviation_bounds: list, vacuous: l
 
     def chunk(lo: int) -> None:
         hi = min(lo + size, n)
-        rngs = [derive_rng(config.seed, DOMAIN_STATES, i) for i in range(lo, hi)]
+        rngs = derive_rngs(config.seed, DOMAIN_STATES, lo, hi)
         psis = sample_gap_each(scn.rho, rngs)
         if live:
             # a state's times come after its state on its own stream, so skipping them moves no other draw

@@ -33,6 +33,8 @@ and the mixture index never selects them.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,7 @@ from .linalg import as_complex_matrix, hermitian_eigendecomposition, row_powers
 __all__ = [
     "DensityMatrix",
     "derive_rng",
+    "derive_rngs",
     "sample_gaussian",
     "sample_gap",
     "sample_gap_each",
@@ -64,6 +67,12 @@ MIN_ORACLE_BATCH = 1000
 #: Bytes of one block of complex coordinate rows in ``sample_gap_weights``:
 #: small enough to stay in a core's cache.
 WEIGHT_BLOCK_BYTES = 256 * 1024
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx), for derive_rngs.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def _checked_probabilities(probabilities) -> np.ndarray:
@@ -144,6 +153,113 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     draws do not depend on how the states are batched.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+
+
+def _uint32_words(n: int) -> list:
+    """The 32-bit words of the integer ``n`` >= 0, least significant first, at least one, as SeedSequence splits it."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"stream seeds and indices must be nonnegative, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_steps(const: int, mult: int, count: int) -> tuple[list, list]:
+    """The constants (xor, times) of ``count`` successive hash steps from hash constant ``const``."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(value, xor, times):
+    """SeedSequence's ``hashmix`` of 32-bit words, Python ints or uint32 arrays, with its constants."""
+    value = (value ^ xor) * times & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two 32-bit words, Python ints or uint32 arrays."""
+    value = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+#: The constants (xor, times) of the eight hash steps of ``SeedSequence.generate_state(4, uint64)``.
+_GENERATE_STEPS = tuple(np.array(c, dtype=np.uint32) for c in _hash_steps(_INIT_B, _MULT_B, 8))
+
+
+@functools.cache
+def _stream_words() -> type:
+    """The seed sequence type that hands ``PCG64`` the four 64-bit words a ``SeedSequence`` would generate for it.
+
+    Made on first use: its base class loads ``numpy.random``, which
+    importing the sampler leaves to the first draw.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # only PCG64's constructor calls this, for its 128-bit state and increment
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return StreamWords
+
+
+def derive_rngs(seed: int, domain: int, lo: int, hi: int) -> list:
+    """The generators ``[derive_rng(seed, domain, i) for i in range(lo, hi)]``, state for state, hashed at once.
+
+    ``SeedSequence(seed, spawn_key=(domain, i))`` hashes its entropy words
+    (the seed's, padded with zeros to its pool of four, then the domain's,
+    then the index's) into the pool, and the pool into the four 64-bit
+    words that seed ``PCG64``.  Only the index words differ between the
+    streams, and they come last; every hash constant is the same for all.
+    So the words up to the index are hashed once, as Python ints, and the
+    index words of the range are mixed in and the state words generated as
+    uint32 vector operations over all of it.  Each ``PCG64`` is then
+    seeded from its four words, so its ``seed_seq`` holds only them.  An
+    index of 2**32 or more is two words, so the range is hashed in parts
+    of one word count; indices must be below 2**64.
+    """
+    if hi > 2**64:
+        raise ValueError(f"stream indices must be below 2**64, got {hi - 1}")
+    words = _uint32_words(seed)
+    words += [0] * (4 - len(words)) + _uint32_words(domain)
+    # mix_entropy: the pool from the first four words, mixed together, then each further word mixed in
+    xor, times = _hash_steps(_INIT_A, _MULT_A, 4 * len(words) + 8)  # and up to two index words
+    pool = [_hashmix(w, x, t) for w, x, t in zip(words[:4], xor, times)]
+    step = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], times[step]))
+                step += 1
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, xor[step], times[step]))
+            step += 1
+    # the four pool words take each index word with four successive constants, each on its own
+    xor, times = (np.array(c[step:], dtype=np.uint32).reshape(2, 4) for c in (xor, times))
+    seed_words, rngs = _stream_words(), []
+    while lo < hi:
+        width = len(_uint32_words(lo))
+        top = min(hi, 1 << 32 * width)
+        index = np.arange(lo, top, dtype=np.uint64)[:, None]
+        mixed = np.array(pool, dtype=np.uint32)
+        for k in range(width):
+            mixed = _mix(mixed, _hashmix((index >> 32 * k & _MASK32).astype(np.uint32), xor[k], times[k]))
+        # generate_state(4, uint64): eight uint32 words from pool words 0-3 twice, read as little-endian pairs
+        state = _hashmix(np.tile(mixed, 2), *_GENERATE_STEPS).astype("<u4").view("<u8").astype(np.uint64)
+        rngs.extend(np.random.Generator(np.random.PCG64(seed_words(row))) for row in state)
+        lo = top
+    return rngs
 
 
 def sample_gaussian(rho: DensityMatrix, rng: np.random.Generator, size=None) -> np.ndarray:

@@ -160,17 +160,19 @@ class GapIndex:
         """Size of the largest gap cluster (0 without gaps)."""
         return int(self.counts.max(initial=0))
 
-    def window_count(self, kappa: float) -> int:
-        """Maximal number of gaps in a half-open window of width kappa.
+    def window_counts(self, kappas) -> list:
+        """Maximal number of gaps in a half-open window of each width in ``kappas``.
 
         Windows are anchored at the clusters' mean gaps; the window
         [a, a + kappa) includes its left edge only, so it holds at least
-        its anchor cluster, also where a + kappa rounds to a.
+        its anchor cluster, also where a + kappa rounds to a.  The sorted
+        gaps and the cluster means are built once for all widths.
         """
-        if not kappa > 0:
-            raise ValueError(f"kappa must be positive, got {kappa!r}")
+        for kappa in kappas:
+            if not kappa > 0:
+                raise ValueError(f"kappa must be positive, got {kappa!r}")
         if self.count == 0:
-            return 0
+            return [0] * len(kappas)
         e = self.eigenvalues
         first, second = np.divmod(self.positions, e.size)
         gaps = e[first]  # the sorted gaps, by the subtraction that sorted them
@@ -179,8 +181,12 @@ class GapIndex:
         bounds = np.append(self.starts, self.count)  # cluster k holds the sorted gaps bounds[k]:bounds[k + 1]
         reps = np.add.reduceat(gaps, self.starts) / np.diff(bounds)
         del gaps
-        hi = np.maximum(np.searchsorted(reps, reps + kappa, side="left"), np.arange(1, reps.size + 1))
-        return int((bounds[hi] - self.starts).max())
+        least = np.arange(1, reps.size + 1)  # the window at cluster k holds it, whatever kappa
+        counts = []
+        for kappa in kappas:
+            hi = np.maximum(np.searchsorted(reps, reps + kappa, side="left"), least)
+            counts.append(int((bounds[hi] - self.starts).max()))
+        return counts
 
 
 def contributing_set(spec: SpectralDecomposition, B) -> SpectralDecomposition:
@@ -228,5 +234,5 @@ def spectral_counts(spec: SpectralDecomposition, kappas, gaps: GapIndex | None =
         "n_distinct": spec.n_distinct,
         "max_degeneracy": int(spec.multiplicities.max(initial=0)),
         "max_gap_degeneracy": gaps.max_degeneracy,
-        "window_counts": {str(k): gaps.window_count(k) for k in kappas},
+        "window_counts": dict(zip(map(str, kappas), gaps.window_counts(kappas))),
     }

@@ -190,7 +190,7 @@ def test_c06_phase_norm_window_bound():
         for T in horizons:
             norm = operator_norm(gap_phase_matrix(gaps, T))
             for kappa in kappas:
-                bound = spec.gaps.window_count(kappa) * (1.0 + 8.0 * math.log2(d) / (kappa * T))
+                bound = spec.gaps.window_counts([kappa])[0] * (1.0 + 8.0 * math.log2(d) / (kappa * T))
                 assert norm <= bound * (1.0 + 1e-9)
                 worst_ratio = max(worst_ratio, norm / bound)
                 cells += 1

@@ -760,12 +760,37 @@ def test_run_timings_split_the_concentration_checks(tmp_path):
     assert cli.main(["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]) == 0
     timings = json.loads(t_f.read_text())
     assert set(timings) == {
-        "build", "concentration_tail", "concentration_scaling", "scaling_blocks", "total", "peak_rss_mb", "minor_faults"
+        "build", "concentration_tail", "concentration_scaling", "scaling_blocks", "total", "peak_rss_mb", "minor_faults",
+        "allocator",
     }
+    # the allocator setting of the process, which the library's own timings do not carry
+    assert timings["allocator"] == cli.keep_freed_memory_mapped()
     assert timings["concentration_tail"] > 0.0 and timings["concentration_scaling"] > 0.0
     # 256 KiB of complex rows: all 300 states at d = 4, 8 rows at d = 2048
     assert timings["scaling_blocks"] == [{"dim": 4, "rows": 300}, {"dim": 2048, "rows": 8}]
     assert "scaling_blocks" not in out.read_text() and "timings" not in out.read_text()
+
+
+def test_the_allocator_keeps_freed_memory_mapped_for_the_next_run(tmp_path):
+    """Freed chunk, draw and Monte Carlo arrays stay in the heap, so a second run of the D = 32 ladder config
+    faults in almost no new pages; with glibc's dynamic thresholds it faults in about 5,000."""
+    setting = cli.keep_freed_memory_mapped()
+    if setting is None:
+        pytest.skip("the C library has no mallopt, or refuses the thresholds")
+    resource = pytest.importorskip("resource")
+    assert setting == {"mmap_threshold": 32 * 2**20, "trim_threshold": 64 * 2**20}
+    config = tmp_path / "d32.json"
+    config.write_text(json.dumps({
+        "schema": "gaplab-scenario/1", "dimension": 32, "seed": 11, "hamiltonian": {"kind": "random"},
+        "rho": {"kind": "random"}, "observable": {"kind": "random_projector", "rank": 16},
+        "mc": {"n_states": 200, "n_times": 64}, "horizons": [8.0], "kappas": [0.5, 1.5], "epsilon": 0.1,
+        "delta": 0.1, "checks": ["spectral", "variance", "moments", "equilibration", "concentration"],
+    }))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def write_ensemble_config(tmp_path, n_states=600):
@@ -804,7 +829,7 @@ def test_run_timings_record_the_ensemble_lanes(tmp_path, monkeypatch):
     claimed = lanes.pop("claimed")
     assert len(claimed) == 2 and sum(claimed) == 5 and min(claimed) >= 0
     assert lanes == {"lanes": 2, "chunk_states": 128, "chunks": 5, "state_bytes": lanes["state_bytes"]}
-    for key in ("ensemble", "peak_rss_mb", "minor_faults", "claimed"):
+    for key in ("ensemble", "peak_rss_mb", "minor_faults", "claimed", "allocator"):
         assert key not in out.read_text()
     assert cli.main(argv) == 0
     assert json.loads(t_f.read_text())["ensemble"] == {

@@ -37,7 +37,7 @@ from gaplab.dynamics import (
     state_amplitudes,
     state_overlaps,
 )
-from gaplab.linalg import operator_norm
+from gaplab.linalg import operator_norm, quadratic_forms
 from gaplab.sampling import derive_rng
 from gaplab.scenarios import macro_decomposition, random_density, random_hamiltonian, random_projector
 from gaplab.spectra import GapIndex, SpectralDecomposition, contributing_set, spectral_counts
@@ -253,6 +253,23 @@ def test_dense_phase_forms_rows_independent_of_stacking():
     stacked = forms.states(None, S)
     assert all(forms.states(None, S[i : i + 1])[0] == stacked[i] for i in range(4))
     assert PhaseForms(simple_spectrum([1.0]), np.eye(1), 3.0, None).states(None, S[:, :1, :1]).tolist() == [0.0] * 4
+
+
+def test_dense_phase_forms_of_a_lone_state_keep_its_bits_in_a_stack():
+    """At d = 48 (P = 2256) the coefficients of a stack come F-ordered, on which ``einsum`` sums in another
+    order than over a lone C-ordered row; a one-state chunk must still give each state its stacked bits."""
+    rng = derive_rng(531, 48)
+    spec = random_hamiltonian(48, [1] * 48, rng)
+    B = random_projector(48, 24, rng)
+    Bt = eigenbasis_observable(spec, B)
+    S = block_overlap_matrix(spec, np.array([random_state(48, rng) for _ in range(12)]), Bt)
+    forms = PhaseForms(spec, Bt, 8.0, None)
+    assert forms.record["route"] == "dense" and forms.record["pairs"] == 2256
+    stacked = forms.states(None, S)
+    assert [forms.states(None, S[k : k + 1])[0] for k in range(12)] == stacked.tolist()
+    # the mixture's form is a lone row, summed as one
+    assert forms.mixture(S[0]) == float(np.maximum(quadratic_forms(gap_coefficients(S[:1], spec.gaps).conj(),
+                                                                   forms.R).real, 0.0)[0])
 
 
 def test_curve_variance_matches_time_grid_quadrature():

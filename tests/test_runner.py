@@ -485,8 +485,8 @@ def test_states_draw_no_times_when_every_horizon_is_vacuous(monkeypatch):
                 time_rows.append(kwargs["out"].size)
             return self.rng.random(*args, **kwargs)
 
-    derive_rng = runner.derive_rng
-    monkeypatch.setattr(runner, "derive_rng", lambda *path: Recording(derive_rng(*path)))
+    derive_rngs = runner.derive_rngs
+    monkeypatch.setattr(runner, "derive_rngs", lambda *args: [Recording(rng) for rng in derive_rngs(*args)])
     vacuous = make_config(horizons=[2.0, 8.0], mc={"n_states": 20, "n_times": 16},
                           checks=["moments", "equilibration"], concentration=None)
     assert record_by_name(run_scenario(vacuous), "finite_time_exceedance").vacuous
@@ -614,7 +614,7 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
     the contributing set's counts where that set is the spectrum."""
     # a forked lane that built a quantity again would add to these counts too
     calls = SharedCounts(["contributing_set", "gap_phase_matrix", "gauss_rule", "operator_norm", "GapIndex",
-                          "eigenbasis_observable", "spectral_counts", "mixture_block_overlap", "window_count"])
+                          "eigenbasis_observable", "spectral_counts", "mixture_block_overlap", "window_counts"])
 
     def count(name, home):
         original = getattr(sys.modules[home], name)
@@ -630,7 +630,7 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
     count("spectral_counts", "gaplab.spectra")
     count("mixture_block_overlap", "gaplab.dynamics")
     monkeypatch.setattr(GapIndex, "__init__", calls.wrap("GapIndex", GapIndex.__init__))
-    monkeypatch.setattr(GapIndex, "window_count", calls.wrap("window_count", GapIndex.window_count))
+    monkeypatch.setattr(GapIndex, "window_counts", calls.wrap("window_counts", GapIndex.window_counts))
     with_cores(monkeypatch, 2)
     grids = (([4.0, 8.0], [0.5, 1.5]), ([2.0, 4.0, 8.0], [0.5, 1.0, 1.5, 3.0]))
     cases = (({"kind": "random_projector"}, 1), ({"kind": "macro_projector"}, 2))
@@ -657,8 +657,9 @@ def test_scenario_quantities_are_computed_once(monkeypatch):
         assert calls["gap_phase_matrix"] <= 2 * len(config.horizons)
         # one rule per horizon, which the phase norm and the moments forms share
         assert calls["gauss_rule"] == len(config.horizons)
-        # one index for each set of eigenvalues, and its window counts once, which every (kappa, T) cell reads
+        # one index for each set of eigenvalues, and its window counts of every kappa at once, which every
+        # (kappa, T) cell reads
         assert calls["GapIndex"] == sets
-        assert calls["window_count"] == sets * len(config.kappas)
+        assert calls["window_counts"] == sets
         # |B| only: the phase-matrix norm is an eigenvalue, not a singular value
         assert calls["operator_norm"] == 1

@@ -9,6 +9,7 @@ from gaplab import sampling
 from gaplab.sampling import (
     DensityMatrix,
     derive_rng,
+    derive_rngs,
     empirical_density_matrix,
     sample_gap,
     sample_gap_diagonal,
@@ -94,6 +95,26 @@ def test_stream_determinism_and_independence():
     c = sample_gap(rho, derive_rng(308, 0, 5), size=8)
     assert np.array_equal(a, b)
     assert np.abs(a - c).max() > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**130 + 5], ids=["0", "2^32-1", "2^32", "2^130+5"])
+@pytest.mark.parametrize("domain", [0, 5])
+@pytest.mark.parametrize("lo, hi", [(0, 40), (7, 7), (2**32 - 3, 2**32 + 2)], ids=["first-40", "empty", "across-2^32"])
+def test_derive_rngs_are_the_streams_of_derive_rng(seed, domain, lo, hi):
+    """One hash over an index range gives each index the generator ``SeedSequence`` gives it alone: a seed of
+    more than four words, and an index of 2**32 or more, which is two words, included."""
+    rngs = derive_rngs(seed, domain, lo, hi)
+    alone = [derive_rng(seed, domain, i) for i in range(lo, hi)]
+    assert len(rngs) == hi - lo
+    assert [r.bit_generator.state for r in rngs] == [a.bit_generator.state for a in alone]
+    assert all(np.array_equal(r.random(4), a.random(4)) for r, a in zip(rngs, alone))
+
+
+def test_derive_rngs_refuse_what_seed_sequence_cannot_take_as_words():
+    with pytest.raises(ValueError, match="nonnegative"):
+        derive_rngs(-1, 0, 0, 3)
+    with pytest.raises(ValueError, match="below 2"):
+        derive_rngs(0, 0, 2**64 - 1, 2**64 + 1)
 
 
 def _bits(states: np.ndarray) -> np.ndarray:

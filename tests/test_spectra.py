@@ -41,8 +41,8 @@ def test_stats_with_multiplicities():
 def test_window_count_worked_example():
     spec = simple_spectrum([0.0, 1.0, 2.0])
     # Window [1, 2.5) captures the two +1 gaps and the +2 gap.
-    assert spec.gaps.window_count(1.5) == 3
-    assert spec.gaps.window_count(0.5) == 2
+    assert spec.gaps.window_counts([1.5])[0] == 3
+    assert spec.gaps.window_counts([0.5])[0] == 2
     assert spectral_counts(spec, [1.5, 0.5])["window_counts"] == {"1.5": 3, "0.5": 2}
     # a gap index at another tolerance replaces the spectrum's own
     assert spectral_counts(spec, [0.5], GapIndex(spec.values, 1.5))["window_counts"] == {"0.5": 3}
@@ -58,13 +58,13 @@ def test_gap_index_pairs_and_clusters():
     assert gi.counts.tolist() == [1, 2, 2, 1]
     assert gi.tol == pytest.approx(2e-9)
     assert gi.max_degeneracy == 2
-    assert gi.window_count(1.5) == 3
+    assert gi.window_counts([1.5])[0] == 3
     coarse = GapIndex(gi.eigenvalues, 1.5)
     assert coarse.counts.tolist() == [3, 3] and coarse.max_degeneracy == 3
     empty = GapIndex([4.0])
-    assert (empty.count, empty.max_degeneracy, empty.window_count(1.0)) == (0, 0, 0)
+    assert (empty.count, empty.max_degeneracy, empty.window_counts([1.0, 2.0])) == (0, 0, [0, 0])
     with pytest.raises(ValueError):
-        empty.window_count(0.0)
+        empty.window_counts([1.0, 0.0])
     with pytest.raises(ValueError):
         GapIndex([0.0, 1.0], gap_tol=-1.0)
 
@@ -110,8 +110,27 @@ def test_gap_index_matches_the_pair_layout(levels, gap_tol):
     assert gi.values.tolist() == layout["values"].tolist()
     assert gi.starts.tolist() == layout["starts"] and gi.counts.tolist() == layout["counts"].tolist()
     assert gi.max_degeneracy == max(layout["counts"], default=0)
-    for kappa in (1e-12, 0.45, 1.05, 2.9, 1e3):
-        assert gi.window_count(kappa) == oracle_window_count(layout, kappa)
+    kappas = (1e-12, 0.45, 1.05, 2.9, 1e3)
+    assert gi.window_counts(kappas) == [oracle_window_count(layout, kappa) for kappa in kappas]
+
+
+@pytest.mark.parametrize(
+    "levels, gap_tol",
+    [(0.3 * np.arange(12.0), None), (np.sort(derive_rng(209).standard_normal(15)), None),
+     (np.sort(derive_rng(210).standard_normal(15)), 0.4)],
+    ids=["arithmetic", "gaussian", "coarse-tolerance"],
+)
+def test_window_counts_of_all_widths_are_the_counts_of_each(levels, gap_tol):
+    """The cluster means are built once for all widths, and each width gets the count it gets alone."""
+    gi = GapIndex(levels, gap_tol)
+    layout = pair_layout(levels, gi.tol)
+    kappas = [1e-300, 0.05, 0.3, 0.45, 1.0, 2.9, 1e3]
+    counts = gi.window_counts(kappas)
+    assert counts == [gi.window_counts([kappa])[0] for kappa in kappas]
+    # a width below the float spacing holds the anchor cluster alone, where the oracle's window is empty
+    assert counts[0] == gi.max_degeneracy
+    assert counts[1:] == [oracle_window_count(layout, kappa) for kappa in kappas[1:]]
+    assert spectral_counts(simple_spectrum(levels), kappas, gi)["window_counts"] == dict(zip(map(str, kappas), counts))
 
 
 @pytest.mark.parametrize(
@@ -144,7 +163,7 @@ def test_a_gap_index_holds_sixteen_bytes_per_pair():
     tracemalloc.start()
     try:
         gi = GapIndex(levels)
-        assert gi.window_count(0.1) > 0 and gi.max_degeneracy >= 1 and gi.values.size == gi.count
+        assert gi.window_counts([0.1])[0] > 0 and gi.max_degeneracy >= 1 and gi.values.size == gi.count
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -160,7 +179,7 @@ def test_gap_index_refuses_a_non_finite_tolerance(gap_tol):
 @pytest.mark.parametrize("kappa", [float("nan"), 0.0, -1.0])
 def test_window_count_refuses_a_nan_or_nonpositive_width(kappa):
     with pytest.raises(ValueError, match="kappa"):
-        GapIndex([0.0, 1.0, 2.0]).window_count(kappa)
+        GapIndex([0.0, 1.0, 2.0]).window_counts([1.0, kappa])
 
 
 def test_window_count_limits_and_monotonicity():
@@ -170,7 +189,7 @@ def test_window_count_limits_and_monotonicity():
         spec = simple_spectrum(np.sort(rng.standard_normal(d)) * 3.0)
         gaps = spec.gaps
         diameter = spec.values[-1] - spec.values[0]
-        counts = [gaps.window_count(k) for k in np.linspace(1e-9, 2.2 * diameter, 12)]
+        counts = gaps.window_counts(np.linspace(1e-9, 2.2 * diameter, 12))
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert counts[0] == gaps.max_degeneracy
         assert counts[-1] == d * (d - 1)
@@ -182,10 +201,10 @@ def test_a_window_below_the_float_spacing_holds_its_anchor_cluster():
     gi = GapIndex([0.0, 1.0, 2.5, 4.0])
     assert gi.max_degeneracy == 2
     # 4 + 1e-17 == 4 and 1.5 + 1e-300 == 1.5, yet [a, a + kappa) still holds the cluster at a
-    assert [gi.window_count(k) for k in (1e-300, 1e-17, 1e-15, 0.4)] == [2, 2, 2, 2]
+    assert gi.window_counts([1e-300, 1e-17, 1e-15, 0.4]) == [2, 2, 2, 2]
     # every representative of a spacing of 1e300 swallows kappa = 1
     huge = GapIndex(1e300 * np.arange(4.0))
-    assert huge.window_count(1.0) == huge.max_degeneracy == 3
+    assert huge.window_counts([1.0])[0] == huge.max_degeneracy == 3
 
 
 def test_contributing_single_projector():
@@ -194,7 +213,7 @@ def test_contributing_single_projector():
     cs = contributing_set(spec, P0)
     assert cs.n_distinct == 1
     assert cs.values.tolist() == [1.0]
-    assert cs.gaps.window_count(1.0) == 0
+    assert cs.gaps.window_counts([1.0])[0] == 0
     assert np.array_equal(cs.blocks[0], spec.blocks[1]) and cs.dim == 3
     # a column gather alone would be Fortran-ordered, and the products on it would round otherwise
     assert cs.basis_matrix.flags.c_contiguous
@@ -263,4 +282,4 @@ def test_contributing_set_refuses_an_observable_whose_frobenius_norm_overflows()
 def test_window_count_monotone_property(values, k1, k2):
     spec = simple_spectrum(sorted(values))
     lo, hi = sorted((k1, k2))
-    assert spec.gaps.window_count(lo) <= spec.gaps.window_count(hi)
+    assert spec.gaps.window_counts([lo])[0] <= spec.gaps.window_counts([hi])[0]
