@@ -69,7 +69,12 @@ __all__ = [
     "gap_variance_exact",
     "gap_variance_bound",
     "mc_variance",
+    "P_MAX_LIMIT",
 ]
+
+#: Largest p_max the variance bound takes: 1/4, where every denominator
+#: 1 - j p_max of the bound is still positive, and rounding room above it.
+P_MAX_LIMIT = 0.25 + 1e-15
 
 #: Absolute quadrature tolerance for the K-integrals.
 QUAD_ABS_TOL = 1e-10
@@ -335,7 +340,7 @@ def gap_variance_bound(rho: DensityMatrix, A) -> VarianceReport:
         raise ValueError("dimension must be at least 4")
     if np.any(p <= 0.0):
         raise ValueError("all probabilities must be strictly positive")
-    if q > 0.25 + 1e-15:
+    if q > P_MAX_LIMIT:
         raise ValueError(f"p_max = {q!r} exceeds 1/4")
     At = change_basis(A, rho.basis, "observable")
     P = p[:, None] ** np.arange(1, 4)

@@ -65,7 +65,6 @@ from .linalg import quadratic_forms
 from .moments import gap_variance_bound, mc_variance
 from .sampling import derive_rng, derive_rngs, sample_gap, sample_gap_each, sample_gap_weights, weight_block_rows
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
-from .spectra import spectral_counts
 
 __all__ = [
     "CheckRecord",
@@ -169,10 +168,8 @@ def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
 
 
 def _spectral_section(scn: Scenario) -> dict:
-    # where every level couples, the spectrum's counts are the contributing set's, already taken
-    counts = scn.contributing_counts if scn.contributing is scn.spec else spectral_counts(scn.spec, scn.config.kappas)
     return {
-        **counts,
+        **scn.spectrum_counts,
         "diameter": scn.spec.diameter,
         "norm_b": scn.norm_b,
         "norm_rho": scn.rho.p_max,

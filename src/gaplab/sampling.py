@@ -155,24 +155,12 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
-def _uint32_words(n: int) -> list:
-    """The 32-bit words of the integer ``n`` >= 0, least significant first, at least one, as SeedSequence splits it."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"stream seeds and indices must be nonnegative, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_steps(const: int, mult: int, count: int) -> tuple[list, list]:
-    """The constants (xor, times) of ``count`` successive hash steps from hash constant ``const``."""
-    consts = [const]
+def _hash_steps(const: int, mult: int, count: int) -> tuple:
+    """The constants (xor, times) of ``count`` successive hash steps from hash constant ``const``, as uint32 arrays."""
+    consts = [const & _MASK32]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return consts[:-1], consts[1:]
+    return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
 
 
 def _hashmix(value, xor, times):
@@ -188,7 +176,7 @@ def _mix(x, y):
 
 
 #: The constants (xor, times) of the eight hash steps of ``SeedSequence.generate_state(4, uint64)``.
-_GENERATE_STEPS = tuple(np.array(c, dtype=np.uint32) for c in _hash_steps(_INIT_B, _MULT_B, 8))
+_GENERATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)
 
 
 @functools.cache
@@ -218,48 +206,33 @@ def derive_rngs(seed: int, domain: int, lo: int, hi: int) -> list:
 
     ``SeedSequence(seed, spawn_key=(domain, i))`` hashes its entropy words
     (the seed's, padded with zeros to its pool of four, then the domain's,
-    then the index's) into the pool, and the pool into the four 64-bit
-    words that seed ``PCG64``.  Only the index words differ between the
-    streams, and they come last; every hash constant is the same for all.
-    So the words up to the index are hashed once, as Python ints, and the
-    index words of the range are mixed in and the state words generated as
-    uint32 vector operations over all of it.  Each ``PCG64`` is then
-    seeded from its four words, so its ``seed_seq`` holds only them.  An
-    index of 2**32 or more is two words, so the range is hashed in parts
-    of one word count; indices must be below 2**64.
+    then the index's) into the pool, four hash steps a word, and the pool
+    into the four 64-bit words that seed ``PCG64``.  Only the index word
+    differs between the streams, and it comes last; every hash constant is
+    the same for all.  So numpy hashes the words up to the index once, into
+    the pool of ``SeedSequence(seed, spawn_key=(domain,))``, and the index
+    word of each stream is mixed in and the state words generated as
+    uint32 vector operations over the range.  Each ``PCG64`` is then
+    seeded from its four words, so its ``seed_seq`` holds only them.
+    Indices must be below 2**32, one word each.
     """
-    if hi > 2**64:
-        raise ValueError(f"stream indices must be below 2**64, got {hi - 1}")
-    words = _uint32_words(seed)
-    words += [0] * (4 - len(words)) + _uint32_words(domain)
-    # mix_entropy: the pool from the first four words, mixed together, then each further word mixed in
-    xor, times = _hash_steps(_INIT_A, _MULT_A, 4 * len(words) + 8)  # and up to two index words
-    pool = [_hashmix(w, x, t) for w, x, t in zip(words[:4], xor, times)]
-    step = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], times[step]))
-                step += 1
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, xor[step], times[step]))
-            step += 1
-    # the four pool words take each index word with four successive constants, each on its own
-    xor, times = (np.array(c[step:], dtype=np.uint32).reshape(2, 4) for c in (xor, times))
-    seed_words, rngs = _stream_words(), []
-    while lo < hi:
-        width = len(_uint32_words(lo))
-        top = min(hi, 1 << 32 * width)
-        index = np.arange(lo, top, dtype=np.uint64)[:, None]
-        mixed = np.array(pool, dtype=np.uint32)
-        for k in range(width):
-            mixed = _mix(mixed, _hashmix((index >> 32 * k & _MASK32).astype(np.uint32), xor[k], times[k]))
-        # generate_state(4, uint64): eight uint32 words from pool words 0-3 twice, read as little-endian pairs
-        state = _hashmix(np.tile(mixed, 2), *_GENERATE_STEPS).astype("<u4").view("<u8").astype(np.uint64)
-        rngs.extend(np.random.Generator(np.random.PCG64(seed_words(row))) for row in state)
-        lo = top
-    return rngs
+    seed, domain, lo, hi = map(operator.index, (seed, domain, lo, hi))
+    for name, value in (("seed", seed), ("domain", domain), ("index", lo)):
+        if value < 0:
+            raise ValueError(f"stream {name} must be nonnegative, got {value}")
+    if hi > 2**32:
+        raise ValueError(f"stream indices must be below 2**32, got {hi - 1}")
+    pool = np.random.SeedSequence(seed, spawn_key=(domain,)).pool
+    # the hash steps taken so far: four per word of the seed, padded to four words, and of the domain
+    step = 4 * (max(4, (seed.bit_length() + 31) // 32) + max(1, (domain.bit_length() + 31) // 32))
+    # the four pool words take the index word with the next four constants, each on its own
+    xor, times = _hash_steps(_INIT_A * pow(_MULT_A, step, 2**32), _MULT_A, 4)
+    index = np.arange(lo, hi, dtype=np.uint32)[:, None]
+    mixed = _mix(pool, _hashmix(index, xor, times))
+    # generate_state(4, uint64): eight uint32 words from pool words 0-3 twice, read as little-endian pairs
+    state = _hashmix(np.tile(mixed, 2), *_GENERATE_STEPS).astype("<u4").view("<u8").astype(np.uint64)
+    seed_words = _stream_words()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in state]
 
 
 def sample_gaussian(rho: DensityMatrix, rng: np.random.Generator, size=None) -> np.ndarray:

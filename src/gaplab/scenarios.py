@@ -20,6 +20,7 @@ import numpy as np
 
 from .dynamics import eigenbasis_observable, gauss_rule, mixture_block_overlap
 from .linalg import as_complex_matrix, operator_norm
+from .moments import P_MAX_LIMIT
 from .sampling import DensityMatrix, derive_rng
 from .spectra import SpectralDecomposition, contributing_set, spectral_counts
 from . import jsonio
@@ -281,7 +282,7 @@ FIELDS = (
     ("observable.path", str, None, None, None),
     ("macro.dims", [int], 1, math.inf, None),
     ("macro.labels", [str], None, None, None),
-    ("mc.n_states", int, 2, math.inf, 200),
+    ("mc.n_states", int, 2, 2**32, 200),
     ("mc.n_times", int, 1, math.inf, 256),
     ("horizons", [float], 0.0, math.inf, [10.0]),
     ("kappas", [float], 0.0, math.inf, [1.0]),
@@ -337,7 +338,7 @@ def _describe(kind, low, high, many: bool = False) -> str:
     if kind is str:
         return "nonempty strings" if many else "a nonempty string"
     ops = (">=", "<=") if kind is int else (">", "<")
-    limits = [f"{op} {x:g}" for op, x in zip(ops, (low, high)) if math.isfinite(x)]
+    limits = [f"{op} {x if kind is int else format(x, 'g')}" for op, x in zip(ops, (low, high)) if math.isfinite(x)]
     if kind is int:
         what = "integers" if many else "an integer"
     else:
@@ -439,7 +440,8 @@ class Scenario:
     ``norm_b`` is the observable's operator norm, taken when it is built.
     The other quantities that depend on the scenario alone are computed on
     first use and kept, so every check shares one copy.  Where every level
-    couples, ``contributing`` is ``spec``, and the spectrum's V* B V and W are the contributing ones.
+    couples, ``contributing`` is ``spec``, and the spectrum's V* B V, W and
+    counts are the contributing ones.
     """
 
     config: ScenarioConfig
@@ -472,6 +474,13 @@ class Scenario:
         if self.contributing is self.spec:
             return self.mixture_overlap
         return mixture_block_overlap(self.spec, self.rho, self.spectrum_observable)
+
+    @cached_property
+    def spectrum_counts(self) -> dict:
+        """The ``spectral_counts`` of the full spectrum at the config's kappas, for the report's spectral section."""
+        if self.contributing is self.spec:
+            return self.contributing_counts
+        return spectral_counts(self.spec, self.config.kappas)
 
     @cached_property
     def contributing_counts(self) -> dict:
@@ -587,7 +596,7 @@ def build_scenario(config: ScenarioConfig, base_dir: str = ".") -> Scenario:
     if B.shape[0] != config.dimension:
         raise ConfigError("observable dimension does not match config dimension")
     needs_small_pmax = {"variance", "equilibration"} & set(config.checks)
-    if needs_small_pmax and rho.p_max > 0.25 + 2e-15:
+    if needs_small_pmax and rho.p_max > P_MAX_LIMIT:
         raise ConfigError(
             f"p_max = {rho.p_max!r} must be < 1/4 for checks {sorted(needs_small_pmax)}"
         )

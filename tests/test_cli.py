@@ -441,6 +441,7 @@ def test_run_success_writes_report_and_csv(tmp_path, capsys, monkeypatch):
         ({"mc": {"n_states": None}}, "mc.n_states"),
         ({"observable": {"kind": "random_projector", "rank": None}}, "observable.rank"),
         ({"mc": {"n_states": "abc"}}, "mc.n_states"),
+        ({"mc": {"n_states": 2**32 + 1}}, "mc.n_states"),
         ({"dimension": 8.7}, "dimension"),
         ({"seed": True}, "seed"),
         ({"concentration": {"n_states": 0}}, "concentration.n_states"),
@@ -468,6 +469,7 @@ def test_run_success_writes_report_and_csv(tmp_path, capsys, monkeypatch):
         "n_states-null",
         "rank-null",
         "n_states-string",
+        "n_states-past-2^32",
         "dimension-fraction",
         "seed-bool",
         "concentration-n_states-zero",
@@ -564,6 +566,21 @@ def test_run_with_a_canonical_rho_at_large_negative_beta(tmp_path, capsys, check
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")]) == rc
     err = capsys.readouterr().err
     assert ("p_max = 1.0 must be < 1/4" in err) == (rc == 2) and "NaN" not in err
+
+
+def test_run_refuses_a_p_max_just_above_the_variance_bounds_limit(tmp_path, capsys):
+    """A file rho with p_max = 1/4 + 1.5e-15 is refused when the scenario is built, naming the checks,
+    and not later by the variance bound alone, whose message names no config section."""
+    p = np.array([0.25 + 1.5e-15] + [(0.75 - 1.5e-15) / 7] * 7)
+    save_matrix(tmp_path / "rho.json", np.diag(p))
+    path = write_run_config(tmp_path)
+    config = {**json.loads(path.read_text()), "dimension": 8, "rho": {"kind": "file", "path": "rho.json"},
+              "checks": ["variance"]}
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "p_max = 0.2500000000000015 must be < 1/4 for checks ['variance']" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_csv_curves_read_the_scenarios_full_spectrum_overlap(tmp_path, monkeypatch):

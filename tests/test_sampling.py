@@ -97,12 +97,14 @@ def test_stream_determinism_and_independence():
     assert np.abs(a - c).max() > 1e-3
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**130 + 5], ids=["0", "2^32-1", "2^32", "2^130+5"])
-@pytest.mark.parametrize("domain", [0, 5])
-@pytest.mark.parametrize("lo, hi", [(0, 40), (7, 7), (2**32 - 3, 2**32 + 2)], ids=["first-40", "empty", "across-2^32"])
+@pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**32, 2**130 + 5, 2**200], ids=["0", "2^32-1", "2^32", "2^130+5", "2^200"]
+)
+@pytest.mark.parametrize("domain", [0, 5, 2**40], ids=["0", "5", "2^40"])
+@pytest.mark.parametrize("lo, hi", [(0, 40), (7, 7), (2**32 - 3, 2**32)], ids=["first-40", "empty", "to-2^32"])
 def test_derive_rngs_are_the_streams_of_derive_rng(seed, domain, lo, hi):
-    """One hash over an index range gives each index the generator ``SeedSequence`` gives it alone: a seed of
-    more than four words, and an index of 2**32 or more, which is two words, included."""
+    """One hash over an index range gives each index the generator ``SeedSequence`` gives it alone: seeds of
+    more than four words and a domain of two, whose word counts set the index's hash constants, included."""
     rngs = derive_rngs(seed, domain, lo, hi)
     alone = [derive_rng(seed, domain, i) for i in range(lo, hi)]
     assert len(rngs) == hi - lo
@@ -111,10 +113,13 @@ def test_derive_rngs_are_the_streams_of_derive_rng(seed, domain, lo, hi):
 
 
 def test_derive_rngs_refuse_what_seed_sequence_cannot_take_as_words():
-    with pytest.raises(ValueError, match="nonnegative"):
-        derive_rngs(-1, 0, 0, 3)
-    with pytest.raises(ValueError, match="below 2"):
-        derive_rngs(0, 0, 2**64 - 1, 2**64 + 1)
+    """Negative words, and an index of 2**32 or more, which would be two words and which no run reaches:
+    ``mc.n_states`` is at most 2**32."""
+    for args, name in [((-1, 0, 0, 3), "seed"), ((0, -1, 0, 3), "domain"), ((0, 0, -1, 3), "index")]:
+        with pytest.raises(ValueError, match=f"stream {name} must be nonnegative"):
+            derive_rngs(*args)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        derive_rngs(0, 0, 2**32 - 1, 2**32 + 1)
 
 
 def _bits(states: np.ndarray) -> np.ndarray:
