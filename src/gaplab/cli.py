@@ -27,9 +27,8 @@ from .dynamics import (
     expectation_curve,
     mixture_curve,
 )
-from .linalg import quadratic_forms
 from .moments import gap_expectation, gap_variance_bound, mc_variance
-from .sampling import derive_rng, empirical_density_matrix, sample_gap
+from .sampling import derive_rng, empirical_density_matrix, sample_gap, sample_gap_forms
 from .scenarios import ConfigError, load_scenario
 from .spectra import GapIndex, contributing_set, spectral_counts
 from .runner import run_scenario
@@ -148,9 +147,7 @@ def _cmd_variance(args) -> int:
         "clamped_terms": report.clamped_terms,
     }
     if args.mc_check:
-        rng = derive_rng(args.seed)
-        psis = sample_gap(rho, rng, size=args.mc_check)
-        variance, se = mc_variance(quadratic_forms(psis, A))
+        variance, se = mc_variance(sample_gap_forms(rho, derive_rng(args.seed), args.mc_check, A))
         record["mc"] = {"n": args.mc_check, "seed": args.seed, "variance": variance, "se": se}
     _emit(record, args.out)
     return 0

@@ -31,13 +31,15 @@ forms read too), and it gives each state the bits of a state taken
 alone: the rotation and V* psi are one matrix-vector product per state,
 the overlaps keep each state's products and summation order, and every
 per-state sum is taken the same way in a chunk of one state as
-in a wider one.  The concentration scaling check reads only each uniform
-mixture state's weight on its first half of the coordinates, which
-``sample_gap_weights`` gives bit for bit as ``sample_gap_diagonal``'s
-states would, in cache-sized blocks of rows, without building the
-states.  So the report bytes depend only on (config, seed), whatever
-the number of lanes.  Wall-clock timings are kept out of the canonical
-report for the same reason.
+in a wider one.  The other Monte Carlo checks read one number per state:
+the variance check and the concentration tail its quadratic form
+(``sample_gap_forms``), the scaling check a uniform mixture state's weight
+on its first half of the coordinates (``sample_gap_weights``).  Their
+draws are made at once and the states built in cache-sized blocks of
+rows, never all n x D, with the bits of the stacked states: no block of
+forms is a lone row, which rounds otherwise.  So the report bytes depend
+only on (config, seed), whatever the number of lanes.  Wall-clock timings
+are kept out of the canonical report for the same reason.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ from .dynamics import (
     phase_norm_cells,
     state_overlaps,
 )
-from .linalg import quadratic_forms
 from .moments import gap_variance_bound, mc_variance
-from .sampling import derive_rng, derive_rngs, sample_gap, sample_gap_each, sample_gap_weights, weight_block_rows
+from .sampling import (
+    derive_rng, derive_rngs, form_block_rows, sample_gap_each, sample_gap_forms, sample_gap_weights, weight_block_rows,
+)
 from .scenarios import DOMAIN_CONCENTRATION, DOMAIN_STATES, Scenario, ScenarioConfig, build_scenario
 
 __all__ = [
@@ -143,17 +146,9 @@ class Report:
 
 def _record(name, bound, measured, seed, detail, slack=0.0, passed=None, mc_error=None, vacuous=False):
     """Check record with margin bound + slack - measured; by default it passes when that is >= 0."""
-    return CheckRecord(
-        name=name,
-        bound=bound,
-        measured=measured,
-        margin=bound + slack - measured,
-        vacuous=vacuous,
-        mc_error=mc_error,
-        seed=seed,
-        passed=measured <= bound + slack if passed is None else passed,
-        detail=detail,
-    )
+    return CheckRecord(name=name, bound=bound, measured=measured, margin=bound + slack - measured, vacuous=vacuous,
+                       mc_error=mc_error, seed=seed, passed=measured <= bound + slack if passed is None else passed,
+                       detail=detail)
 
 
 def _tightest(cells: list, margin) -> dict | None:
@@ -162,9 +157,7 @@ def _tightest(cells: list, margin) -> dict | None:
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
-    m = float(np.mean(x))
-    se = float(np.std(x) / np.sqrt(x.size))
-    return m, se
+    return float(np.mean(x)), float(np.std(x) / np.sqrt(x.size))
 
 
 def _spectral_section(scn: Scenario) -> dict:
@@ -198,8 +191,9 @@ def _phase_norm_record(scn: Scenario) -> tuple[CheckRecord, list]:
 def _variance_records(scn: Scenario) -> tuple[list, dict]:
     """Closed-form variance bound dominance plus the Monte Carlo match.
 
-    Also returns the K-integral rule's node count and self-check difference
-    for the timings sidecar.
+    Also returns the timings sidecar's entries: the K-integral rule's node
+    count and self-check difference (``variance_rule``) and the rows per
+    block of the Monte Carlo (``variance_blocks``, ``{dim, rows}``).
     """
     config = scn.config
     rho, B = scn.rho, scn.observable
@@ -214,13 +208,15 @@ def _variance_records(scn: Scenario) -> tuple[list, dict]:
     passed = exact <= report.bound + 1e-12 * (1.0 + abs(report.bound))
     dominance = _record("variance_bound_dominance", report.bound, exact, seed, detail, passed=passed)
     n = max(config.n_states * 10, 2000)
-    psis = sample_gap(rho, derive_rng(seed, DOMAIN_VARIANCE), size=n)
-    mc_var, se = mc_variance(quadratic_forms(psis, B))
+    mc_var, se = mc_variance(sample_gap_forms(rho, derive_rng(seed, DOMAIN_VARIANCE), n, B))
     detail = {"n_samples": n, "mc_variance": mc_var, "exact_variance": exact}
     # a variance that is zero (B = I on the support of rho) still carries rounding noise of order |B|^2
     mc = _record("variance_exact_vs_mc", 4.0 * se, abs(mc_var - exact), seed, detail,
                  slack=(1e-12 * scn.norm_b) ** 2, mc_error=se)
-    return [dominance, mc], {"nodes": report.rule_nodes, "self_check": report.rule_self_check}
+    return [dominance, mc], {
+        "variance_rule": {"nodes": report.rule_nodes, "self_check": report.rule_self_check},
+        "variance_blocks": {"dim": rho.dim, "rows": form_block_rows(rho.dim, n)},
+    }
 
 
 def _usable_cores() -> int:
@@ -421,9 +417,7 @@ def verify_equilibration(scn: Scenario, workers: int = 1, beside=None) -> tuple[
             per_kappa = {str(k): bounds[k, T].expected_time_variance for k in kappas}
             measured, se = _mean_and_se(values)
             bound = min(per_kappa.values())
-            curve_cells.append(
-                {"horizon": T, "bound": bound, "measured": measured, "se": se, "per_kappa": per_kappa}
-            )
+            curve_cells.append({"horizon": T, "bound": bound, "measured": measured, "se": se, "per_kappa": per_kappa})
             per_kappa = {str(k): bounds[k, T].mixture_curve_deviation for k in kappas}
             bound = min(per_kappa.values())
             mixture_cells.append(
@@ -478,25 +472,12 @@ def verify_equilibration(scn: Scenario, workers: int = 1, beside=None) -> tuple[
             for k in kappas:
                 b = bounds[k, T]
                 per_kappa[str(k)] = {"bound": b.finite_time, "markov": b.markov, "concentration": b.concentration}
-            cells.append(
-                {
-                    "horizon": T,
-                    "deviation_bound": bound,
-                    "vacuous": vacuous[h],
-                    "exceed_fraction": float((fractions[:, h] > config.delta).mean()),
-                    "per_kappa": per_kappa,
-                }
-            )
+            cells.append({"horizon": T, "deviation_bound": bound, "vacuous": vacuous[h],
+                          "exceed_fraction": float((fractions[:, h] > config.delta).mean()), "per_kappa": per_kappa})
         live = [c for c in cells if not c["vacuous"]]
         worst = _tightest(live, lambda c: -c["exceed_fraction"])
-        detail = {
-            "cells": cells,
-            "epsilon": config.epsilon,
-            "delta": config.delta,
-            "n_states": n_states,
-            "n_times": config.n_times,
-            "infinite_time_bound": first.infinite_time,
-        }
+        detail = {"cells": cells, "epsilon": config.epsilon, "delta": config.delta, "n_states": n_states,
+                  "n_times": config.n_times, "infinite_time_bound": first.infinite_time}
         measured = worst["exceed_fraction"] if worst else 0.0
         records.append(
             _record("finite_time_exceedance", threshold, measured, seed, detail,
@@ -516,9 +497,9 @@ def _concentration_tail(scn: Scenario) -> CheckRecord:
     t, grid, n_states = section["time"], section["epsilon_grid"], section["n_states"]
     M = spec.basis_matrix * np.exp(1j * spec.column_values * t)
     B_t = M @ scn.spectrum_observable @ M.conj().T
+    del M  # not held beside the draws
     reference = complex(mixture_curve(spec.values, scn.spectrum_mixture_overlap, [t])[0])
-    psis = sample_gap(rho, derive_rng(seed, DOMAIN_CONCENTRATION, 0), size=n_states)
-    dev = np.abs(quadratic_forms(psis, B_t) - reference)
+    dev = np.abs(sample_gap_forms(rho, derive_rng(seed, DOMAIN_CONCENTRATION, 0), n_states, B_t) - reference)
     cells = []
     for eps in grid:
         bound = concentration_tail_bound(eps, 2.0 * scn.norm_b, rho.p_max)
@@ -567,16 +548,18 @@ def verify_concentration(scn: Scenario) -> tuple[list, dict]:
 
     Also returns the timings sidecar's entries: the seconds of each check
     (``concentration_tail``, ``concentration_scaling``) and the rows per
-    block of each scaling dimension (``scaling_blocks``, ``{dim, rows}``).
+    block of the tail (``tail_blocks``) and of each scaling dimension
+    (``scaling_blocks``), each ``{dim, rows}``.
     """
     t0 = time.perf_counter()
     tail = _concentration_tail(scn)
     t1 = time.perf_counter()
     scaling = _concentration_scaling(scn.config)
     t2 = time.perf_counter()
-    n_states = scn.config.concentration["n_states"]
+    n_states, dim = scn.config.concentration["n_states"], scn.rho.dim
     blocks = [{"dim": d, "rows": weight_block_rows(d, n_states)} for d in scn.config.concentration["scaling_dims"]]
-    sidecar = {"concentration_tail": t1 - t0, "concentration_scaling": t2 - t1, "scaling_blocks": blocks}
+    sidecar = {"concentration_tail": t1 - t0, "concentration_scaling": t2 - t1,
+               "tail_blocks": {"dim": dim, "rows": form_block_rows(dim, n_states)}, "scaling_blocks": blocks}
     return [tail, scaling], sidecar
 
 
@@ -616,8 +599,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) 
         timings["spectral"] = time.perf_counter() - t1
     if "variance" in config.checks:
         t1 = time.perf_counter()
-        records, timings["variance_rule"] = _variance_records(scn)
+        records, sidecar = _variance_records(scn)
         checks.extend(records)
+        timings.update(sidecar)
         timings["variance"] = time.perf_counter() - t1
     concentration = []  # the concentration checks' (records, sidecar), once they have run
 
@@ -639,11 +623,4 @@ def run_scenario(config: ScenarioConfig, base_dir: str = ".", workers: int = 1) 
         timings.update(sidecar)
     timings["total"] = time.perf_counter() - t0
     timings["peak_rss_mb"], timings["minor_faults"] = _usage()
-    return Report(
-        config=config.raw,
-        seed=config.seed,
-        spectral=spectral,
-        checks=checks,
-        timings=timings,
-        scenario=scn,
-    )
+    return Report(config=config.raw, seed=config.seed, spectral=spectral, checks=checks, timings=timings, scenario=scn)

@@ -22,10 +22,11 @@ cross-check of that recipe.
 
 The recipe is written once (``_gap_coordinates`` and ``_normalized``),
 and every sampler runs it on each row alone.  So a block of rows gives
-the bits of the whole: :func:`sample_gap_weights` makes the draws of
-:func:`sample_gap_diagonal` and runs the recipe over cache-sized blocks of
-rows in one reused buffer, keeping each state's weight on its first
-coordinates bit for bit, without building the states.
+the bits of the whole: :func:`sample_gap_weights` and
+:func:`sample_gap_forms` make their draws at once and run the recipe over
+cache-sized blocks of rows in one reused buffer (``_gap_blocks``), without
+building the states.  A lone row's rotation and form round otherwise than
+a row's in a stack, so no block of forms is one row unless there is one.
 
 Zero eigenvalues are carried as exact zeros: the Gaussian scale vanishes
 and the mixture index never selects them.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, hermitian_eigendecomposition, row_powers
+from .linalg import as_complex_matrix, hermitian_eigendecomposition, quadratic_forms, row_powers
 
 __all__ = [
     "DensityMatrix",
@@ -50,7 +51,9 @@ __all__ = [
     "sample_gap_each",
     "sample_gap_diagonal",
     "sample_gap_weights",
+    "sample_gap_forms",
     "weight_block_rows",
+    "form_block_rows",
     "sample_gap_resampling_oracle",
     "empirical_density_matrix",
 ]
@@ -64,8 +67,8 @@ UNITARITY_TOL = 1e-10
 #: Minimum batch size for the importance-resampling oracle.
 MIN_ORACLE_BATCH = 1000
 
-#: Bytes of one block of complex coordinate rows in ``sample_gap_weights``:
-#: small enough to stay in a core's cache.
+#: Bytes of one block of complex coordinate rows in ``sample_gap_weights``
+#: (a quarter block in ``sample_gap_forms``): small enough to stay in a core's cache.
 WEIGHT_BLOCK_BYTES = 256 * 1024
 
 # The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx), for derive_rngs.
@@ -107,14 +110,10 @@ class DensityMatrix:
         p = _checked_probabilities(self.probabilities)
         U = as_complex_matrix(self.basis, name="eigenbasis", square=True)
         if p.size != U.shape[0]:
-            raise ValueError(
-                f"probability count {p.size} does not match basis dimension {U.shape[0]}"
-            )
+            raise ValueError(f"probability count {p.size} does not match basis dimension {U.shape[0]}")
         defect = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
         if defect > UNITARITY_TOL:
-            raise ValueError(
-                f"eigenbasis is not unitary: max |U*U - I| = {defect:.3e}"
-            )
+            raise ValueError(f"eigenbasis is not unitary: max |U*U - I| = {defect:.3e}")
         self.probabilities = p
         self.basis = U
 
@@ -235,6 +234,14 @@ def derive_rngs(seed: int, domain: int, lo: int, hi: int) -> list:
     return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in state]
 
 
+def _state_count(size) -> int:
+    """``size`` as a number of states, which must be at least 1."""
+    n = int(size)
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    return n
+
+
 def sample_gaussian(rho: DensityMatrix, rng: np.random.Generator, size=None) -> np.ndarray:
     """Draw from the Gaussian ensemble of ``rho`` (not normalized).
 
@@ -242,9 +249,7 @@ def sample_gaussian(rho: DensityMatrix, rng: np.random.Generator, size=None) -> 
     shape (size, dim) with one state per row.  Draw order per call: all
     real parts, then all imaginary parts.
     """
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    n = _state_count(1 if size is None else size)
     scale = np.sqrt(rho.probabilities / 2.0)
     z = rng.standard_normal((n, rho.dim)) + 1j * rng.standard_normal((n, rho.dim))
     z *= scale
@@ -325,9 +330,7 @@ def sample_gap(rho: DensityMatrix, rng: np.random.Generator, size=None) -> np.nd
     Returns one state for ``size=None``, else (size, dim) rows.  Each row
     has unit norm to within 1e-12.
     """
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    n = _state_count(1 if size is None else size)
     psi = _gap_states(rho.probabilities, _gap_draws(rng, n, rho.dim), lambda z: z @ rho.basis.T)
     return psi[0] if size is None else psi
 
@@ -365,19 +368,31 @@ def sample_gap_diagonal(probabilities, rng: np.random.Generator, size: int) -> n
     bit, since z @ I == z.
     """
     p = _checked_probabilities(probabilities)
-    n = int(size)
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    n = _state_count(size)
     return _gap_states(p, _gap_draws(rng, n, p.size))
 
 
 def weight_block_rows(dim: int, size: int) -> int:
-    """Rows per block of ``sample_gap_weights`` for ``size`` states of dimension ``dim``.
-
-    As many complex rows as fit in ``WEIGHT_BLOCK_BYTES``, at least one and
-    at most ``size``.
-    """
+    """Rows per block of ``sample_gap_weights``: ``WEIGHT_BLOCK_BYTES`` // (16 ``dim``), from 1 to ``size``."""
     return min(int(size), max(1, WEIGHT_BLOCK_BYTES // (16 * int(dim))))
+
+
+def form_block_rows(dim: int, size: int) -> int:
+    """Rows per block of ``sample_gap_forms``: ``WEIGHT_BLOCK_BYTES`` // (64 ``dim``), at least 2, at most ``size``.
+
+    A quarter of the weights' rows, since a block's widest step holds its
+    coordinates, its rotated states and their conjugate.
+    """
+    return min(int(size), max(2, WEIGHT_BLOCK_BYTES // (64 * int(dim))))
+
+
+def _gap_blocks(p: np.ndarray, draws: tuple, rows: int):
+    """(lo, hi, coordinates of rows lo:hi) of ``draws``, ``rows`` rows a block; a lone last row joins the one before."""
+    n = draws[0].size
+    starts = range(0, max(n - 1, 1), rows)
+    z = np.empty((max(rows, n - starts[-1]), p.size), dtype=complex)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        yield lo, hi, _gap_coordinates(p, tuple(x[lo:hi] for x in draws), z[: hi - lo])
 
 
 def sample_gap_weights(probabilities, rng: np.random.Generator, size: int, cut: int) -> np.ndarray:
@@ -389,29 +404,35 @@ def sample_gap_weights(probabilities, rng: np.random.Generator, size: int, cut: 
     columns x in a stack of at least two rows (``linalg.row_powers``, which
     sums a lone row in such a stack), and the generator is left where that
     call leaves it.  The draws are made as there, all at once; the recipe
-    then runs in blocks of ``weight_block_rows`` rows through one reused
-    buffer, each row with its full norm, and only the first ``cut`` columns
-    are divided by it.  So no (size, dim) array of states is built.
+    then runs in blocks of ``weight_block_rows`` rows, and only the first
+    ``cut`` columns of each row are divided by its full norm.
     """
     p = _checked_probabilities(probabilities)
-    n = int(size)
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    draws = _gap_draws(rng, n, p.size)
-    rows = weight_block_rows(p.size, n)
-    z = np.empty((rows, p.size), dtype=complex)
+    n = _state_count(size)
     weights = np.empty(n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = _gap_coordinates(p, tuple(x[lo:hi] for x in draws), z[: hi - lo])
-        head = _normalized(block, cut)
-        weights[lo:hi] = row_powers(head)
+    for lo, hi, z in _gap_blocks(p, _gap_draws(rng, n, p.size), weight_block_rows(p.size, n)):
+        weights[lo:hi] = row_powers(_normalized(z, cut))
     return weights
 
 
-def sample_gap_resampling_oracle(
-    rho: DensityMatrix, rng: np.random.Generator, batch: int = 10000
-) -> np.ndarray:
+def sample_gap_forms(rho: DensityMatrix, rng: np.random.Generator, size: int, A: np.ndarray) -> np.ndarray:
+    """``quadratic_forms(sample_gap(rho, rng, size), A)`` bit for bit, without building the (size, dim) states.
+
+    The generator is left where that call leaves it.  The draws are made
+    as there, all at once; the recipe, its rotation and the forms then run
+    in blocks of ``form_block_rows`` rows, none of them a lone row unless
+    ``size`` is 1: a lone row's rotation (a matrix-vector product) and
+    one-row ``einsum`` round otherwise than the row's in a stack.
+    """
+    n = _state_count(size)
+    draws = _gap_draws(rng, n, rho.dim)
+    forms = np.empty(n, dtype=complex)
+    for lo, hi, z in _gap_blocks(rho.probabilities, draws, form_block_rows(rho.dim, n)):
+        forms[lo:hi] = quadratic_forms(_normalized(z @ rho.basis.T), A)
+    return forms
+
+
+def sample_gap_resampling_oracle(rho: DensityMatrix, rng: np.random.Generator, batch: int = 10000) -> np.ndarray:
     """One projected-ensemble draw by importance resampling of a Gaussian batch.
 
     Draws ``batch`` Gaussian states, picks one with probability

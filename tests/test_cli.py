@@ -738,6 +738,8 @@ def test_run_reruns_are_byte_identical(tmp_path):
     assert "build" in timings and "timings" not in out1.read_text()
     rule = timings["variance_rule"]
     assert rule["nodes"] > 0 and 0.0 <= rule["self_check"] <= 1e-13
+    # the 2000 Monte Carlo states at D = 6 in blocks of 256 KiB / (4 x 96 bytes) rows
+    assert timings["variance_blocks"] == {"dim": 6, "rows": 682}
     # one route record of the phase-matrix norm per horizon; the report keeps its keys
     kernel, dense = timings["phase_norm"]
     assert kernel["horizon"] == 4.0 and kernel["route"] == "kernel" and kernel["pairs"] == 30
@@ -777,14 +779,15 @@ def test_run_timings_split_the_concentration_checks(tmp_path):
     assert cli.main(["run", "--config", str(config), "--out", str(out), "--timings", str(t_f)]) == 0
     timings = json.loads(t_f.read_text())
     assert set(timings) == {
-        "build", "concentration_tail", "concentration_scaling", "scaling_blocks", "total", "peak_rss_mb", "minor_faults",
-        "allocator",
+        "build", "concentration_tail", "concentration_scaling", "tail_blocks", "scaling_blocks", "total", "peak_rss_mb",
+        "minor_faults", "allocator",
     }
     # the allocator setting of the process, which the library's own timings do not carry
     assert timings["allocator"] == cli.keep_freed_memory_mapped()
     assert timings["concentration_tail"] > 0.0 and timings["concentration_scaling"] > 0.0
-    # 256 KiB of complex rows: all 300 states at d = 4, 8 rows at d = 2048
+    # 256 KiB of complex rows: all 300 states at d = 4, 8 rows at d = 2048; the tail's D = 6 blocks take all 300
     assert timings["scaling_blocks"] == [{"dim": 4, "rows": 300}, {"dim": 2048, "rows": 8}]
+    assert timings["tail_blocks"] == {"dim": 6, "rows": 300}
     assert "scaling_blocks" not in out.read_text() and "timings" not in out.read_text()
 
 

@@ -180,6 +180,32 @@ def test_moments_memory_does_not_grow_with_the_state_count():
     assert peaks[1] - peaks[0] < 3 * 2**20
 
 
+def test_concentration_tail_holds_its_draws_and_blocks_not_the_states(monkeypatch):
+    """The tail's ``tracemalloc`` growth at D = 128 stays within its draws (16 n D bytes of normals plus
+    three n-vectors) and 1 MiB, for B(t) and one block's rows.  Building the (n, D) states would hold
+    their coordinates, their rotation and its conjugate, each about the size of the draws."""
+    n, dim, growth, tail = 1000, 128, [], runner._concentration_tail
+
+    def measured(scn):
+        scn.spectrum_observable, scn.spectrum_mixture_overlap  # scenario quantities, kept for the whole run
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        record = tail(scn)
+        growth.append(tracemalloc.get_traced_memory()[1] - start)
+        return record
+
+    monkeypatch.setattr(runner, "_concentration_tail", measured)
+    config = make_config(dimension=dim, checks=["concentration"],
+                         concentration={"time": 1.0, "n_states": n, "scaling_dims": [16, 64], "epsilon_grid": [0.2]})
+    tracemalloc.start()
+    try:
+        report = run_scenario(config)
+    finally:
+        tracemalloc.stop()
+    assert report.timings["tail_blocks"] == {"dim": dim, "rows": 32}
+    assert growth[0] <= 16 * n * dim + 24 * n + 2**20
+
+
 def test_moments_memory_does_not_grow_with_the_lanes(monkeypatch):
     """Two lanes run chunks of half the states, so the states in flight, summed over the lanes, stay put.
 

@@ -1,19 +1,27 @@
 """Gaussian and projected ensembles against analytic and resampling oracles."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import diagonal_density
+from conftest import diagonal_density, random_hermitian
 from gaplab import sampling
+from gaplab.linalg import quadratic_forms
 from gaplab.sampling import (
     DensityMatrix,
     derive_rng,
     derive_rngs,
     empirical_density_matrix,
+    form_block_rows,
     sample_gap,
     sample_gap_diagonal,
     sample_gap_each,
+    sample_gap_forms,
     sample_gap_resampling_oracle,
     sample_gap_weights,
     sample_gaussian,
@@ -228,6 +236,42 @@ def test_sample_gap_weights_take_any_cut_and_check_their_inputs():
         sample_gap_weights([0.5, 0.5], derive_rng(334), 0, 1)
     assert weight_block_rows(4, 10_000) == sampling.WEIGHT_BLOCK_BYTES // 64
     assert weight_block_rows(10**9, 5) == 1
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("d", [8, 48, 128, 200])
+def test_sample_gap_forms_are_the_stacked_forms_bit_for_bit(monkeypatch, d, rows):
+    """Stacks of 1, 2 and 3 rows, and of two blocks and a remainder of 0, 1 or 2 rows: a lone last row
+    joins the block before it, so only a one-row stack has a one-row block, and every form keeps its bits."""
+    if rows is not None:  # a budget of that many rows; one row makes blocks of two
+        monkeypatch.setattr(sampling, "WEIGHT_BLOCK_BYTES", rows * 64 * d)
+    rho = random_density(d, derive_rng(340, d))
+    A = random_hermitian(d, derive_rng(341, d))
+    block = form_block_rows(d, 10**6)
+    assert block == (max(2, rows) if rows is not None else sampling.WEIGHT_BLOCK_BYTES // (64 * d))
+    for n in (1, 2, 3, 2 * block, 2 * block + 1, 2 * block + 2):
+        assert form_block_rows(d, n) == min(n, block)
+        stacked, blocked = derive_rng(342, n), derive_rng(342, n)
+        expected = quadratic_forms(sample_gap(rho, stacked, size=n), A)
+        assert np.array_equal(_bits(sample_gap_forms(rho, blocked, n, A)), _bits(expected))
+        # the generator is left where the states leave it
+        assert np.array_equal(stacked.random(8), blocked.random(8))
+    with pytest.raises(ValueError):
+        sample_gap_forms(rho, derive_rng(343), 0, A)
+
+
+def test_sample_gap_forms_keep_their_bits_on_one_blas_thread():
+    """Where BLAS may split a product over threads, the comparison runs again in a process with one."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1" or (os.cpu_count() or 1) == 1:
+        pytest.skip("BLAS runs on one thread here already")
+    src = str(pathlib.Path(sampling.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    test = f"{pathlib.Path(__file__).resolve()}::test_sample_gap_forms_are_the_stacked_forms_bit_for_bit"
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-4000:]
+    assert "12 passed" in result.stdout
 
 
 def test_haar_fourth_moment_at_uniform_rho():
